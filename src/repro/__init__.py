@@ -26,48 +26,27 @@ Quickstart::
     report = run_experiment("fig02", result)
 """
 
-from repro.chain import Blockchain
-from repro.core.coverage import (
-    DiskModel,
-    ExplorerDotMap,
-    HullModel,
-    RevisedModel,
-    build_witness_geometry,
-)
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    format_report,
-    run_experiment,
-)
-from repro.geo import HexGrid, LatLon
-from repro.rng import RngHub
-from repro.simulation import (
-    ScenarioConfig,
-    SimulationEngine,
-    SimulationResult,
-    paper_scenario,
-    small_scenario,
-)
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "Blockchain",
-    "LatLon",
-    "HexGrid",
-    "RngHub",
-    "ScenarioConfig",
-    "SimulationEngine",
-    "SimulationResult",
-    "paper_scenario",
-    "small_scenario",
-    "DiskModel",
-    "HullModel",
-    "RevisedModel",
-    "ExplorerDotMap",
-    "build_witness_geometry",
-    "EXPERIMENTS",
-    "run_experiment",
-    "format_report",
-]
+# Names resolve on first use (PEP 562), so importing one subpackage, such
+# as the serving tier, does not import the simulator and its numpy stack.
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.chain.blockchain": ["Blockchain"],
+    "repro.geo.sphere": ["LatLon"],
+    "repro.geo.hexgrid": ["HexGrid"],
+    "repro.rng": ["RngHub"],
+    "repro.simulation.scenario": [
+        "ScenarioConfig", "paper_scenario", "small_scenario",
+    ],
+    "repro.simulation.engine": ["SimulationEngine", "SimulationResult"],
+    "repro.core.coverage": [
+        "DiskModel", "HullModel", "RevisedModel", "ExplorerDotMap",
+        "build_witness_geometry",
+    ],
+    "repro.experiments.registry": [
+        "EXPERIMENTS", "run_experiment", "format_report",
+    ],
+})
+__all__.insert(0, "__version__")

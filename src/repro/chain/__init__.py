@@ -10,55 +10,19 @@ analysis layer (:mod:`repro.core`) *reads* it — mirroring how the authors
 read the DeWi ETL replica of the live chain.
 """
 
-from repro.chain.blockchain import Blockchain
-from repro.chain.block import Block
-from repro.chain.crypto import Address, Keypair
-from repro.chain.ledger import HotspotRecord, Ledger, WalletState
-from repro.chain.naming import hotspot_name
-from repro.chain.transactions import (
-    AddGateway,
-    AssertLocation,
-    OuiRegistration,
-    Payment,
-    PocReceipts,
-    PocRequest,
-    Rewards,
-    RewardShare,
-    RewardType,
-    StateChannelClose,
-    StateChannelOpen,
-    StateChannelSummary,
-    TokenBurn,
-    Transaction,
-    TransferHotspot,
-    WitnessReport,
-)
-from repro.chain.varmap import ChainVars
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Blockchain",
-    "Block",
-    "Address",
-    "Keypair",
-    "Ledger",
-    "HotspotRecord",
-    "WalletState",
-    "hotspot_name",
-    "Transaction",
-    "AddGateway",
-    "AssertLocation",
-    "TransferHotspot",
-    "PocRequest",
-    "PocReceipts",
-    "WitnessReport",
-    "StateChannelOpen",
-    "StateChannelClose",
-    "StateChannelSummary",
-    "Payment",
-    "TokenBurn",
-    "OuiRegistration",
-    "Rewards",
-    "RewardShare",
-    "RewardType",
-    "ChainVars",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.chain.blockchain": ["Blockchain"],
+    "repro.chain.block": ["Block"],
+    "repro.chain.crypto": ["Address", "Keypair"],
+    "repro.chain.ledger": ["Ledger", "HotspotRecord", "WalletState"],
+    "repro.chain.naming": ["hotspot_name"],
+    "repro.chain.transactions": [
+        "Transaction", "AddGateway", "AssertLocation", "TransferHotspot",
+        "PocRequest", "PocReceipts", "WitnessReport", "StateChannelOpen",
+        "StateChannelClose", "StateChannelSummary", "Payment", "TokenBurn",
+        "OuiRegistration", "Rewards", "RewardShare", "RewardType",
+    ],
+    "repro.chain.varmap": ["ChainVars"],
+})

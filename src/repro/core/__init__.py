@@ -9,26 +9,13 @@ cutoff refinement, and the final radial + RSSI revision.
 documented function over chain/p2p/field data.
 """
 
-from repro.core.coverage import (
-    CoverageEstimate,
-    CoverageModel,
-    DiskModel,
-    ExplorerDotMap,
-    HullModel,
-    RevisedModel,
-    build_witness_geometry,
-    WitnessGeometry,
-)
-from repro.core.explorer import Explorer
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CoverageModel",
-    "CoverageEstimate",
-    "ExplorerDotMap",
-    "DiskModel",
-    "HullModel",
-    "RevisedModel",
-    "WitnessGeometry",
-    "build_witness_geometry",
-    "Explorer",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.core.coverage": [
+        "CoverageModel", "CoverageEstimate", "ExplorerDotMap", "DiskModel",
+        "HullModel", "RevisedModel", "WitnessGeometry",
+        "build_witness_geometry",
+    ],
+    "repro.core.explorer": ["Explorer"],
+})

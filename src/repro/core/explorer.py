@@ -14,10 +14,9 @@ paper can be retraced interactively:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro import units
-from repro.chain.blockchain import Blockchain
 from repro.chain.crypto import Address
 from repro.chain.naming import hotspot_name
 from repro.chain.transactions import (
@@ -27,8 +26,11 @@ from repro.chain.transactions import (
     TransferHotspot,
 )
 from repro.errors import AnalysisError
-from repro.geo.geodesy import LatLon
 from repro.geo.hexgrid import HexCell
+from repro.geo.sphere import LatLon
+
+if TYPE_CHECKING:
+    from repro.chain.blockchain import Blockchain
 
 __all__ = ["HotspotPage", "OwnerPage", "WitnessEvent", "Explorer"]
 

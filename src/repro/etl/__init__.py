@@ -15,8 +15,10 @@ the reproduction:
 * :mod:`repro.etl.cli` — ``python -m repro.etl`` (ingest/query/serve).
 """
 
-from repro.etl.ingest import IngestReport, ingest_chain
-from repro.etl.schema import SCHEMA_VERSION
-from repro.etl.store import EtlStore
+from repro._exports import lazy_exports
 
-__all__ = ["EtlStore", "IngestReport", "ingest_chain", "SCHEMA_VERSION"]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.etl.store": ["EtlStore"],
+    "repro.etl.ingest": ["IngestReport", "ingest_chain"],
+    "repro.etl.schema": ["SCHEMA_VERSION"],
+})

@@ -37,9 +37,19 @@ from repro.errors import EtlError
 from repro.etl import schema
 from repro.geo.hexgrid import HexCell
 
-__all__ = ["MAX_PAGE_LIMIT", "EtlStore", "ReadReplicas", "clamp_page"]
+__all__ = [
+    "MAX_PAGE_LIMIT", "REPLICA_CACHE_KIB", "EtlStore", "ReadReplicas",
+    "clamp_page",
+]
 
 _MEMORY = ":memory:"
+
+#: Page-cache cap of a read-only replica, in KiB (SQLite's default is
+#: 2,000 KiB per connection). The serving tiers open one replica per
+#: worker thread over the same file, whose pages the OS page cache
+#: already holds, so a large private cache per replica only duplicates
+#: them; a small one still keeps the hot B-tree interior pages.
+REPLICA_CACHE_KIB = 256
 
 #: Hard ceiling on one page of results. Every paginated query surface
 #: (HTTP routes and the store's own paging helpers) clamps to this, so
@@ -113,6 +123,9 @@ class EtlStore:
                     isolation_level=None,
                 )
                 self.connection.execute("PRAGMA busy_timeout=5000")
+                self.connection.execute(
+                    f"PRAGMA cache_size=-{REPLICA_CACHE_KIB}"
+                )
             else:
                 # check_same_thread=False: the legacy HTTP server may
                 # share one in-memory handle across request threads

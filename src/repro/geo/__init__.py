@@ -3,7 +3,9 @@
 This package replaces the external geospatial stack the paper relies on
 (Uber H3, GIS landmass data) with self-contained implementations:
 
-* :mod:`repro.geo.geodesy` — great-circle math on the WGS-84 sphere.
+* :mod:`repro.geo.sphere` — scalar great-circle math on the WGS-84
+  sphere, numpy-free; :mod:`repro.geo.geodesy` adds the vectorised
+  kernels.
 * :mod:`repro.geo.hexgrid` — a hierarchical hexagonal index with
   H3-compatible resolution semantics (hotspot locations live at res 12).
 * :mod:`repro.geo.polygon` — convex hulls, point-in-polygon tests and
@@ -14,25 +16,13 @@ This package replaces the external geospatial stack the paper relies on
   express coverage as a fraction of landmass.
 """
 
-from repro.geo.geodesy import (
-    EARTH_RADIUS_KM,
-    LatLon,
-    destination,
-    haversine_km,
-    initial_bearing_deg,
-)
-from repro.geo.hexgrid import HexCell, HexGrid, RESOLUTION_TABLE
-from repro.geo.polygon import Polygon, convex_hull
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EARTH_RADIUS_KM",
-    "LatLon",
-    "haversine_km",
-    "destination",
-    "initial_bearing_deg",
-    "HexCell",
-    "HexGrid",
-    "RESOLUTION_TABLE",
-    "Polygon",
-    "convex_hull",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.geo.sphere": [
+        "EARTH_RADIUS_KM", "LatLon", "haversine_km", "destination",
+        "initial_bearing_deg",
+    ],
+    "repro.geo.hexgrid": ["HexCell", "HexGrid", "RESOLUTION_TABLE"],
+    "repro.geo.polygon": ["Polygon", "convex_hull"],
+})

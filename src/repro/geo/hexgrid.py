@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import GeoError
-from repro.geo.geodesy import EARTH_RADIUS_KM, LatLon, validate_lat_lon
+from repro.geo.sphere import EARTH_RADIUS_KM, LatLon, validate_lat_lon
 
 __all__ = [
     "MIN_RESOLUTION",

@@ -17,21 +17,11 @@ Layers a traffic-worthy HTTP front end on :mod:`repro.etl`:
 CLI: ``python -m repro.serve serve|load`` (see :mod:`repro.serve.cli`).
 """
 
-from repro.serve.cache import CacheEntry, ResponseCache, etag_for
-from repro.serve.cursor import CursorError, decode_cursor, encode_cursor
-from repro.serve.loadgen import LoadReport, run_load
-from repro.serve.server import ServeServer, create_server, serve
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CacheEntry",
-    "CursorError",
-    "LoadReport",
-    "ResponseCache",
-    "ServeServer",
-    "create_server",
-    "decode_cursor",
-    "encode_cursor",
-    "etag_for",
-    "run_load",
-    "serve",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.serve.cache": ["CacheEntry", "ResponseCache", "etag_for"],
+    "repro.serve.cursor": ["CursorError", "decode_cursor", "encode_cursor"],
+    "repro.serve.loadgen": ["LoadReport", "run_load"],
+    "repro.serve.server": ["ServeServer", "create_server", "serve"],
+})

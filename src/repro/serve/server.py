@@ -143,6 +143,10 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.0"
+    # TCP_NODELAY: a response goes out as two writes (headers, then
+    # body), and with Nagle on the body waits for the client's delayed
+    # ACK of the headers, ~40 ms per response on a kept-alive socket.
+    disable_nagle_algorithm = True
 
     def setup(self) -> None:
         server: "ServeServer" = self.server  # type: ignore[assignment]

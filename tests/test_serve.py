@@ -444,6 +444,25 @@ class TestKeepAlive:
                 assert head.startswith(b"HTTP/1.1 200")
                 json.loads(body.decode("utf-8"))
 
+    def test_keep_alive_bodies_do_not_wait_for_delayed_ack(self, live):
+        """Headers and body leave in two writes; with Nagle on, each
+        body waited for the client's delayed ACK (~40 ms a response,
+        ~800 ms for these 20). TCP_NODELAY sends it at once."""
+        _, _, listing = live.get_json("/hotspots?limit=20")
+        gateways = [h["gateway"] for h in listing["hotspots"]]
+        conn = http.client.HTTPConnection(live.host, live.port, timeout=10)
+        try:
+            started = time.perf_counter()
+            for i in range(20):
+                conn.request("GET", f"/hotspot/{gateways[i % len(gateways)]}")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["gateway"]
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert elapsed < 0.4, f"20 keep-alive responses took {elapsed:.3f} s"
+
     def test_http10_client_still_closes_per_request(self, live):
         import socket
 
