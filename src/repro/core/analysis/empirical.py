@@ -20,8 +20,6 @@ from repro.field.reconcile import (
     MissRunStats,
     ack_table,
     hip15_accuracy,
-    miss_run_stats,
-    prr,
 )
 from repro.field.walks import WalkExperiment, generate_walk
 from repro.geo.geodesy import LatLon, haversine_km_many, latlon_arrays
@@ -117,8 +115,8 @@ def run_stationary(
         prr=result.prr,
         prr_excluding_outages=result.prr_excluding_outages(),
         packets_sent=result.packets_sent,
-        miss_runs=miss_run_stats(result.records),
-        acks=ack_table(result.records),
+        miss_runs=result.tally.miss_run_stats(),
+        acks=result.tally.ack_table(),
     )
 
 

@@ -150,8 +150,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--profile", action="store_true",
         help="write day-loop phase timings (from the phase scheduler) "
-        "and per-experiment wall/CPU as profile.json (next to "
-        "--export output when given)",
+        "and per-experiment wall/CPU/RSS high-water mark as "
+        "profile.json (next to --export output when given)",
     )
     parser.add_argument(
         "--trace", metavar="FILE", default=None,
@@ -223,6 +223,7 @@ def main(argv=None) -> int:
             timings = {
                 outcome.experiment_id: {
                     "wall_s": outcome.wall_s, "cpu_s": outcome.cpu_s,
+                    "rss_hwm_bytes": outcome.rss_hwm_bytes,
                 }
                 for outcome in outcomes
             }
@@ -247,6 +248,9 @@ def main(argv=None) -> int:
                 timings[experiment_id] = {
                     "wall_s": time.perf_counter() - wall0,
                     "cpu_s": time.process_time() - cpu0,
+                    # The process high-water mark so far: the step from
+                    # the previous experiment is what this one added.
+                    "rss_hwm_bytes": obs.peak_rss_bytes(),
                 }
     finally:
         from repro.parallel import shards

@@ -1,8 +1,10 @@
 """§8.1: basic functionality — the stationary best-case tests.
 
-This experiment dominates the suite's wall clock (~18 of ~20 seconds),
-so it decomposes into four independent **units** — the May 2021 run and
-the three September trials. Each unit seeds its own named streams from
+This experiment dominates the suite's wall clock (about two thirds of
+it on a 2-vCPU host: 30 of 46 s on ``small``, 14 of 21 s at the
+pipeline benchmark's 300 hotspots), so it decomposes into four
+independent **units** — the May 2021 run and the three September
+trials. Each unit seeds its own named streams from
 ``RngHub(result.config.seed)`` (stream derivation is a pure function of
 seed and name, so a fresh hub per unit draws exactly the bytes the old
 single-hub loop did), which makes the units order-independent and safe

@@ -13,6 +13,7 @@ from repro.field.reconcile import (
     AckTable,
     Hip15Accuracy,
     MissRunStats,
+    ReceptionTally,
     ack_table,
     hip15_accuracy,
     miss_run_stats,
@@ -27,6 +28,7 @@ __all__ = [
     "WalkExperiment",
     "WalkResult",
     "generate_walk",
+    "ReceptionTally",
     "prr",
     "miss_run_stats",
     "MissRunStats",

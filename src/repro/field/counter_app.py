@@ -14,11 +14,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.field.reconcile import ReceptionTally
 from repro.geo.geodesy import LatLon
 from repro.lorawan.console import Console
 from repro.lorawan.device import DeviceConfig, EdgeDevice
 from repro.lorawan.keys import DeviceCredentials
-from repro.lorawan.network import LoraWanNetwork, NetworkHotspot, TransmissionRecord
+from repro.lorawan.network import LoraWanNetwork, NetworkHotspot
 from repro.radio.propagation import Environment
 
 __all__ = ["CounterAppResult", "CounterAppExperiment"]
@@ -26,32 +27,34 @@ __all__ = ["CounterAppResult", "CounterAppExperiment"]
 
 @dataclass
 class CounterAppResult:
-    """Outcome of one stationary run."""
+    """Outcome of one stationary run.
 
-    records: List[TransmissionRecord]
+    Carries the run's :class:`ReceptionTally`, not its records: a 24 h
+    run sends ~56k uplinks and every §8.1 statistic is a running count.
+    """
+
+    tally: ReceptionTally
     duration_hours: float
     outages: List[Tuple[float, float]]
 
     @property
     def packets_sent(self) -> int:
         """Total uplinks the device attempted."""
-        return len(self.records)
+        return self.tally.packets_sent
 
     @property
     def prr(self) -> float:
         """Cloud-side packet reception ratio."""
-        if not self.records:
+        if not self.tally.packets_sent:
             raise SimulationError("no packets sent")
-        return sum(1 for r in self.records if r.delivered_to_cloud) / len(
-            self.records
-        )
+        return self.tally.prr()
 
     def prr_excluding_outages(self) -> float:
         """PRR over the packets sent outside outage windows."""
-        kept = [r for r in self.records if not r.in_outage]
+        kept = self.tally.sent_outside_outage
         if not kept:
             raise SimulationError("every packet fell inside an outage window")
-        return sum(1 for r in kept if r.delivered_to_cloud) / len(kept)
+        return self.tally.delivered_outside_outage / kept
 
 
 class CounterAppExperiment:
@@ -112,6 +115,7 @@ class CounterAppExperiment:
         horizon_s = duration_hours * 3600.0
         now = 0.0
         channel_block = 0
+        tally = ReceptionTally()
         while now < horizon_s:
             # The Console rolls channels every ~2 h of blocks.
             block = int(now / 60.0)
@@ -119,10 +123,10 @@ class CounterAppExperiment:
                 self.console.close_channel()
                 self.console.open_channel(at_block=block)
                 channel_block = block
-            self.network.send_uplink(device, rng, now)
+            tally.add(self.network.send_uplink(device, rng, now))
             now = device.log[-1].next_send_at_s
         return CounterAppResult(
-            records=list(self.network.records),
+            tally=tally,
             duration_hours=duration_hours,
             outages=outages,
         )

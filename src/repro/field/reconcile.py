@@ -3,19 +3,22 @@
 The paper logs packets on the device's SD card and compares against the
 cloud log. These functions compute every statistic that comparison
 yields: PRR, the single/double/longest miss-run structure, the ACK/NACK
-validity tables, and HIP-15 prediction accuracy.
+validity tables, and HIP-15 prediction accuracy. The first three come
+from :class:`ReceptionTally`, which folds records in one at a time, so
+a long run can drop each record once it is counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Sequence
 
 from repro.errors import AnalysisError
 from repro.lorawan.mac import AckOutcome
 from repro.lorawan.network import TransmissionRecord
 
 __all__ = [
+    "ReceptionTally",
     "prr",
     "MissRunStats",
     "miss_run_stats",
@@ -24,13 +27,6 @@ __all__ = [
     "Hip15Accuracy",
     "hip15_accuracy",
 ]
-
-
-def prr(records: Sequence[TransmissionRecord]) -> float:
-    """Packet reception ratio: cloud receptions / packets sent."""
-    if not records:
-        raise AnalysisError("no transmission records")
-    return sum(1 for r in records if r.delivered_to_cloud) / len(records)
 
 
 @dataclass(frozen=True)
@@ -43,35 +39,6 @@ class MissRunStats:
     single_miss_fraction: float
     single_or_double_fraction: float
     longest_run: int
-
-
-def miss_run_stats(records: Sequence[TransmissionRecord]) -> MissRunStats:
-    """Consecutive-miss run lengths over the send sequence."""
-    if not records:
-        raise AnalysisError("no transmission records")
-    runs: Dict[int, int] = {}
-    current = 0
-    for record in records:
-        if record.delivered_to_cloud:
-            if current > 0:
-                runs[current] = runs.get(current, 0) + 1
-            current = 0
-        else:
-            current += 1
-    if current > 0:
-        runs[current] = runs.get(current, 0) + 1
-    total_misses = sum(length * count for length, count in runs.items())
-    if total_misses == 0:
-        return MissRunStats(0, {}, 0.0, 0.0, 0)
-    singles = runs.get(1, 0)
-    doubles = runs.get(2, 0)
-    return MissRunStats(
-        total_misses=total_misses,
-        runs=dict(sorted(runs.items())),
-        single_miss_fraction=singles / total_misses,
-        single_or_double_fraction=(singles + 2 * doubles) / total_misses,
-        longest_run=max(runs),
-    )
 
 
 @dataclass(frozen=True)
@@ -95,21 +62,102 @@ class AckTable:
         }
 
 
+@dataclass
+class ReceptionTally:
+    """One-pass reduction of a send sequence to PRR, miss runs and ACKs.
+
+    :meth:`add` folds in one record at a time, in send order, so a 24 h
+    run needs no per-uplink history: the state is a few counters plus
+    one count per distinct miss-run length.
+    """
+
+    packets_sent: int = 0
+    delivered: int = 0
+    sent_outside_outage: int = 0
+    delivered_outside_outage: int = 0
+    runs: Dict[int, int] = field(default_factory=dict)  # closed runs only
+    open_run: int = 0  # misses since the last delivery
+    outcomes: Dict[AckOutcome, int] = field(
+        default_factory=lambda: {outcome: 0 for outcome in AckOutcome}
+    )
+
+    @classmethod
+    def of(cls, records: Iterable[TransmissionRecord]) -> "ReceptionTally":
+        """The tally of ``records`` (send order)."""
+        tally = cls()
+        for record in records:
+            tally.add(record)
+        return tally
+
+    def add(self, record: TransmissionRecord) -> None:
+        """Fold in the next record of the send sequence."""
+        delivered = record.delivered_to_cloud
+        self.packets_sent += 1
+        if delivered:
+            self.delivered += 1
+            if self.open_run:
+                self.runs[self.open_run] = self.runs.get(self.open_run, 0) + 1
+                self.open_run = 0
+        else:
+            self.open_run += 1
+        if not record.in_outage:
+            self.sent_outside_outage += 1
+            self.delivered_outside_outage += delivered
+        self.outcomes[AckOutcome.classify(record.acked, delivered)] += 1
+
+    def _require_records(self) -> None:
+        if not self.packets_sent:
+            raise AnalysisError("no transmission records")
+
+    def prr(self) -> float:
+        """Packet reception ratio: cloud receptions / packets sent."""
+        self._require_records()
+        return self.delivered / self.packets_sent
+
+    def miss_run_stats(self) -> MissRunStats:
+        """Consecutive-miss run lengths over the send sequence."""
+        self._require_records()
+        runs = dict(self.runs)
+        if self.open_run:
+            runs[self.open_run] = runs.get(self.open_run, 0) + 1
+        total_misses = sum(length * count for length, count in runs.items())
+        if total_misses == 0:
+            return MissRunStats(0, {}, 0.0, 0.0, 0)
+        singles = runs.get(1, 0)
+        doubles = runs.get(2, 0)
+        return MissRunStats(
+            total_misses=total_misses,
+            runs=dict(sorted(runs.items())),
+            single_miss_fraction=singles / total_misses,
+            single_or_double_fraction=(singles + 2 * doubles) / total_misses,
+            longest_run=max(runs),
+        )
+
+    def ack_table(self) -> AckTable:
+        """Every confirmed uplink classified into the paper's four buckets."""
+        self._require_records()
+        return AckTable(
+            packets_sent=self.packets_sent,
+            correct_ack=self.outcomes[AckOutcome.CORRECT_ACK],
+            correct_nack=self.outcomes[AckOutcome.CORRECT_NACK],
+            incorrect_ack=self.outcomes[AckOutcome.INCORRECT_ACK],
+            incorrect_nack=self.outcomes[AckOutcome.INCORRECT_NACK],
+        )
+
+
+def prr(records: Sequence[TransmissionRecord]) -> float:
+    """Packet reception ratio: cloud receptions / packets sent."""
+    return ReceptionTally.of(records).prr()
+
+
+def miss_run_stats(records: Sequence[TransmissionRecord]) -> MissRunStats:
+    """Consecutive-miss run lengths over the send sequence."""
+    return ReceptionTally.of(records).miss_run_stats()
+
+
 def ack_table(records: Sequence[TransmissionRecord]) -> AckTable:
     """Classify every confirmed uplink per the paper's four buckets."""
-    if not records:
-        raise AnalysisError("no transmission records")
-    counts = {outcome: 0 for outcome in AckOutcome}
-    for record in records:
-        outcome = AckOutcome.classify(record.acked, record.delivered_to_cloud)
-        counts[outcome] += 1
-    return AckTable(
-        packets_sent=len(records),
-        correct_ack=counts[AckOutcome.CORRECT_ACK],
-        correct_nack=counts[AckOutcome.CORRECT_NACK],
-        incorrect_ack=counts[AckOutcome.INCORRECT_ACK],
-        incorrect_nack=counts[AckOutcome.INCORRECT_NACK],
-    )
+    return ReceptionTally.of(records).ack_table()
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.field import reconcile
 from repro.geo.geodesy import LatLon, destination
 from repro.lorawan.console import Console
 from repro.lorawan.device import DeviceConfig, EdgeDevice
@@ -99,9 +100,7 @@ class WalkResult:
         """Cloud-side packet reception ratio of the walk."""
         if not self.records:
             raise SimulationError("walk produced no packets")
-        return sum(1 for r in self.records if r.delivered_to_cloud) / len(
-            self.records
-        )
+        return reconcile.prr(self.records)
 
 
 class WalkExperiment:
@@ -132,12 +131,9 @@ class WalkExperiment:
         device = EdgeDevice(credentials, DeviceConfig(confirmed=True))
         device.accept_join(self.console.join(credentials))
         now = 0.0
-        start_index = len(self.network.records)
+        records: List[TransmissionRecord] = []
         while now < trace.duration_s:
             device.location = trace.position_at(now)
-            self.network.send_uplink(device, rng, now)
+            records.append(self.network.send_uplink(device, rng, now))
             now = device.log[-1].next_send_at_s
-        return WalkResult(
-            records=self.network.records[start_index:],
-            trace=trace,
-        )
+        return WalkResult(records=records, trace=trace)

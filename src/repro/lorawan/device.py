@@ -35,9 +35,12 @@ class DeviceConfig:
         return LoRaParams(sf=self.sf)
 
 
-@dataclass
+@dataclass(slots=True)
 class UplinkResult:
-    """What the device recorded for one uplink (its SD-card log row)."""
+    """What the device recorded for one uplink (its SD-card log row).
+
+    Slotted: a 24 h free-running run logs ~56k of these.
+    """
 
     fcnt: int
     sent_at_s: float

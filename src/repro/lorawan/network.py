@@ -142,7 +142,9 @@ class LoraWanNetwork:
         for hotspot in self.hotspots:
             self._index.insert(hotspot.location, hotspot)
         self._outages: List[Tuple[float, float]] = []
-        self.records: List[TransmissionRecord] = []
+        # Running PRR counters; each send's record goes to its caller.
+        self._sent = 0
+        self._delivered = 0
         # Candidate lists are cached on a ~50 m position grid: stationary
         # devices hit one entry, walking devices reuse entries for the
         # few metres between consecutive sends.
@@ -175,8 +177,11 @@ class LoraWanNetwork:
         """(distance, hotspot) pairs within radius, nearest first.
 
         Results are truncated to :data:`MAX_RECEIVER_CANDIDATES` and
-        cached on a ~50 m grid (distances are computed from the grid key,
-        so repeated sends from one spot cost one index query total).
+        cached on a ~50 m grid, so repeated sends from one spot cost one
+        index query total. The distances are measured from the exact
+        location of the first call that lands in a cell, and every later
+        call in that cell reuses them: a walker gets distances up to
+        ~50 m off from where it actually is.
         """
         key = (int(location.lat * 2000), int(location.lon * 2000))
         cached = self._near_cache.get(key)
@@ -216,6 +221,7 @@ class LoraWanNetwork:
     ) -> TransmissionRecord:
         """Transmit one uplink from ``device`` and run it end-to-end."""
         frame = device.build_uplink(now_s, freq_mhz)
+        self._sent += 1
         record = TransmissionRecord(
             fcnt=frame.fcnt,
             sent_at_s=now_s,
@@ -227,7 +233,6 @@ class LoraWanNetwork:
 
         if self._sample_blackout(rng):
             record.blackout = True
-            self.records.append(record)
             return record
 
         airtime_s = device.airtime_ms() / 1000.0
@@ -261,7 +266,6 @@ class LoraWanNetwork:
 
         if self.in_outage(now_s):
             record.in_outage = True
-            self.records.append(record)
             return record
 
         if self._frontend is not None:
@@ -269,12 +273,12 @@ class LoraWanNetwork:
                 owning_router = self._frontend.router_for(frame.dev_addr)
             except LoraWanError:
                 # Unrouteable devaddr: hotspots drop the packet.
-                self.records.append(record)
                 return record
         else:
             owning_router = self.router
         report = owning_router.deliver(frame, offers, rng)
         record.delivered_to_cloud = report.delivered_to_cloud
+        self._delivered += report.delivered_to_cloud
         if report.ack_via is not None and report.ack_window is not None:
             ack_hotspot = receiving[report.ack_via]
             ack_hotspot.forwarder.send_downlink()
@@ -290,7 +294,6 @@ class LoraWanNetwork:
                 device.receive_ack(frame.fcnt, report.ack_window)
                 record.acked = True
                 record.ack_window = report.ack_window
-        self.records.append(record)
         return record
 
     def _sample_blackout(self, rng: np.random.Generator) -> bool:
@@ -320,10 +323,9 @@ class LoraWanNetwork:
 
     def packet_reception_ratio(self) -> float:
         """Cloud-side PRR over every uplink sent so far."""
-        if not self.records:
+        if not self._sent:
             raise LoraWanError("no transmissions recorded")
-        delivered = sum(1 for r in self.records if r.delivered_to_cloud)
-        return delivered / len(self.records)
+        return self._delivered / self._sent
 
 
 def ack_hotspot_gain(hotspot: NetworkHotspot) -> float:

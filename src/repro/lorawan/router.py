@@ -91,7 +91,6 @@ class HeliumRouter:
         self._channel_seq = 0
         self.active_channel: Optional[StateChannelTracker] = None
         self.cloud_log: Dict[str, bytes] = {}
-        self.reports: List[DeliveryReport] = []
         self.closed_channels: List[StateChannelClose] = []
 
     # -- device management ----------------------------------------------------
@@ -185,14 +184,12 @@ class HeliumRouter:
         """
         report = DeliveryReport(frame_id=frame.frame_id)
         if not offers:
-            self.reports.append(report)
             return report
         if not self.knows_device(frame.dev_addr):
             raise LoraWanError(f"frame from unknown session {frame.dev_addr}")
         if self.active_channel is None:
             # No open channel: the router cannot commit to pay, packets
             # are never released (a §8.1-style outage path).
-            self.reports.append(report)
             return report
 
         dcs = max(1, math.ceil(len(frame.payload) / 24)) * self.config.dc_per_packet
@@ -216,7 +213,6 @@ class HeliumRouter:
             report.delivered_to_cloud = True
             if frame.confirmed:
                 self._schedule_ack(frame, ordered, report, rng)
-        self.reports.append(report)
         return report
 
     def _schedule_ack(

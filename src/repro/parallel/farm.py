@@ -63,13 +63,16 @@ class FarmOutcome:
     """One experiment's report plus its worker-side cost.
 
     For a unit-decomposed experiment the wall/CPU figures are summed
-    over its units (total compute, not elapsed time).
+    over its units (total compute, not elapsed time). ``rss_hwm_bytes``
+    is the worker's RSS high-water mark at task end (the max over
+    units); a worker's earlier tasks count towards it too.
     """
 
     experiment_id: str
     report: ExperimentReport
     wall_s: float
     cpu_s: float
+    rss_hwm_bytes: int
 
 
 #: Per-worker-process memo of the rehydrated result, keyed by
@@ -127,6 +130,7 @@ def _run_one(task: Tuple[Optional[str], Dict, str, Optional[str]]) -> Dict:
         payload = s8_1.run_unit(result, unit)
     wall_s = time.perf_counter() - wall0
     cpu_s = time.process_time() - cpu0
+    rss_hwm_bytes = obs.peak_rss_bytes()
     obs.counter("farm.tasks")
     obs.observe("farm.task_s", wall_s, experiment=experiment_id)
     obs.trace_event(
@@ -141,6 +145,7 @@ def _run_one(task: Tuple[Optional[str], Dict, str, Optional[str]]) -> Dict:
         "payload": payload,
         "wall_s": wall_s,
         "cpu_s": cpu_s,
+        "rss_hwm_bytes": rss_hwm_bytes,
     }
 
 
@@ -178,6 +183,7 @@ def _assemble(
                 report=report_from_payload(whole["payload"]),
                 wall_s=whole["wall_s"],
                 cpu_s=whole["cpu_s"],
+                rss_hwm_bytes=whole["rss_hwm_bytes"],
             ))
             continue
         from repro.experiments import s8_1
@@ -185,6 +191,7 @@ def _assemble(
         units = {}
         wall_s = 0.0
         cpu_s = 0.0
+        rss_hwm_bytes = 0
         for unit in s8_1.UNITS:
             item = by_key.get((eid, unit))
             if item is None:
@@ -194,11 +201,13 @@ def _assemble(
             units[unit] = item["payload"]
             wall_s += item["wall_s"]
             cpu_s += item["cpu_s"]
+            rss_hwm_bytes = max(rss_hwm_bytes, item["rss_hwm_bytes"])
         outcomes.append(FarmOutcome(
             experiment_id=eid,
             report=s8_1.merge_units(units),
             wall_s=wall_s,
             cpu_s=cpu_s,
+            rss_hwm_bytes=rss_hwm_bytes,
         ))
     return outcomes
 

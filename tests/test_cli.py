@@ -22,12 +22,15 @@ class TestExperimentsCli:
             "--scenario", "small", "fig02",
             "--export", str(tmp_path / "data"),
             "--figures", str(tmp_path / "figs"),
+            "--profile",
         ])
         assert code == 0
         payload = json.loads((tmp_path / "data" / "fig02.json").read_text())
         assert payload["experiment_id"] == "fig02"
         assert (tmp_path / "figs" / "fig02.svg").exists()
         assert (tmp_path / "data" / "summary.csv").exists()
+        profile = json.loads((tmp_path / "data" / "profile.json").read_text())
+        assert profile["experiments"]["fig02"]["rss_hwm_bytes"] > 0
 
     def test_unknown_id_errors(self, capsys):
         import pytest

@@ -9,6 +9,7 @@ from repro.experiments.registry import (
     ExperimentReport,
     Row,
     format_report,
+    reports_digest,
     run_experiment,
 )
 
@@ -19,13 +20,20 @@ FAST_EXPERIMENTS = [
     "s7_2", "fig13", "fig14", "s9_1",
 ]
 
-#: Field/coverage experiments (seconds each on the small scenario).
-HEAVY_EXPERIMENTS = ["fig12", "fig15", "s8_1"]
+#: Field/coverage experiments (seconds each on the small scenario),
+#: with their ``reports_digest`` on ``small_scenario(seed=7)``. The
+#: digests pin the field data plane byte for byte: a change to what the
+#: field experiments keep while they run must leave them unchanged.
+HEAVY_EXPERIMENTS = {
+    "fig12": "9f229b7082ae2c145f4030fc6c9252757ab48aeaef936db961c4d1ad5904ad84",
+    "fig15": "27ff985cdf7a9d13ae57d649474833af2afbdaacf3b3ce25e954a762d780f5cb",
+    "s8_1": "369ca4e3b6c1987d6bf477748d26083db07a01cecc37e4eb7193b66bbb2b4ab0",
+}
 
 
 class TestRegistry:
     def test_all_experiments_registered(self):
-        assert set(FAST_EXPERIMENTS + HEAVY_EXPERIMENTS) == set(EXPERIMENTS.ids())
+        assert {*FAST_EXPERIMENTS, *HEAVY_EXPERIMENTS} == set(EXPERIMENTS.ids())
 
     def test_unknown_id_rejected(self, small_result):
         with pytest.raises(AnalysisError):
@@ -48,6 +56,7 @@ def test_fast_experiment_runs(experiment_id, small_result):
 def test_heavy_experiment_runs(experiment_id, small_result):
     report = run_experiment(experiment_id, small_result)
     assert report.rows
+    assert reports_digest([report]) == HEAVY_EXPERIMENTS[experiment_id]
 
 
 class TestRowSemantics:

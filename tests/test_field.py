@@ -1,6 +1,9 @@
 """Field-experiment harness tests (counter app, walks, reconciliation)."""
 
+import tracemalloc
+
 import pytest
+from numpy.random import default_rng
 
 from repro.errors import AnalysisError, SimulationError
 from repro.field.counter_app import CounterAppExperiment
@@ -47,6 +50,26 @@ class TestCounterApp:
     def test_needs_hotspots(self):
         with pytest.raises(SimulationError):
             CounterAppExperiment([], LatLon(0, 1))
+
+    def test_memory_per_uplink_is_bounded(self):
+        # A 24 h run sends ~56k uplinks, so what each one leaves behind
+        # sets the peak memory of a reproduction. What stays is the
+        # device's SD-card log row and the cloud-log entry (~250 B under
+        # tracemalloc); a per-uplink history on top of them (a record,
+        # a delivery report: several hundred bytes each) fails.
+        def peak(hours):
+            tracemalloc.start()
+            try:
+                result = CounterAppExperiment(
+                    _field(), LatLon(32.75, -117.15)
+                ).run(default_rng(12345), duration_hours=hours)
+                return tracemalloc.get_traced_memory()[1], result.packets_sent
+            finally:
+                tracemalloc.stop()
+
+        (short_peak, short_sent), (long_peak, long_sent) = peak(0.5), peak(2.0)
+        per_uplink = (long_peak - short_peak) / (long_sent - short_sent)
+        assert per_uplink < 300
 
 
 class TestWalks:

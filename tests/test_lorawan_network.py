@@ -95,9 +95,10 @@ class TestSendUplink:
 class TestBlackoutProcess:
     def test_refractory_reduces_doubles(self, rng):
         network, _, device = _setup(rng, blackout=0.3)
-        for i in range(3000):
-            network.send_uplink(device, rng, float(i * 2))
-        losses = [r.blackout for r in network.records]
+        records = [
+            network.send_uplink(device, rng, float(i * 2)) for i in range(3000)
+        ]
+        losses = [r.blackout for r in records]
         singles = doubles = 0
         run = 0
         for lost in losses + [False]:

@@ -82,6 +82,7 @@ class TestFarm:
         outcomes = run_farm("small", 7, ["fig12"], jobs=2)
         assert outcomes[0].wall_s > 0.0
         assert outcomes[0].cpu_s > 0.0
+        assert outcomes[0].rss_hwm_bytes > 0
 
 
 class TestReportPayload:
