@@ -184,32 +184,64 @@ class Shape:
 class _ShapeBinIndex:
     """Bbox-binned index: point query touches exactly one bin.
 
-    Shapes register in every grid bin their bounding box overlaps, so a
-    point lookup is a single dict access plus exact contains tests —
-    independent of the largest shape's extent (a global-radius search
-    over thousands of overlapping hulls would be quadratic in practice).
+    A bin's candidates are the shapes whose bounding box overlaps it, in
+    ascending index order, so a point lookup is a single dict access
+    plus exact contains tests — independent of the largest shape's
+    extent (a global-radius search over thousands of overlapping hulls
+    would be quadratic in practice).
+
+    Each shape keeps only its inclusive bin range, as four int64 arrays;
+    a bin's candidate array is built when a query first lands in it and
+    memoised. Memory follows the bins queried, not the area the shapes
+    span: at paper scale the no-cutoff hulls (Fig. 12c) span 7.4M bin
+    entries, of which queries touch about 71k.
     """
 
     def __init__(self, shapes: Sequence[Shape], bin_deg: float = 0.25) -> None:
         self.bin_deg = bin_deg
-        self._bins: Dict[Tuple[int, int], List[int]] = {}
+        ranges = np.empty((4, len(shapes)), dtype=np.int64)
         for index, shape in enumerate(shapes):
             south, west, north, east = shape.bbox()
-            lat_lo = int(math.floor(south / bin_deg))
-            lat_hi = int(math.floor(north / bin_deg))
-            lon_lo = int(math.floor(west / bin_deg))
-            lon_hi = int(math.floor(east / bin_deg))
-            for lat_bin in range(lat_lo, lat_hi + 1):
-                for lon_bin in range(lon_lo, lon_hi + 1):
-                    self._bins.setdefault((lat_bin, lon_bin), []).append(index)
+            # math.floor raises on a NaN or infinite bound, where a
+            # numpy cast would silently yield a wrong bin.
+            ranges[:, index] = (
+                math.floor(south / bin_deg),
+                math.floor(north / bin_deg),
+                math.floor(west / bin_deg),
+                math.floor(east / bin_deg),
+            )
+        self._lat_lo, self._lat_hi, self._lon_lo, self._lon_hi = ranges
+        self._bins: Dict[Tuple[int, int], np.ndarray] = {}
+
+    def bins(self, keys: Iterable[Tuple[int, int]]) -> List[np.ndarray]:
+        """Candidate shape indices (ascending) for each ``(lat_bin,
+        lon_bin)`` key. Unseen bins are built one latitude row at a
+        time: the shapes spanning the row are found once, then narrowed
+        per bin."""
+        keys = [(lat_bin, lon_bin) for lat_bin, lon_bin in keys]
+        missing: Dict[int, List[int]] = {}
+        for lat_bin, lon_bin in keys:
+            if (lat_bin, lon_bin) not in self._bins:
+                missing.setdefault(lat_bin, []).append(lon_bin)
+        for lat_bin, lon_bins in missing.items():
+            row = np.flatnonzero(
+                (self._lat_lo <= lat_bin) & (lat_bin <= self._lat_hi)
+            )
+            row_lo = self._lon_lo[row]
+            row_hi = self._lon_hi[row]
+            for lon_bin in lon_bins:
+                self._bins[(lat_bin, lon_bin)] = row[
+                    (row_lo <= lon_bin) & (lon_bin <= row_hi)
+                ]
+        return [self._bins[key] for key in keys]
 
     def candidates(self, point: LatLon) -> List[int]:
         """Shape indices whose bbox bin contains ``point``."""
         key = (
-            int(math.floor(point.lat / self.bin_deg)),
-            int(math.floor(point.lon / self.bin_deg)),
+            math.floor(point.lat / self.bin_deg),
+            math.floor(point.lon / self.bin_deg),
         )
-        return self._bins.get(key, [])
+        return self.bins([key])[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -475,13 +507,8 @@ class CoverageModel:
         # Invert bin→candidates into shape→points so each shape is
         # tested once, over one large batch.
         shape_points: Dict[int, List[np.ndarray]] = {}
-        for g, group in enumerate(groups):
-            candidates = self._index._bins.get(
-                (int(uniq[g, 0]), int(uniq[g, 1]))
-            )
-            if not candidates:
-                continue
-            for shape_index in candidates:
+        for group, candidates in zip(groups, self._index.bins(uniq.tolist())):
+            for shape_index in candidates.tolist():
                 shape_points.setdefault(shape_index, []).append(group)
         unowned = np.ones(lats.shape, dtype=bool)
         for shape_index in sorted(shape_points):

@@ -46,8 +46,9 @@ def run(result: SimulationResult) -> ExperimentReport:
         )
     dots = ExplorerDotMap(us_online, us_offline)
 
-    receipts = [t for _, t in result.chain.iter_transactions(PocReceipts)]
-    geometries = build_witness_geometry(receipts, _locate)
+    geometries = build_witness_geometry(
+        (t for _, t in result.chain.iter_transactions(PocReceipts)), _locate
+    )
 
     # The shared experiment pool (``--shard-workers N``) shards each
     # model's Monte-Carlo ownership query; the fig12 RNG stream stays on

@@ -124,7 +124,7 @@ class CounterAppExperiment:
                 self.console.open_channel(at_block=block)
                 channel_block = block
             tally.add(self.network.send_uplink(device, rng, now))
-            now = device.log[-1].next_send_at_s
+            now = device.last_uplink.next_send_at_s
         return CounterAppResult(
             tally=tally,
             duration_hours=duration_hours,

@@ -135,5 +135,5 @@ class WalkExperiment:
         while now < trace.duration_s:
             device.location = trace.position_at(now)
             records.append(self.network.send_uplink(device, rng, now))
-            now = device.log[-1].next_send_at_s
+            now = device.last_uplink.next_send_at_s
         return WalkResult(records=records, trace=trace)

@@ -9,7 +9,7 @@ the ACK never arrives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import JoinError, LoraWanError
 from repro.geo.geodesy import LatLon
@@ -37,9 +37,8 @@ class DeviceConfig:
 
 @dataclass(slots=True)
 class UplinkResult:
-    """What the device recorded for one uplink (its SD-card log row).
-
-    Slotted: a 24 h free-running run logs ~56k of these.
+    """What the device knows about its in-flight uplink: when it was
+    sent, from where, and whether (and in which window) it was ACKed.
     """
 
     fcnt: int
@@ -65,6 +64,10 @@ class UplinkResult:
 class EdgeDevice:
     """A LoRaWAN end device with a free-running counter app.
 
+    Holds only the in-flight uplink (:attr:`last_uplink`) and counts of
+    frames sent and ACKed: a 24 h run sends ~56k uplinks, and a
+    downlink ACK can only acknowledge the last confirmed one.
+
     Args:
         credentials: pre-provisioned identity.
         config: radio/app parameters.
@@ -82,7 +85,10 @@ class EdgeDevice:
         self.location = location
         self.session: Optional[SessionKeys] = None
         self.fcnt = 0
-        self.log: List[UplinkResult] = []
+        #: The last uplink sent, the only one an ACK can acknowledge.
+        self.last_uplink: Optional[UplinkResult] = None
+        self._sent = 0
+        self._acked = 0
 
     # -- activation ---------------------------------------------------------
 
@@ -124,29 +130,39 @@ class EdgeDevice:
             sf=self.config.sf,
             sent_at_s=now_s,
         )
-        self.log.append(UplinkResult(
+        self.last_uplink = UplinkResult(
             fcnt=self.fcnt, sent_at_s=now_s, location=self.location
-        ))
+        )
+        self._sent += 1
         self.fcnt += 1
         return frame
 
     def receive_ack(self, fcnt: int, window: int) -> None:
-        """Record an ACK heard in receive window ``window``."""
-        for result in reversed(self.log):
-            if result.fcnt == fcnt:
-                result.acked = True
-                result.ack_window = window
-                return
-        raise LoraWanError(f"ACK for unknown fcnt {fcnt}")
+        """Record an ACK heard in receive window ``window``.
+
+        In LoRaWAN a downlink ACK acknowledges the last confirmed
+        uplink, so only the in-flight frame counter is accepted; a
+        repeated ACK of it is not counted twice.
+
+        Raises:
+            LoraWanError: for any other frame counter.
+        """
+        uplink = self.last_uplink
+        if uplink is None or uplink.fcnt != fcnt:
+            raise LoraWanError(f"ACK for fcnt {fcnt}, which is not in flight")
+        if not uplink.acked:
+            self._acked += 1
+        uplink.acked = True
+        uplink.ack_window = window
 
     # -- stats ----------------------------------------------------------------
 
     def packets_sent(self) -> int:
         """Total uplinks attempted."""
-        return len(self.log)
+        return self._sent
 
     def ack_rate(self) -> float:
         """Fraction of uplinks the device believes were acknowledged."""
-        if not self.log:
+        if not self._sent:
             raise LoraWanError("no uplinks sent yet")
-        return sum(1 for r in self.log if r.acked) / len(self.log)
+        return self._acked / self._sent

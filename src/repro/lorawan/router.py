@@ -90,7 +90,8 @@ class HeliumRouter:
         self._join_nonce = 0
         self._channel_seq = 0
         self.active_channel: Optional[StateChannelTracker] = None
-        self.cloud_log: Dict[str, bytes] = {}
+        #: Frames delivered to the cloud, per device address.
+        self.cloud_deliveries: Dict[str, int] = {}
         self.closed_channels: List[StateChannelClose] = []
 
     # -- device management ----------------------------------------------------
@@ -178,8 +179,8 @@ class HeliumRouter:
     ) -> DeliveryReport:
         """Process all offers for one uplink frame.
 
-        Buys the first-arriving copy (plus occasional duplicates), logs
-        the payload, and — for confirmed uplinks — schedules the ACK via
+        Buys the first-arriving copy (plus occasional duplicates), counts
+        the delivery, and — for confirmed uplinks — schedules the ACK via
         the gateway that can land it soonest, if any window is makeable.
         """
         report = DeliveryReport(frame_id=frame.frame_id)
@@ -209,7 +210,9 @@ class HeliumRouter:
             report.purchased_from.append(offer.gateway)
             bought_any = True
         if bought_any:
-            self.cloud_log[frame.frame_id] = frame.payload
+            self.cloud_deliveries[frame.dev_addr] = (
+                self.cloud_deliveries.get(frame.dev_addr, 0) + 1
+            )
             report.delivered_to_cloud = True
             if frame.confirmed:
                 self._schedule_ack(frame, ordered, report, rng)
@@ -246,5 +249,5 @@ class HeliumRouter:
     # -- stats ---------------------------------------------------------------------
 
     def cloud_reception_count(self) -> int:
-        """Frames that made it to the cloud log."""
-        return len(self.cloud_log)
+        """Frames that made it to the cloud."""
+        return sum(self.cloud_deliveries.values())

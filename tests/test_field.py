@@ -53,10 +53,10 @@ class TestCounterApp:
 
     def test_memory_per_uplink_is_bounded(self):
         # A 24 h run sends ~56k uplinks, so what each one leaves behind
-        # sets the peak memory of a reproduction. What stays is the
-        # device's SD-card log row and the cloud-log entry (~250 B under
-        # tracemalloc); a per-uplink history on top of them (a record,
-        # a delivery report: several hundred bytes each) fails.
+        # sets the peak memory of a reproduction. The device keeps only
+        # its in-flight row and the router a per-device count, so
+        # nothing stays per uplink; any per-uplink history (a log row
+        # or cloud-log entry: over 100 B each) fails.
         def peak(hours):
             tracemalloc.start()
             try:
@@ -69,7 +69,7 @@ class TestCounterApp:
 
         (short_peak, short_sent), (long_peak, long_sent) = peak(0.5), peak(2.0)
         per_uplink = (long_peak - short_peak) / (long_sent - short_sent)
-        assert per_uplink < 300
+        assert per_uplink < 16
 
 
 class TestWalks:

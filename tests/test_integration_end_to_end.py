@@ -64,7 +64,7 @@ class TestUserJourney:
         now = 0.0
         for _ in range(120):
             network.send_uplink(device, rng, now)
-            now = device.log[-1].next_send_at_s
+            now = device.last_uplink.next_send_at_s
 
         delivered = console.cloud_reception_count()
         assert delivered > 80  # payloads reached the application

@@ -61,9 +61,9 @@ class TestUplinks:
         _join(device)
         device.build_uplink(0.0, 904.6)
         device.receive_ack(0, window=1)
-        assert device.log[0].next_send_at_s == pytest.approx(1.05)
+        assert device.last_uplink.next_send_at_s == pytest.approx(1.05)
         device.build_uplink(5.0, 904.6)
-        assert device.log[1].next_send_at_s == pytest.approx(7.1)
+        assert device.last_uplink.next_send_at_s == pytest.approx(7.1)
 
     def test_ack_for_unknown_fcnt_rejected(self, device):
         _join(device)
@@ -71,12 +71,22 @@ class TestUplinks:
         with pytest.raises(LoraWanError):
             device.receive_ack(99, window=1)
 
+    def test_ack_for_superseded_fcnt_rejected(self, device):
+        # A downlink ACK acknowledges the last confirmed uplink only.
+        _join(device)
+        device.build_uplink(0.0, 904.6)
+        device.build_uplink(2.0, 904.6)
+        with pytest.raises(LoraWanError):
+            device.receive_ack(0, window=1)
+
     def test_ack_rate(self, device):
         _join(device)
+        windows = {0: 1, 2: 2}  # frames ACKed while in flight
         for i in range(4):
             device.build_uplink(float(i), 904.6)
-        device.receive_ack(0, 1)
-        device.receive_ack(2, 2)
+            if i in windows:
+                device.receive_ack(i, windows[i])
+                device.receive_ack(i, windows[i])  # a repeat counts once
         assert device.ack_rate() == pytest.approx(0.5)
 
     def test_ack_rate_requires_traffic(self, device):

@@ -71,7 +71,7 @@ class TestDelivery:
         ], rng)
         assert report.purchased_from == ["hs_early"]
         assert report.delivered_to_cloud
-        assert frame.frame_id in r.cloud_log
+        assert r.cloud_deliveries == {frame.dev_addr: 1}
 
     def test_duplicate_purchases_possible(self, rng):
         r = HeliumRouter("wal_r", 3, RouterConfig(duplicate_purchase_rate=1.0))

@@ -11,6 +11,8 @@ same seed.
 from __future__ import annotations
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +223,120 @@ class TestCoverageEquivalence:
             ref.descaled_fraction, rel=1e-12
         )
         assert sorted(fast.breakdown_km2) == sorted(ref.breakdown_km2)
+
+
+def _eager_bins(shapes, bin_deg: float = 0.25):
+    """The oracle for the lazy index: every shape registered up front in
+    every bin its bounding box spans, in ascending shape index."""
+    bins = {}
+    for index, shape in enumerate(shapes):
+        south, west, north, east = shape.bbox()
+        for lat_bin in range(
+            math.floor(south / bin_deg), math.floor(north / bin_deg) + 1
+        ):
+            for lon_bin in range(
+                math.floor(west / bin_deg), math.floor(east / bin_deg) + 1
+            ):
+                bins.setdefault((lat_bin, lon_bin), []).append(index)
+    return bins
+
+
+def _mixed_shapes(rng: np.random.Generator, kinds):
+    """Disks, local hulls and continent-spanning hulls over the US."""
+    shapes = []
+    for kind in kinds:
+        center = LatLon(
+            float(rng.uniform(25.0, 49.0)), float(rng.uniform(-124.0, -67.0))
+        )
+        if kind == "disk":
+            shapes.append(Disk(center, float(rng.uniform(0.3, 40.0))))
+            continue
+        reach = 1500.0 if kind == "continent" else 60.0
+        shapes.append(HullShape(convex_hull([
+            destination(center, float(rng.uniform(0, 360)),
+                        float(rng.uniform(0.2, 1.0)) * reach)
+            for _ in range(6)
+        ])))
+    return shapes
+
+
+class TestLazyBinIndex:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(["disk", "hull", "continent"]),
+            min_size=1, max_size=25,
+        ).filter(lambda kinds: kinds.count("continent") <= 2),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_matches_eager_oracle(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        shapes = _mixed_shapes(rng, kinds)
+        eager = _eager_bins(shapes)
+        model = CoverageModel(shapes)
+        samples = [s.sample_many(rng, 8) for s in shapes]
+        lats = np.concatenate(
+            [lat for lat, _ in samples] + [rng.uniform(20.0, 55.0, 200)]
+        )
+        lons = np.concatenate(
+            [lon for _, lon in samples] + [rng.uniform(-130.0, -60.0, 200)]
+        )
+
+        def oracle(indices):
+            owners = []
+            for i in indices:
+                key = (math.floor(lats[i] / 0.25), math.floor(lons[i] / 0.25))
+                owners.append(next(
+                    (s for s in eager.get(key, [])
+                     if shapes[s].contains_many(lats[i:i + 1], lons[i:i + 1])[0]),
+                    -1,
+                ))
+            return owners
+
+        # Half the points build their bins through the batch query,
+        # the rest through the scalar lookup; each path then reads
+        # bins the other built.
+        half = lats.size // 2
+        batch, scalar = np.arange(half), np.arange(half, lats.size)
+        assert model.first_covering_many(
+            lats[batch], lons[batch]
+        ).tolist() == oracle(batch)
+        for i in range(lats.size):
+            key = (math.floor(lats[i] / 0.25), math.floor(lons[i] / 0.25))
+            assert model._index.candidates(
+                LatLon(float(lats[i]), float(lons[i]))
+            ) == eager.get(key, [])
+        assert model.first_covering_many(
+            lats[scalar], lons[scalar]
+        ).tolist() == oracle(scalar)
+
+    def test_index_holds_no_bins_before_a_query(self):
+        # 50 hulls, each with a bounding box of about 10° × 20°:
+        # registering every 0.25° bin they span takes ~160k entries.
+        rng = np.random.default_rng(3)
+        shapes = []
+        for _ in range(50):
+            center = LatLon(
+                float(rng.uniform(58.0, 62.0)),
+                float(rng.uniform(-120.0, -80.0)),
+            )
+            shapes.append(HullShape(convex_hull([
+                destination(center, bearing, 550.0)
+                for bearing in (0.0, 90.0, 180.0, 270.0)
+            ])))
+        tracemalloc.start()
+        try:
+            model = CoverageModel(shapes)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(model.shapes) == 50
+        assert held < 1 << 20
+
+    @pytest.mark.parametrize("radius_km", [float("nan"), float("inf")])
+    def test_non_finite_bbox_rejected(self, radius_km):
+        with pytest.raises((ValueError, OverflowError)):
+            CoverageModel([Disk(LatLon(40.0, -100.0), radius_km)])
 
 
 def _challenge_cluster(rng: np.random.Generator):
