@@ -11,8 +11,11 @@ the reproduction:
   idempotent chain follower;
 * :mod:`repro.etl.store` — :class:`EtlStore`, the query layer the
   explorer and analyses run against as a drop-in backend;
-* :mod:`repro.etl.server` — the read-only JSON explorer API;
-* :mod:`repro.etl.cli` — ``python -m repro.etl`` (ingest/query/serve).
+* :mod:`repro.etl.server` — the JSON documents the explorer API serves
+  (hotspot, owner and witness-event renderers);
+* :mod:`repro.etl.cli` — ``python -m repro.etl`` (ingest/query).
+
+The HTTP tier over the store is :mod:`repro.serve`.
 """
 
 from repro._exports import lazy_exports

@@ -1,4 +1,4 @@
-"""``python -m repro.etl`` — ingest, query and serve the ETL replica.
+"""``python -m repro.etl`` — ingest and query the ETL replica.
 
 Usage::
 
@@ -7,15 +7,13 @@ Usage::
     python -m repro.etl query  --db /tmp/etl.db hotspot "Joyful Pink Skunk"
     python -m repro.etl query  --db /tmp/etl.db owner wal_…
     python -m repro.etl query  --db /tmp/etl.db search joyful
-    python -m repro.etl serve  --db /tmp/etl.db --port 8600
     python -m repro.etl --trace etl.jsonl ingest --db /tmp/etl.db
 
 ``ingest`` builds (or loads from the scenario cache) the named scenario
 and loads every block above the store's checkpoint — re-running it after
 the chain grew only ingests the new blocks. ``query`` prints JSON, the
-same documents the HTTP API serves. ``serve`` starts the read-only
-explorer API; pass ``--scenario`` to auto-ingest a missing database
-first.
+same documents the HTTP API serves. To serve the store over HTTP, run
+``python -m repro.serve serve`` (:mod:`repro.serve.cli`).
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
-from typing import Optional
 
 from repro.errors import EtlError, ReproError
 
@@ -34,11 +30,11 @@ __all__ = ["main"]
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.etl",
-        description="DeWi-style ETL replica: ingest, query, serve.",
+        description="DeWi-style ETL replica: ingest and query.",
     )
     parser.add_argument(
         "--trace", metavar="FILE", default=None,
-        help="append JSON-lines trace events (ingest batches, requests) "
+        help="append JSON-lines trace events (ingest batches) "
         "here; equivalent to setting REPRO_TRACE",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -66,20 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("arg", nargs="?", default=None)
 
-    serve = sub.add_parser("serve", help="serve the read-only explorer API")
-    serve.add_argument("--db", required=True)
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8600)
-    serve.add_argument(
-        "--scenario", default=None, metavar="NAME|FILE",
-        help="ingest this scenario (registry name or spec-file path) "
-        "first if the store is missing/stale",
-    )
-    serve.add_argument(
-        "--seed", type=int, default=None,
-        help="override the spec's own seed (default: keep it)",
-    )
-    serve.add_argument("--quiet", action="store_true")
     return parser
 
 
@@ -156,34 +138,6 @@ def _require_arg(args, usage: str) -> str:
     return args.arg
 
 
-def _cmd_serve(args) -> int:
-    from repro.etl.server import serve
-    from repro.etl.store import EtlStore
-
-    store = _open_or_ingest(args.db, args.scenario, args.seed)
-    serve(store, host=args.host, port=args.port, verbose=not args.quiet)
-    return 0
-
-
-def _open_or_ingest(db: str, scenario: Optional[str], seed: Optional[int]):
-    from repro.etl.store import EtlStore
-
-    try:
-        return EtlStore(db, create=False)
-    except EtlError:
-        if scenario is None:
-            raise
-    # Missing or stale store, and a scenario to rebuild it from.
-    from repro.etl.ingest import ingest_chain
-    from repro.experiments.context import get_result
-
-    Path(db).unlink(missing_ok=True)
-    result = get_result(scenario, seed)
-    store = EtlStore(db)
-    ingest_chain(result.chain, store)
-    return store
-
-
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
@@ -191,11 +145,7 @@ def main(argv=None) -> int:
         from repro import obs
 
         obs.configure_trace(args.trace)
-    handlers = {
-        "ingest": _cmd_ingest,
-        "query": _cmd_query,
-        "serve": _cmd_serve,
-    }
+    handlers = {"ingest": _cmd_ingest, "query": _cmd_query}
     try:
         return handlers[args.command](args)
     except ReproError as exc:

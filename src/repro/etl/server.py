@@ -1,67 +1,23 @@
-"""Read-only HTTP explorer API over an ETL store (stdlib only).
+"""The explorer's JSON documents, rendered from explorer page objects.
 
-The serving surface the paper's case studies assume: hotspot pages,
-owner wallets, witness lists and the coverage dot map, as JSON over
-plain ``http.server``. Routes:
-
-========================================  =====================================
-``GET /``                                 route index
-``GET /stats``                            table counts + checkpoint height
-``GET /hotspots?limit=&offset=``          paginated hotspot listing
-``GET /hotspot/<name-or-address>``        one hotspot page (``hs_…`` address,
-                                          or URL-encoded three-word name)
-``GET /hotspot/<id>/witnesses?limit=``    witness events for one hotspot
-``GET /owner/<address>``                  one wallet page
-``GET /coverage/dots``                    (lat, lon, count) per occupied hex
-``GET /search?q=&limit=``                 substring search over names
-``GET /metrics``                          process metrics (JSON; add
-                                          ``?format=prometheus`` for text)
-========================================  =====================================
-
-Errors come back as ``{"error": …}`` with a 4xx status: 404 for unknown
-resources, 400 for malformed query parameters — a negative or
-non-integer ``limit``/``offset`` is rejected, and an oversized ``limit``
-clamps to :data:`repro.etl.store.MAX_PAGE_LIMIT` so no request dumps an
-unbounded table. ``HEAD`` is answered with the same headers (correct
-``Content-Length``) and no body; any other method is a ``405`` with an
-``Allow: GET, HEAD`` header. The server is strictly read-only — there
-is no mutating route. File-backed stores give every request thread its
-own read-only WAL connection (:class:`repro.etl.store.ReadReplicas`),
-so readers run concurrently; only an in-memory store falls back to one
-shared handle behind a lock, since ``:memory:`` databases are invisible
-to other connections. This tier stays the simple explorer; the
-production front end with response caching, cursor pagination and load
-shedding is :mod:`repro.serve`.
-
-Every request increments ``http.requests{route=,status=}`` and lands in
-the ``http.latency_s{route=}`` histogram (:mod:`repro.obs`); the
-``/metrics`` route serves those registers live without touching the
-store lock, and each request emits one ``http.request`` trace event
-when tracing is active.
-
->>> server = create_server(store, port=0)           # doctest: +SKIP
->>> threading.Thread(target=server.serve_forever).start()  # doctest: +SKIP
+These are the bodies the HTTP tier (:mod:`repro.serve`) serves and
+``python -m repro.etl query`` prints: one hotspot page, one owner
+page, and the witness event both of them list. Rendering lives here,
+beside the store the pages are read from, so every consumer shares one
+definition of each document.
 """
 
 from __future__ import annotations
 
-import json
-import threading
-from contextlib import nullcontext
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, unquote, urlparse
+from typing import Any, Dict
 
-from repro import obs
-from repro.core.explorer import Explorer, HotspotPage, OwnerPage, WitnessEvent
-from repro.errors import AnalysisError
-from repro.etl.store import MAX_PAGE_LIMIT, EtlStore, ReadReplicas
+from repro.core.explorer import HotspotPage, OwnerPage, WitnessEvent
 
-__all__ = ["create_server", "serve", "page_to_json", "owner_to_json"]
+__all__ = ["event_to_json", "owner_to_json", "page_to_json"]
 
 
-def _event_to_json(event: WitnessEvent) -> Dict[str, Any]:
+def event_to_json(event: WitnessEvent) -> Dict[str, Any]:
+    """One witness event as the JSON document the API serves."""
     return {
         "block": event.block,
         "counterparty": event.counterparty,
@@ -90,10 +46,10 @@ def page_to_json(page: HotspotPage) -> Dict[str, Any]:
         "packets_ferried": page.packets_ferried,
         "transfer_count": page.transfer_count,
         "recent_witnesses": [
-            _event_to_json(e) for e in page.recent_witnesses
+            event_to_json(e) for e in page.recent_witnesses
         ],
         "recent_witnessed_by": [
-            _event_to_json(e) for e in page.recent_witnessed_by
+            event_to_json(e) for e in page.recent_witnessed_by
         ],
     }
 
@@ -111,328 +67,3 @@ def owner_to_json(page: OwnerPage) -> Dict[str, Any]:
         "dc_balance": page.dc_balance,
         "total_rewards_hnt": page.total_rewards_hnt,
     }
-
-
-_ROUTES = [
-    "/stats",
-    "/hotspots?limit=&offset=",
-    "/hotspot/<name-or-address>",
-    "/hotspot/<name-or-address>/witnesses?limit=",
-    "/owner/<address>",
-    "/coverage/dots",
-    "/search?q=&limit=",
-    "/metrics?format=json|prometheus",
-]
-
-_KNOWN_HEADS = {"stats", "hotspots", "coverage", "search", "metrics"}
-
-
-def _route_key(parts: List[str]) -> str:
-    """The metric label for a request path: the route shape, not the
-    concrete resource, so cardinality stays bounded."""
-    if not parts:
-        return "index"
-    head = parts[0]
-    if head == "hotspot":
-        return "hotspot/witnesses" if len(parts) > 2 else "hotspot"
-    if head == "owner":
-        return "owner"
-    if head == "coverage":
-        return "coverage/dots" if parts == ["coverage", "dots"] else "unknown"
-    if head in _KNOWN_HEADS and len(parts) == 1:
-        return head
-    return "unknown"
-
-
-class _ExplorerHandler(BaseHTTPRequestHandler):
-    """Routes GET requests onto the store-backed explorer."""
-
-    server_version = "repro-etl/1"
-
-    # -- plumbing ----------------------------------------------------------
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:  # type: ignore[attr-defined]
-            super().log_message(format, *args)
-
-    def _reply(self, payload: Any, status: int = 200) -> None:
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-        self._send(body, "application/json", status)
-
-    def _send(
-        self,
-        body: bytes,
-        content_type: str,
-        status: int,
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        # A HEAD response carries the headers the GET would have —
-        # including the true Content-Length — but no body.
-        if self.command != "HEAD":
-            self.wfile.write(body)
-
-    def _error(self, message: str, status: int = 404) -> None:
-        self._reply({"error": message}, status=status)
-
-    def _int_param(
-        self,
-        params: Dict[str, List[str]],
-        name: str,
-        default: int,
-        max_value: Optional[int] = None,
-    ) -> int:
-        """A validated non-negative integer query parameter.
-
-        Non-integers and negatives raise :class:`ValueError` (mapped to
-        HTTP 400 by the dispatcher); values above ``max_value`` clamp
-        silently. Negative values must never reach a SQLite ``LIMIT``,
-        where ``-1`` means "unbounded".
-        """
-        values = params.get(name)
-        if not values:
-            return default
-        try:
-            value = int(values[0])
-        except ValueError:
-            raise ValueError(
-                f"query parameter {name!r} must be an integer, "
-                f"got {values[0]!r}"
-            ) from None
-        if value < 0:
-            raise ValueError(
-                f"query parameter {name!r} must be >= 0, got {value}"
-            )
-        if max_value is not None and value > max_value:
-            return max_value
-        return value
-
-    # -- dispatch ----------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch()
-
-    def do_HEAD(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch()
-
-    def _method_not_allowed(self) -> None:
-        started = perf_counter()
-        body = json.dumps(
-            {"error": f"method {self.command} not allowed; this API is "
-             "read-only", "allow": "GET, HEAD"},
-            separators=(",", ":"),
-        ).encode("utf-8")
-        self._send(body, "application/json", 405, {"Allow": "GET, HEAD"})
-        obs.counter("http.requests", route="method", status=405)
-        obs.observe("http.latency_s", perf_counter() - started, route="method")
-
-    # Every mutating verb gets the same 405 + Allow answer.
-    do_POST = _method_not_allowed  # noqa: N815 - http.server API
-    do_PUT = _method_not_allowed  # noqa: N815
-    do_DELETE = _method_not_allowed  # noqa: N815
-    do_PATCH = _method_not_allowed  # noqa: N815
-    do_OPTIONS = _method_not_allowed  # noqa: N815
-
-    def _dispatch(self) -> None:
-        parsed = urlparse(self.path)
-        parts = [unquote(p) for p in parsed.path.split("/") if p]
-        params = parse_qs(parsed.query)
-        server: "_ExplorerServer" = self.server  # type: ignore[assignment]
-        route = _route_key(parts)
-        self._status = 200
-        started = perf_counter()
-        try:
-            if parts == ["metrics"]:
-                # Served off the process registry: no store access, so
-                # metrics stay reachable while queries run.
-                self._metrics(params)
-            else:
-                store, explorer, guard = server.request_context()
-                with guard:
-                    self._route(explorer, store, parts, params)
-        except (ValueError, KeyError) as exc:
-            self._error(f"bad request: {exc}", status=400)
-        except AnalysisError as exc:
-            self._error(str(exc), status=404)
-        finally:
-            elapsed = perf_counter() - started
-            obs.counter("http.requests", route=route, status=self._status)
-            obs.observe("http.latency_s", elapsed, route=route)
-            obs.trace_event(
-                "http.request", route=route, path=self.path,
-                status=self._status, wall_s=round(elapsed, 6),
-            )
-
-    def _metrics(self, params: Dict[str, List[str]]) -> None:
-        fmt = params.get("format", ["json"])[0].lower()
-        if fmt in ("prometheus", "prom", "text"):
-            self._send(
-                obs.to_prometheus().encode("utf-8"),
-                "text/plain; version=0.0.4; charset=utf-8",
-                200,
-            )
-        elif fmt == "json":
-            self._reply(obs.snapshot())
-        else:
-            raise ValueError(f"unknown metrics format {fmt!r}")
-
-    def _route(
-        self,
-        explorer: Explorer,
-        store: EtlStore,
-        parts: List[str],
-        params: Dict[str, List[str]],
-    ) -> None:
-        if not parts:
-            self._reply({"service": "repro.etl explorer", "routes": _ROUTES})
-        elif parts == ["stats"]:
-            self._reply({
-                "checkpoint_height": store.checkpoint_height,
-                "tip_hash": store.get_meta("tip_hash"),
-                "tables": store.counts(),
-            })
-        elif parts == ["hotspots"]:
-            limit = self._int_param(params, "limit", 50, MAX_PAGE_LIMIT)
-            offset = self._int_param(params, "offset", 0)
-            rows = store.hotspot_page_rows(limit, offset)
-            self._reply({
-                "total": store.hotspot_count,
-                "hotspots": [
-                    {"gateway": g, "name": n, "location_token": t}
-                    for g, n, t in rows
-                ],
-            })
-        elif parts[0] == "hotspot" and len(parts) in (2, 3):
-            page = self._lookup_hotspot(explorer, parts[1])
-            if len(parts) == 2:
-                self._reply(page_to_json(page))
-            elif parts[2] == "witnesses":
-                limit = self._int_param(params, "limit", 100, MAX_PAGE_LIMIT)
-                events = store.witness_events(
-                    page.gateway, direction="witnessing", limit=limit
-                )
-                self._reply({
-                    "gateway": page.gateway,
-                    "name": page.name,
-                    "witnesses": [_event_to_json(e) for e in events],
-                })
-            else:
-                self._error(f"unknown hotspot subresource: {parts[2]}")
-        elif parts[0] == "owner" and len(parts) == 2:
-            self._reply(owner_to_json(explorer.owner(parts[1])))
-        elif parts == ["coverage", "dots"]:
-            dots = store.coverage_dot_rows()
-            self._reply({
-                "dots": [
-                    {"token": token, "lat": lat, "lon": lon, "hotspots": count}
-                    for token, lat, lon, count in dots
-                ],
-            })
-        elif parts == ["search"]:
-            query = params.get("q", [""])[0]
-            limit = self._int_param(params, "limit", 10, MAX_PAGE_LIMIT)
-            matches = explorer.search(query, limit=limit) if query else []
-            self._reply({
-                "query": query,
-                "matches": [
-                    {"gateway": gateway, "name": name}
-                    for gateway, name in matches
-                ],
-            })
-        else:
-            self._error(f"no such route: /{'/'.join(parts)}")
-
-    def _lookup_hotspot(self, explorer: Explorer, key: str) -> HotspotPage:
-        if key.startswith("hs_"):
-            return explorer.hotspot(key)
-        return explorer.hotspot_by_name(key.replace("-", " "))
-
-
-class _ExplorerServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer giving each request thread its own replica.
-
-    File-backed stores answer every request from a per-thread read-only
-    WAL connection (no shared handle, no lock, concurrent readers). An
-    in-memory store is reachable only through the handle that created
-    it, so that one case keeps the legacy shared-handle-behind-a-lock
-    arrangement.
-    """
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        store: EtlStore,
-        verbose: bool = False,
-    ) -> None:
-        super().__init__(address, _ExplorerHandler)
-        self.store = store
-        self.explorer = Explorer.from_store(store)
-        self.lock = threading.Lock()
-        self.verbose = verbose
-        self.replicas: Optional[ReadReplicas] = (
-            None if store.path == ":memory:" else ReadReplicas(store.path)
-        )
-        self._tls = threading.local()
-
-    def request_context(self) -> Tuple[EtlStore, Explorer, Any]:
-        """``(store, explorer, guard)`` for the calling request thread.
-
-        With replicas available the guard is a no-op context manager —
-        the thread owns its connection outright. Only the in-memory
-        fallback still hands back the serialising lock.
-        """
-        if self.replicas is None:
-            return self.store, self.explorer, self.lock
-        context = getattr(self._tls, "context", None)
-        if context is None:
-            replica = self.replicas.get()
-            context = (replica, Explorer.from_store(replica), nullcontext())
-            self._tls.context = context
-        return context
-
-    def server_close(self) -> None:
-        super().server_close()
-        if self.replicas is not None:
-            self.replicas.close_all()
-
-
-def create_server(
-    store: EtlStore,
-    host: str = "127.0.0.1",
-    port: int = 8600,
-    verbose: bool = False,
-) -> ThreadingHTTPServer:
-    """Build (but do not start) the explorer HTTP server.
-
-    Pass ``port=0`` to bind an ephemeral port (``server.server_address``
-    tells you which — handy in tests).
-    """
-    return _ExplorerServer((host, port), store, verbose=verbose)
-
-
-def serve(
-    store: EtlStore,
-    host: str = "127.0.0.1",
-    port: int = 8600,
-    verbose: bool = True,
-) -> None:
-    """Serve the explorer API until interrupted."""
-    server = create_server(store, host=host, port=port, verbose=verbose)
-    bound_host, bound_port = server.server_address[:2]
-    print(f"repro.etl explorer listening on http://{bound_host}:{bound_port}/")
-    obs.trace_event("etl.serve", host=bound_host, port=bound_port, db=store.path)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        obs.trace_event("etl.serve.stop", host=bound_host, port=bound_port)
-        server.server_close()

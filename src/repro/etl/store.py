@@ -10,12 +10,12 @@ share:
   ``rewards``, ``resale``) call the row iterators, which yield exactly
   the tuples their chain-walking twins derive — parity is asserted by
   property tests;
-* the HTTP explorer API (:mod:`repro.etl.server`) serves the same pages
-  plus the coverage-dot view as JSON.
+* the HTTP tier (:mod:`repro.serve`) serves the same pages, rendered
+  by :mod:`repro.etl.server`, plus the coverage-dot view as JSON.
 
 A store handle is cheap; the data lives in the ``.db`` file. Open a
 fresh handle per thread — :class:`ReadReplicas` is the factory the HTTP
-tiers use: one ``mode=ro`` connection per serving thread over a
+tier uses: one ``mode=ro`` connection per serving thread over a
 WAL-journalled file, so concurrent readers never queue behind each
 other or behind the ingest writer.
 """
@@ -45,7 +45,7 @@ __all__ = [
 _MEMORY = ":memory:"
 
 #: Page-cache cap of a read-only replica, in KiB (SQLite's default is
-#: 2,000 KiB per connection). The serving tiers open one replica per
+#: 2,000 KiB per connection). The serving tier opens one replica per
 #: worker thread over the same file, whose pages the OS page cache
 #: already holds, so a large private cache per replica only duplicates
 #: them; a small one still keeps the hot B-tree interior pages.
@@ -86,7 +86,7 @@ class EtlStore:
         create: apply the schema to an empty database. When False, an
             empty or missing database raises :class:`EtlError`.
         read_only: open the file through SQLite's ``mode=ro`` URI — the
-            handle can never write, which is what the serving tiers hand
+            handle can never write, which is what the serving tier hands
             to each worker thread. Requires a file-backed store.
 
     File-backed stores run with ``journal_mode=WAL`` (set on every
@@ -117,6 +117,8 @@ class EtlStore:
             if read_only:
                 # mode=ro cannot write even by accident; isolation_level
                 # None leaves transaction control to read_snapshot().
+                # check_same_thread=False: ReadReplicas.close_all closes
+                # every thread's replica from the shutdown thread.
                 uri = "file:{}?mode=ro".format(quote(str(Path(self.path).resolve())))
                 self.connection = sqlite3.connect(
                     uri, uri=True, check_same_thread=False,
@@ -127,12 +129,7 @@ class EtlStore:
                     f"PRAGMA cache_size=-{REPLICA_CACHE_KIB}"
                 )
             else:
-                # check_same_thread=False: the legacy HTTP server may
-                # share one in-memory handle across request threads
-                # behind its own lock.
-                self.connection = sqlite3.connect(
-                    self.path, check_same_thread=False
-                )
+                self.connection = sqlite3.connect(self.path)
                 self.connection.execute("PRAGMA synchronous=NORMAL")
                 self.connection.execute("PRAGMA busy_timeout=5000")
                 if self.path != _MEMORY:
@@ -561,7 +558,7 @@ class EtlStore:
 class ReadReplicas:
     """Per-thread read-only :class:`EtlStore` handles over one file.
 
-    The connection factory both HTTP tiers draw from: the first call on
+    The connection factory the HTTP tier draws from: the first call on
     a thread opens a ``mode=ro`` connection onto the WAL database and
     caches it in thread-local storage, so request threads never share a
     handle (no lock, no ``database is locked`` queueing) while the

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -45,13 +44,6 @@ BUILTIN_DIR = Path(__file__).parent / "builtin"
 #: ScenarioConfig (which *is* the paper scenario). Spelled ``"defaults"``
 #: in spec files so ``paper.json`` need not base on itself.
 _DEFAULTS_BASE = "defaults"
-
-#: Legacy spellings kept working with a DeprecationWarning.
-_DEPRECATED_ALIASES = {
-    "paper10x": "paper-10x",
-    "paper_10x": "paper-10x",
-    "million_hotspot": "million-hotspot",
-}
 
 _SPEC_SUFFIXES = (".json", ".toml")
 
@@ -97,16 +89,8 @@ def _builtin_raw(name: str) -> Dict[str, Any]:
         raise ScenarioSpecError(f"corrupt built-in spec {name!r}: {exc}")
 
 
-def _canonical_name(ref: str) -> Optional[str]:
-    """Registry name for ``ref``, resolving deprecated aliases."""
-    if ref in _DEPRECATED_ALIASES:
-        canonical = _DEPRECATED_ALIASES[ref]
-        warnings.warn(
-            f"scenario name {ref!r} is deprecated; use {canonical!r}",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-        return canonical
+def _builtin_name(ref: str) -> Optional[str]:
+    """``ref`` if it names a shipped spec file, else ``None``."""
     return ref if (BUILTIN_DIR / f"{ref}.json").exists() else None
 
 
@@ -150,7 +134,7 @@ def _base_config(base: Any, source: str, *, _depth: int = 0) -> ScenarioConfig:
         )
     if _depth > len(scenario_names()) + 1:  # pragma: no cover - guard
         raise ScenarioSpecError(f"{source}: circular 'base' chain")
-    name = _canonical_name(base)
+    name = _builtin_name(base)
     if name is None:
         raise ScenarioSpecError(
             f"{source}: unknown base scenario {base!r}; "
@@ -182,7 +166,7 @@ def resolve(
     """
     if isinstance(ref, Path):
         return _resolve_file(ref, seed)
-    name = _canonical_name(ref)
+    name = _builtin_name(ref)
     if name is not None:
         raw = _builtin_raw(name)
         config = _resolve_spec_dict(raw, f"builtin:{name}")

@@ -1,6 +1,6 @@
-"""repro.serve — the production serving tier over the ETL replica.
+"""repro.serve — the HTTP tier over the ETL replica.
 
-Layers a traffic-worthy HTTP front end on :mod:`repro.etl`:
+Layers a traffic-worthy HTTP explorer API on :mod:`repro.etl`:
 
 * :mod:`repro.serve.server` — a bounded-queue, fixed-pool server where
   each worker owns a read-only WAL connection; sheds with 503 +
@@ -11,8 +11,9 @@ Layers a traffic-worthy HTTP front end on :mod:`repro.etl`:
 * :mod:`repro.serve.cursor` — opaque keyset-pagination tokens for the
   list endpoints (``next_cursor``), stable under concurrent ingest.
 * :mod:`repro.serve.loadgen` — a zipf/bursty synthetic traffic
-  generator (one selectors loop, thousands of simulated clients) that
-  feeds ``benchmarks/bench_serve.py`` and ``BENCH_serve.json``.
+  generator (one selectors loop, thousands of simulated clients) behind
+  ``python -m repro.serve load`` and the pipeline benchmark's explore
+  workloads.
 
 CLI: ``python -m repro.serve serve|load`` (see :mod:`repro.serve.cli`).
 """

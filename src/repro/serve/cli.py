@@ -12,10 +12,9 @@ Usage::
 
 ``serve`` starts the pooled front end (read-only WAL replicas per
 worker, checkpoint-keyed response cache, 503 shedding, SIGTERM drain);
-pass ``--scenario`` to auto-ingest a missing database first, exactly
-like the legacy ``repro.etl serve``. ``load`` drives any explorer URL
-with zipf-popular, bursty traffic and prints a latency/throughput
-report as JSON.
+pass ``--scenario`` to ingest a missing or unreadable database first.
+``load`` drives any explorer URL with zipf-popular, bursty traffic and
+prints a latency/throughput report as JSON.
 """
 
 from __future__ import annotations
@@ -23,8 +22,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
+from typing import Optional
 
-from repro.errors import ReproError
+from repro.errors import EtlError, ReproError
 
 __all__ = ["main"]
 
@@ -70,11 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None,
         help="override the spec's own seed (default: keep it)",
     )
-    serve.add_argument(
-        "--no-keep-alive", action="store_true",
-        help="serve HTTP/1.0 (one request per connection) instead of "
-        "the default HTTP/1.1 keep-alive",
-    )
     serve.add_argument("--quiet", action="store_true")
 
     load = sub.add_parser("load", help="drive a server with zipf traffic")
@@ -116,11 +112,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_or_ingest(db: str, scenario: Optional[str], seed: Optional[int]):
+    """The store at ``db``; rebuilt from ``scenario`` if it is missing
+    or unreadable. Without a scenario a bad store raises
+    :class:`EtlError`."""
+    from repro.etl.store import EtlStore
+
+    try:
+        return EtlStore(db, create=False)
+    except EtlError:
+        if scenario is None:
+            raise
+    from repro.etl.ingest import ingest_chain
+    from repro.experiments.context import get_result
+
+    Path(db).unlink(missing_ok=True)
+    result = get_result(scenario, seed)
+    store = EtlStore(db)
+    ingest_chain(result.chain, store)
+    return store
+
+
 def _cmd_serve(args) -> int:
-    from repro.etl.cli import _open_or_ingest
     from repro.serve.server import serve
 
-    # Reuse the legacy auto-ingest path, then serve through the pool.
     store = _open_or_ingest(args.db, args.scenario, args.seed)
     store.close()  # the tier opens its own read-only replicas
     serve(
@@ -131,7 +146,6 @@ def _cmd_serve(args) -> int:
         queue_depth=args.queue_depth,
         cache_entries=args.cache_entries,
         cache_ttl_s=args.cache_ttl,
-        keep_alive=not args.no_keep_alive,
         verbose=not args.quiet,
     )
     return 0

@@ -1,9 +1,9 @@
 """Synthetic explorer traffic: zipf hotspots, bursty clients, one loop.
 
-Drives an HTTP explorer (legacy :mod:`repro.etl.server` or the
-:mod:`repro.serve` tier — the generator does not care) with the
-workload shape the paper's ecosystem actually sees: a long-tailed
-population of analysts and dashboards hammering a shared replica, where
+Drives an HTTP explorer (:mod:`repro.serve`, or any server with the
+same routes) with the workload shape the paper's ecosystem actually
+sees: a long-tailed population of analysts and dashboards hammering a
+shared replica, where
 
 * **popularity is zipf-distributed** — a few hotspot pages and the
   ``/stats`` head take most of the traffic while the tail stays warm
@@ -29,7 +29,7 @@ browser actually behaves — and a request sent on a connection the
 server idled out is retried once on a fresh one.
 
 ``run_load`` returns a :class:`LoadReport`; the CLI (``python -m
-repro.serve load``) and ``benchmarks/bench_serve.py`` both build on it.
+repro.serve load``) builds on it.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def fetch_metrics(base_url: str, timeout: float = 10.0) -> Dict:
 
 @dataclass
 class LoadReport:
-    """What one load run measured, ready for ``BENCH_serve.json``."""
+    """What one load run measured (:meth:`summary` gives the JSON)."""
 
     clients: int
     duration_s: float

@@ -1,7 +1,7 @@
-"""The production serving tier: pooled workers over read-only replicas.
+"""The explorer's HTTP tier: pooled workers over read-only replicas.
 
-Where :mod:`repro.etl.server` is a browse-the-replica convenience, this
-module is built for sustained concurrent traffic:
+Serves the ETL replica's hotspot, owner, witness and coverage pages as
+JSON, built for sustained concurrent traffic:
 
 * **A fixed worker pool, not a thread per connection.** Accepted
   sockets go onto a bounded queue; N long-lived workers drain it. Each
@@ -25,13 +25,16 @@ module is built for sustained concurrent traffic:
   the CLI wires it to ``SIGTERM``.
 * **Cursor pagination.** List endpoints accept an opaque ``cursor``
   token (:mod:`repro.serve.cursor`) and return ``next_cursor``,
-  alongside the legacy ``offset`` form.
+  alongside the ``offset`` form.
 
-Routes match the legacy explorer (``/stats``, ``/hotspots``,
-``/hotspot/<id>[/witnesses]``, ``/owner/<addr>``, ``/coverage/dots``,
-``/search``, ``/metrics``) with two additions: list responses carry
-``checkpoint`` and ``next_cursor``, and ``/healthz`` reports queue and
-cache state. ``HEAD`` mirrors ``GET`` headers; other methods are 405.
+Routes: ``/stats``, ``/hotspots``, ``/hotspot/<id>[/witnesses]``,
+``/owner/<addr>``, ``/coverage/dots``, ``/search``, ``/healthz`` (queue
+and cache state) and ``/metrics``; ``/`` lists them. List responses
+carry ``checkpoint`` and ``next_cursor``. Errors are ``{"error": …}``
+with a 4xx: 404 for unknown resources, 400 for a negative or
+non-integer ``limit``/``offset`` (an oversized ``limit`` clamps to
+:data:`repro.etl.store.MAX_PAGE_LIMIT`). ``HEAD`` mirrors ``GET``
+headers; other methods are 405.
 
 Observability (:mod:`repro.obs`): ``serve.requests{route=,status=}``
 counters, ``serve.latency_s{route=}`` histograms,
@@ -54,7 +57,7 @@ from urllib.parse import parse_qs, unquote, urlencode, urlparse
 
 from repro import obs
 from repro.errors import EtlError
-from repro.etl.server import owner_to_json, page_to_json
+from repro.etl.server import event_to_json, owner_to_json, page_to_json
 from repro.etl.store import MAX_PAGE_LIMIT, EtlStore, ReadReplicas
 from repro.serve.cache import ResponseCache, etag_for, etag_matches
 from repro.serve.cursor import CursorError, decode_cursor, encode_cursor
@@ -132,17 +135,16 @@ def _canonical(parts: List[str], params: Dict[str, List[str]]) -> str:
 class ServeHandler(BaseHTTPRequestHandler):
     """One connection's requests, executed on a pool worker's replica.
 
-    With keep-alive on (the default) the handler speaks HTTP/1.1:
-    every response carries ``Content-Length``, so the base class's
-    request loop serves any number of requests over one connection,
-    and an idle socket is reclaimed after ``keepalive_idle_s`` (the
-    read timeout trips, ``close_connection`` is set, and the worker
-    moves on). HTTP/1.0 clients are unaffected — their connections
-    close per request exactly as before.
+    The handler speaks HTTP/1.1: every response carries
+    ``Content-Length``, so the base class's request loop serves any
+    number of requests over one connection, and an idle socket is
+    reclaimed after ``keepalive_idle_s`` (the read timeout trips,
+    ``close_connection`` is set, and the worker moves on). HTTP/1.0
+    clients still get one response per connection.
     """
 
     server_version = "repro-serve/1"
-    protocol_version = "HTTP/1.0"
+    protocol_version = "HTTP/1.1"
     # TCP_NODELAY: a response goes out as two writes (headers, then
     # body), and with Nagle on the body waits for the client's delayed
     # ACK of the headers, ~40 ms per response on a kept-alive socket.
@@ -150,9 +152,7 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     def setup(self) -> None:
         server: "ServeServer" = self.server  # type: ignore[assignment]
-        if server.keep_alive:
-            self.protocol_version = "HTTP/1.1"
-            self.timeout = server.keepalive_idle_s
+        self.timeout = server.keepalive_idle_s
         super().setup()
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -422,8 +422,8 @@ class ServeHandler(BaseHTTPRequestHandler):
             )
         if cursor_token is not None or "offset" not in params:
             # Keyset paging is the default; an explicit offset= selects
-            # the legacy compatibility form. A walk starts with no
-            # cursor at all and follows next_cursor to the end.
+            # the offset form. A walk starts with no cursor at all and
+            # follows next_cursor to the end.
             after = (
                 0 if cursor_token is None
                 else decode_cursor(cursor_token, "hotspots")
@@ -486,17 +486,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         return {
             "gateway": page.gateway,
             "name": page.name,
-            "witnesses": [
-                {
-                    "block": e.block,
-                    "counterparty": e.counterparty,
-                    "counterparty_name": e.counterparty_name,
-                    "rssi_dbm": e.rssi_dbm,
-                    "distance_km": e.distance_km,
-                    "valid": e.valid,
-                }
-                for e in events
-            ],
+            "witnesses": [event_to_json(e) for e in events],
         }, 200
 
 
@@ -522,7 +512,6 @@ class ServeServer(HTTPServer):
         cache_entries: int = 1024,
         cache_ttl_s: float = 30.0,
         retry_after_s: int = 1,
-        keep_alive: bool = True,
         keepalive_idle_s: float = 5.0,
         verbose: bool = False,
         test_routes: bool = False,
@@ -535,7 +524,6 @@ class ServeServer(HTTPServer):
         # Persistent connections hold their worker between requests, so
         # the idle timeout is what bounds how long a quiet client can
         # park in the pool.
-        self.keep_alive = bool(keep_alive)
         self.keepalive_idle_s = float(keepalive_idle_s)
         self.verbose = verbose
         self.test_routes = test_routes
@@ -681,7 +669,6 @@ def create_server(
     queue_depth: int = 128,
     cache_entries: int = 1024,
     cache_ttl_s: float = 30.0,
-    keep_alive: bool = True,
     keepalive_idle_s: float = 5.0,
     verbose: bool = False,
     test_routes: bool = False,
@@ -701,7 +688,6 @@ def create_server(
         queue_depth=queue_depth,
         cache_entries=cache_entries,
         cache_ttl_s=cache_ttl_s,
-        keep_alive=keep_alive,
         keepalive_idle_s=keepalive_idle_s,
         verbose=verbose,
         test_routes=test_routes,
@@ -716,7 +702,6 @@ def serve(
     queue_depth: int = 128,
     cache_entries: int = 1024,
     cache_ttl_s: float = 30.0,
-    keep_alive: bool = True,
     verbose: bool = True,
 ) -> None:
     """Serve until SIGTERM/SIGINT, then drain gracefully.
@@ -731,7 +716,7 @@ def serve(
     server = create_server(
         db_path, host=host, port=port, workers=workers,
         queue_depth=queue_depth, cache_entries=cache_entries,
-        cache_ttl_s=cache_ttl_s, keep_alive=keep_alive, verbose=verbose,
+        cache_ttl_s=cache_ttl_s, verbose=verbose,
     )
     bound_host, bound_port = server.server_address[:2]
     print(

@@ -1,4 +1,4 @@
-"""``python -m repro.etl`` in-process: ingest, query, self-heal."""
+"""``python -m repro.etl`` in-process: ingest and query."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.core.explorer import Explorer
-from repro.etl.cli import _open_or_ingest, main
+from repro.etl.cli import main
 from repro.experiments import context
 
 
@@ -85,19 +85,3 @@ class TestQueryCommand:
         code = main(["query", "--db", str(tmp_path / "absent.db"), "stats"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
-
-
-class TestServeSelfHeal:
-    def test_open_or_ingest_rebuilds_a_corrupt_store(self, tmp_path):
-        db = tmp_path / "broken.db"
-        db.write_bytes(b"definitely not sqlite" * 50)
-        store = _open_or_ingest(str(db), "small", 2021)
-        assert store.checkpoint_height == (
-            context.get_result("small").chain.height
-        )
-
-    def test_open_or_ingest_without_scenario_raises(self, tmp_path):
-        from repro.errors import EtlError
-
-        with pytest.raises(EtlError):
-            _open_or_ingest(str(tmp_path / "absent.db"), None, 2021)

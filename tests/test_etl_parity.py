@@ -189,18 +189,27 @@ class TestPaperScenarioParity:
         result, store = paper
         _assert_analysis_parity(result.chain, store)
 
-    def test_http_case_study(self, paper):
+    def test_http_case_study(self, paper, tmp_path):
         """A full explorer.helium.com-style walk over HTTP: look a
         hotspot up by name, follow it to its owner's wallet page."""
         import json
+        import sqlite3
         import threading
         import urllib.request
         from urllib.parse import quote
 
-        from repro.etl.server import create_server, owner_to_json, page_to_json
+        from repro.etl.server import owner_to_json, page_to_json
+        from repro.serve.server import create_server
 
         result, store = paper
-        server = create_server(store, port=0)
+        # The tier serves a file; copy the (possibly in-memory) store.
+        db = str(tmp_path / "paper.db")
+        copy = sqlite3.connect(db)
+        try:
+            store.connection.backup(copy)
+        finally:
+            copy.close()
+        server = create_server(db, port=0, workers=2)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import EtlError
 from repro.etl import SCHEMA_VERSION, EtlStore, ingest_chain
 from repro.etl import schema
+from repro.etl.store import MAX_PAGE_LIMIT, clamp_page
 
 from tests.etl_chains import ChainBuilder
 
@@ -215,3 +216,38 @@ class TestWalAndReplicas:
 
         with pytest.raises(EtlError, match="no ETL store"):
             ReadReplicas(tmp_path / "absent.db")
+
+
+@pytest.fixture(scope="module")
+def builder():
+    """A randomized chain for the paging checks."""
+    builder = ChainBuilder(seed=99, n_hotspots=5)
+    builder.grow(15)
+    return builder
+
+
+class TestStorePaging:
+    def test_clamp_page_validates(self):
+        assert clamp_page(10, 5) == (10, 5)
+        assert clamp_page(MAX_PAGE_LIMIT + 1) == (MAX_PAGE_LIMIT, 0)
+        with pytest.raises(ValueError):
+            clamp_page(-1)
+        with pytest.raises(ValueError):
+            clamp_page(10, -3)
+        with pytest.raises(ValueError):
+            clamp_page("banana")
+
+    def test_hotspot_page_rows_matches_python_slice(self, builder):
+        store = EtlStore()
+        ingest_chain(builder.chain, store)
+        full = store.hotspot_rows()
+        assert store.hotspot_page_rows(2, 1) == full[1:3]
+        assert store.hotspot_page_rows(10**9, 0) == full
+
+    def test_witness_events_clamps_limit(self, builder):
+        store = EtlStore()
+        ingest_chain(builder.chain, store)
+        with pytest.raises(ValueError):
+            store.witness_events(
+                builder.gateways[0], direction="witnessing", limit=-1
+            )

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import sys
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,14 +86,10 @@ class TestBuiltins:
         assert resolve("small", seed=9).config.seed == 9
         assert resolve("paper").config.seed == 2021
 
-    def test_deprecated_aliases_warn_but_resolve(self):
-        for alias, canonical in (
-            ("paper10x", "paper-10x"),
-            ("paper_10x", "paper-10x"),
-            ("million_hotspot", "million-hotspot"),
-        ):
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                assert resolve(alias).digest == resolve(canonical).digest
+    def test_removed_aliases_are_unknown(self):
+        # The old spelling is an error that points at the registry name.
+        with pytest.raises(ScenarioSpecError, match="paper-10x"):
+            resolve("paper10x")
 
     def test_listing_carries_digests(self):
         rows = {row["name"]: row for row in list_scenarios()}
@@ -386,12 +381,6 @@ class TestCacheIntegration:
         reseeded = resolve_any(resolved, seed=9)
         assert reseeded.config.seed == 9
         assert reseeded.label == resolved.label
-
-    def test_alias_warning_not_raised_for_canonical_names(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            resolve("paper-10x")
-            resolve("million-hotspot")
 
     def test_field_groups_cover_every_config_field(self):
         import dataclasses

@@ -1,6 +1,8 @@
-"""The production serving tier, end-to-end over real sockets.
+"""The serving tier, end-to-end over real sockets.
 
-Covers the four tentpole behaviours of :mod:`repro.serve`:
+Covers the explorer routes (pages equal to the chain-walking
+:class:`~repro.core.explorer.Explorer`'s, 4xx handling, ``/metrics``)
+and the four behaviours that let :mod:`repro.serve` take traffic:
 
 * checkpoint-keyed ETags — ``If-None-Match`` collapses to 304 while the
   checkpoint stands still and *stops validating* the moment ingest
@@ -21,13 +23,19 @@ import http.client
 import json
 import threading
 import time
+from urllib.parse import quote
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.explorer import Explorer
 from repro.errors import EtlError
 from repro.etl import EtlStore, ingest_chain
+from repro.etl.server import owner_to_json, page_to_json
+from repro.etl.store import MAX_PAGE_LIMIT
+from repro.experiments import context
 from repro.serve.cache import ResponseCache, etag_for, etag_matches
+from repro.serve.cli import _open_or_ingest
 from repro.serve.cursor import CursorError, decode_cursor, encode_cursor
 from repro.serve.server import create_server, default_workers
 
@@ -92,6 +100,17 @@ def live(db_path):
     live = LiveServer(server)
     live.builder = builder
     live.db_path = db_path
+    yield live
+    live.close()
+
+
+@pytest.fixture(scope="module")
+def explorer(tmp_path_factory):
+    """One live tier shared by the read-only route checks."""
+    db_path = str(tmp_path_factory.mktemp("explorer") / "serve.db")
+    builder = _build_db(db_path, seed=99, n_hotspots=5, blocks=15)
+    live = LiveServer(create_server(db_path, port=0, workers=4))
+    live.builder = builder
     yield live
     live.close()
 
@@ -389,6 +408,7 @@ class TestHttpConformance:
     def test_index_lists_routes(self, live):
         status, _, payload = live.get_json("/")
         assert status == 200
+        assert "/stats" in payload["routes"]
         assert any("cursor" in route for route in payload["routes"])
 
     def test_metrics_counts_serve_requests(self, live):
@@ -401,6 +421,158 @@ class TestHttpConformance:
     def test_create_server_rejects_missing_db(self, tmp_path):
         with pytest.raises(EtlError):
             create_server(str(tmp_path / "absent.db"))
+
+
+# -- explorer routes -------------------------------------------------------
+
+
+def _ok(live, path):
+    status, headers, payload = live.get_json(path)
+    assert status == 200, (path, payload)
+    assert headers["Content-Type"] == "application/json"
+    return payload
+
+
+class TestExplorerRoutes:
+    """Served pages equal the chain-walking explorer's renders."""
+
+    def test_hotspot_by_address(self, explorer):
+        gateway = explorer.builder.gateways[0]
+        expected = page_to_json(Explorer(explorer.builder.chain).hotspot(
+            gateway
+        ))
+        assert _ok(explorer, f"/hotspot/{gateway}") == expected
+
+    def test_hotspot_by_name(self, explorer):
+        gateway = explorer.builder.gateways[1]
+        page = Explorer(explorer.builder.chain).hotspot(gateway)
+        slug = quote(page.name.replace(" ", "-"))
+        assert _ok(explorer, f"/hotspot/{slug}") == page_to_json(page)
+
+    def test_owner(self, explorer):
+        wallet = explorer.builder.owners[0]
+        expected = owner_to_json(Explorer(explorer.builder.chain).owner(
+            wallet
+        ))
+        assert _ok(explorer, f"/owner/{wallet}") == expected
+
+    def test_hotspot_witnesses(self, explorer):
+        gateway = explorer.builder.gateways[2]
+        payload = _ok(explorer, f"/hotspot/{gateway}/witnesses?limit=5")
+        assert payload["gateway"] == gateway
+        assert len(payload["witnesses"]) <= 5
+        for event in payload["witnesses"]:
+            assert set(event) == {
+                "block", "counterparty", "counterparty_name",
+                "rssi_dbm", "distance_km", "valid",
+            }
+
+    def test_hotspots_listing_paginates(self, explorer):
+        full = _ok(explorer, "/hotspots")
+        assert full["total"] == len(explorer.builder.gateways)
+        page = _ok(explorer, "/hotspots?limit=2&offset=1")
+        assert [h["gateway"] for h in page["hotspots"]] == [
+            h["gateway"] for h in full["hotspots"][1:3]
+        ]
+
+    def test_coverage_dots(self, explorer):
+        payload = _ok(explorer, "/coverage/dots")
+        located = [
+            record.location_token
+            for record in explorer.builder.chain.ledger.hotspots.values()
+            if record.location_token is not None
+        ]
+        assert {dot["token"] for dot in payload["dots"]} == set(located)
+        assert sum(dot["hotspots"] for dot in payload["dots"]) == len(
+            located
+        )
+
+    def test_search(self, explorer):
+        chain = explorer.builder.chain
+        name = Explorer(chain).hotspot(explorer.builder.gateways[0]).name
+        needle = name.split()[0].lower()
+        payload = _ok(explorer, f"/search?q={quote(needle)}")
+        assert any(m["name"] == name for m in payload["matches"])
+
+    def test_stats(self, explorer):
+        chain = explorer.builder.chain
+        payload = _ok(explorer, "/stats")
+        assert payload["checkpoint_height"] == chain.height
+        assert payload["tip_hash"] == chain.tip.hash
+        assert payload["tables"]["blocks"] == len(chain.blocks)
+
+
+class TestExplorerErrors:
+    def test_unknown_hotspot_is_404(self, explorer):
+        status, _, payload = explorer.get_json("/hotspot/hs_not_a_real_one")
+        assert status == 404
+        assert "error" in payload
+
+    @pytest.mark.parametrize("path", [
+        "/hotspots?limit=-1",
+        "/hotspots?offset=-1",
+        "/hotspots?limit=notanint",
+        "/hotspots?offset=notanint",
+        "/hotspots?limit=banana",
+        "/search?q=a&limit=-5",
+        "/search?q=a&limit=nan",
+        "/hotspot/{gateway}/witnesses?limit=-1",
+    ])
+    def test_negative_or_non_integer_paging_is_400(self, explorer, path):
+        # A negative limit must never reach SQLite, where LIMIT -1
+        # means "no limit" and dumps the whole table.
+        path = path.format(gateway=explorer.builder.gateways[0])
+        status, _, payload = explorer.get_json(path)
+        assert status == 400
+        assert "error" in payload
+
+    def test_huge_limit_clamps_instead_of_unbounding(self, explorer):
+        payload = _ok(explorer, "/hotspots?limit=999999999")
+        # Clamped, not rejected: the page is bounded by MAX_PAGE_LIMIT.
+        assert len(payload["hotspots"]) == min(
+            len(explorer.builder.gateways), MAX_PAGE_LIMIT
+        )
+
+    def test_zero_limit_is_an_empty_page(self, explorer):
+        assert _ok(explorer, "/hotspots?limit=0")["hotspots"] == []
+
+
+class TestMetricsRoute:
+    def test_json_metrics_cover_routes(self, explorer):
+        _ok(explorer, "/stats")  # guarantee at least one counted request
+        payload = _ok(explorer, "/metrics")
+        assert set(payload) == {"counters", "gauges", "timers"}
+        counters, timers = payload["counters"], payload["timers"]
+        assert counters["serve.requests{route=stats,status=200}"] >= 1
+        assert timers["serve.latency_s{route=stats}"]["count"] >= 1
+
+    def test_error_statuses_are_labelled(self, explorer):
+        explorer.get_json("/hotspots?limit=-1")
+        counters = _ok(explorer, "/metrics")["counters"]
+        assert counters["serve.requests{route=hotspots,status=400}"] >= 1
+
+    def test_prometheus_format(self, explorer):
+        _ok(explorer, "/stats")
+        status, headers, body = explorer.request(
+            "/metrics?format=prometheus"
+        )
+        assert status == 200
+        assert headers["Content-Type"].startswith("text/plain")
+        text = body.decode("utf-8")
+        assert "# TYPE repro_serve_requests_total counter" in text
+        assert 'repro_serve_requests_total{route="stats",status="200"}' in (
+            text
+        )
+        assert "repro_serve_latency_s_bucket" in text
+
+    def test_unknown_format_is_400(self, explorer):
+        status, _, payload = explorer.get_json("/metrics?format=xml")
+        assert status == 400
+        assert "error" in payload
+
+    def test_index_advertises_metrics(self, explorer):
+        routes = _ok(explorer, "/")["routes"]
+        assert any("/metrics" in route for route in routes)
 
 
 # -- keep-alive ------------------------------------------------------------
@@ -475,27 +647,6 @@ class TestKeepAlive:
             # an HTTP/1.0 request must still get one-shot semantics.
             assert b" 200" in head.split(b"\r\n", 1)[0]
             assert sock.recv(65536) == b""  # server closed
-
-    def test_keep_alive_disabled_closes_per_request(self, db_path):
-        import socket
-
-        _build_db(db_path, seed=6, n_hotspots=3, blocks=4)
-        server = create_server(
-            db_path, port=0, workers=2, keep_alive=False
-        )
-        live = LiveServer(server)
-        try:
-            with socket.create_connection(
-                (live.host, live.port), timeout=10
-            ) as sock:
-                sock.sendall(
-                    b"GET /stats HTTP/1.1\r\nHost: t\r\n\r\n"
-                )
-                head, _ = _recv_response(sock)
-                assert head.startswith(b"HTTP/1.0 200")
-                assert sock.recv(65536) == b""
-        finally:
-            live.close()
 
     def test_idle_connection_is_reclaimed(self, db_path):
         """A silent keep-alive connection must not hold its worker
@@ -684,3 +835,20 @@ class TestReadsUnderIngest:
         # The final state is visible to a fresh request path too.
         with EtlStore(db_path, create=False) as check:
             assert check.checkpoint_height == builder.chain.height
+
+
+# -- CLI self-heal ---------------------------------------------------------
+
+
+class TestServeSelfHeal:
+    def test_open_or_ingest_rebuilds_a_corrupt_store(self, tmp_path):
+        db = tmp_path / "broken.db"
+        db.write_bytes(b"definitely not sqlite" * 50)
+        store = _open_or_ingest(str(db), "small", 2021)
+        assert store.checkpoint_height == (
+            context.get_result("small").chain.height
+        )
+
+    def test_open_or_ingest_without_scenario_raises(self, tmp_path):
+        with pytest.raises(EtlError):
+            _open_or_ingest(str(tmp_path / "absent.db"), None, 2021)
