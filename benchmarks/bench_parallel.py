@@ -3,10 +3,8 @@
 Times (a) the experiment farm at ``--jobs 1`` vs ``--jobs 4`` on a warm
 scenario cache — with s8_1 decomposed into its four stationary-trial
 units, the granularity the farm actually schedules at ``jobs > 1`` —
-(b) the intra-run shard pool (day-loop wall serial vs ``--shard-workers
-{2,4}``, s8_1 serial vs the experiment pool), (c) the three eliminated
-day-loop hot paths against their in-tree
-:mod:`repro.simulation.reference` twins, and (d) the day-level
+(b) the three eliminated day-loop hot paths against their in-tree
+:mod:`repro.simulation.reference` twins, and (c) the day-level
 checkpoint save/load round-trip against the day-loop wall it insures
 (budget: mean periodic save < 2 % of day-loop wall at paper scale),
 recording everything in ``BENCH_parallel.json`` (repo root).
@@ -35,9 +33,9 @@ import numpy as np
 
 from repro import obs
 from repro.experiments import s8_1
-from repro.experiments.context import ensure_snapshot, get_result
-from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.parallel import run_farm, shards
+from repro.experiments.context import get_result
+from repro.experiments.registry import EXPERIMENTS
+from repro.parallel import run_farm
 from repro.simulation import SimulationEngine, paper_scenario, small_scenario
 from repro.simulation import reference
 from repro.simulation.phases.online import update_online
@@ -61,7 +59,6 @@ _summary = {
     "cpu_count": os.cpu_count(),
     "cpu_affinity": _usable_cpus(),
     "farm": {},
-    "intra_run": {},
     "day_loop": {"speedups": {}, "timings_s": {}},
 }
 
@@ -170,81 +167,6 @@ def test_bench_farm_jobs(benchmark, result):
     # The point of the unit decomposition: the farm schedule clears the
     # old whole-experiment Amdahl ceiling (~1.09 at small scale).
     assert _summary["farm"]["speedup_at_4"] >= 2.0, _summary["farm"]
-
-
-def test_bench_intra_run(benchmark):
-    """Tentpole numbers: the day loop serial vs ``--shard-workers
-    {2,4}``, and s8_1 serial vs the experiment shard pool.
-
-    Walls are measured as-is; on a host with fewer usable CPUs than
-    workers the sharded walls include time-slicing contention plus IPC,
-    so speedups below 1.0 are expected and recorded honestly — the
-    ``host_note`` flags it. Output equality is not re-checked here (the
-    digest tests in ``tests/test_shards.py`` pin byte-identity).
-    """
-    scenario = _summary["scenario"]
-
-    def day_loop_wall(workers: int) -> float:
-        engine_result = SimulationEngine(small_scenario(seed=2021)).run(
-            shard_workers=workers
-        )
-        return sum(engine_result.day_loop_timings.values())
-
-    benchmark.pedantic(lambda: day_loop_wall(0), rounds=1, iterations=1)
-
-    # Interleave modes and keep each mode's best round, like the obs
-    # overhead bench: jitter on ~1 s builds exceeds the deltas.
-    walls = {0: [], 2: [], 4: []}
-    for _ in range(2):
-        for workers in walls:
-            walls[workers].append(day_loop_wall(workers))
-    serial_s = min(walls[0])
-    shard2_s = min(walls[2])
-    shard4_s = min(walls[4])
-
-    entry = ensure_snapshot(scenario, 2021)
-    sim_result = get_result(scenario, 2021)
-    t0 = time.perf_counter()
-    serial_report = run_experiment("s8_1", sim_result)
-    s8_serial_s = time.perf_counter() - t0
-
-    s8_pool_s = None
-    if entry is not None:
-        pool = shards.configure_experiment_pool(2, str(entry))
-        try:
-            if pool is not None:
-                t0 = time.perf_counter()
-                pooled_report = run_experiment("s8_1", sim_result)
-                s8_pool_s = time.perf_counter() - t0
-                assert pooled_report.rows == serial_report.rows
-        finally:
-            shards.shutdown_experiment_pool()
-
-    usable = _summary["cpu_affinity"]
-    _summary["intra_run"] = {
-        "day_loop": {
-            "serial_s": round(serial_s, 3),
-            "shard2_s": round(shard2_s, 3),
-            "shard4_s": round(shard4_s, 3),
-            "speedup_at_2": round(serial_s / shard2_s, 2),
-            "speedup_at_4": round(serial_s / shard4_s, 2),
-        },
-        "s8_1": {
-            "serial_s": round(s8_serial_s, 2),
-            "pool2_s": None if s8_pool_s is None else round(s8_pool_s, 2),
-            "speedup_at_2": (
-                None if s8_pool_s is None
-                else round(s8_serial_s / s8_pool_s, 2)
-            ),
-        },
-        "host_note": (
-            None if usable >= 4 else
-            f"affinity allows {usable} CPU(s); sharded walls measure "
-            "contention + IPC overhead, not the schedule"
-        ),
-    }
-    _flush()
-    assert serial_s > 0 and shard2_s > 0 and shard4_s > 0
 
 
 def test_bench_update_online(benchmark):

@@ -52,8 +52,8 @@ def hotspot_field_near(
     field in-memory than after a snapshot round-trip — and downstream
     field experiments consume RNG per hotspot in field order. One
     vectorised haversine pass over the fleet plus a gateway sort makes
-    the field a pure function of the world's contents, so serial runs,
-    farm workers and shard workers all produce byte-identical reports.
+    the field a pure function of the world's contents, so serial runs
+    and farm workers produce byte-identical reports.
     """
     fleet = list(world.hotspots.values())
     if not fleet:

@@ -423,11 +423,6 @@ class CoverageEstimate:
     breakdown_km2: Dict[str, float] = field(default_factory=dict)
 
 
-#: Below this many points a scatter costs more than it saves — pickling
-#: the model and shipping chunks dominates the contains sweep itself.
-_SHARD_MIN_POINTS = 4096
-
-
 class CoverageModel:
     """Base: a set of shapes plus union-area machinery."""
 
@@ -468,7 +463,7 @@ class CoverageModel:
         return bool(self.covering_shapes(point))
 
     def first_covering_many(
-        self, lats: np.ndarray, lons: np.ndarray, pool=None
+        self, lats: np.ndarray, lons: np.ndarray
     ) -> np.ndarray:
         """Vectorised :meth:`first_covering` over parallel lat/lon arrays.
 
@@ -477,21 +472,9 @@ class CoverageModel:
         ``contains_many`` per shape over every point still unresolved in
         that shape's bins, retiring points as soon as a cover is found.
         Returns the covering shape index per point, −1 when uncovered.
-
-        With a :class:`~repro.parallel.shards.ShardPool`, large batches
-        scatter over the workers instead: ownership is a pure function
-        of the single point (lowest-index covering shape), so chunk
-        boundaries cannot change any answer and the sharded result is
-        byte-identical to serial for any worker count.
         """
         lats = np.asarray(lats, dtype=float)
         lons = np.asarray(lons, dtype=float)
-        if (
-            pool is not None
-            and pool.workers > 1
-            and lats.size >= _SHARD_MIN_POINTS
-        ):
-            return self._first_covering_sharded(lats, lons, pool)
         owners = np.full(lats.shape, -1, dtype=np.int64)
         if not self.shapes or lats.size == 0:
             return owners
@@ -525,63 +508,12 @@ class CoverageModel:
                 unowned[covered] = False
         return owners
 
-    def _first_covering_sharded(
-        self, lats: np.ndarray, lons: np.ndarray, pool
-    ) -> np.ndarray:
-        """Scatter one first-covering query over the shard pool.
-
-        Partition: points sort by their candidate-index grid bin (the
-        model's own spatial partition — the hex-region analogue for
-        sample points) and split into contiguous chunks, one per
-        worker, so a chunk's points share candidate shapes and each
-        worker touches a compact neighbourhood. The model ships once as
-        a digest-checked pickle that workers memoise; every chunk comes
-        back tagged with its point indices, so the merge reassembles
-        the exact serial answer regardless of which worker ran what.
-        """
-        import hashlib
-        import os
-        import pickle
-        import tempfile
-
-        bin_deg = self._index.bin_deg
-        lat_bins = np.floor(lats / bin_deg).astype(np.int64)
-        lon_bins = np.floor(lons / bin_deg).astype(np.int64)
-        order = np.lexsort((lon_bins, lat_bins))
-        n_chunks = min(pool.workers, lats.size)
-        base, extra = divmod(lats.size, n_chunks)
-        chunks = []
-        start = 0
-        for c in range(n_chunks):
-            size = base + (1 if c < extra else 0)
-            chunks.append(order[start:start + size])
-            start += size
-        blob = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        sha = hashlib.sha256(blob).hexdigest()
-        handle, path = tempfile.mkstemp(
-            prefix="coverage-model-", suffix=".pkl"
-        )
-        try:
-            with os.fdopen(handle, "wb") as fh:
-                fh.write(blob)
-            gathered = pool.run([
-                ("coverage_chunk", (path, sha, lats[chunk], lons[chunk], chunk))
-                for chunk in chunks
-            ])
-        finally:
-            os.unlink(path)
-        owners = np.full(lats.shape, -1, dtype=np.int64)
-        for indices, chunk_owners in gathered:
-            owners[indices] = chunk_owners
-        return owners
-
     # -- union area ----------------------------------------------------------
 
     def union_area_km2(
         self,
         rng: np.random.Generator,
         samples_per_shape: int = 24,
-        pool=None,
     ) -> Tuple[float, Dict[str, float]]:
         """Unbiased union area and per-tag breakdown.
 
@@ -593,9 +525,7 @@ class CoverageModel:
         Each shape's samples are drawn in one batch (stream-compatible
         with the scalar reference); ownership for every sample across
         all shapes is then resolved with one batched first-covering
-        query. The RNG never leaves this thread — only the pure
-        ownership query shards over ``pool``, so the estimate is
-        byte-identical for any worker count.
+        query.
         """
         n_shapes = len(self.shapes)
         if n_shapes == 0:
@@ -608,7 +538,7 @@ class CoverageModel:
             lon_parts.append(lons)
         all_lats = np.concatenate(lat_parts)
         all_lons = np.concatenate(lon_parts)
-        owners = self.first_covering_many(all_lats, all_lons, pool=pool)
+        owners = self.first_covering_many(all_lats, all_lons)
         source = np.repeat(np.arange(n_shapes), samples_per_shape)
         credited_mask = (owners == -1) | (owners == source)
         credited = np.bincount(
@@ -651,17 +581,13 @@ class CoverageModel:
         rng: np.random.Generator,
         samples_per_shape: int = 24,
         scale_factor: Optional[float] = None,
-        pool=None,
     ) -> CoverageEstimate:
         """Fraction of ``landmass`` covered, with overseas area excluded.
 
         Shapes centred outside the landmass are skipped (consuming no
         randomness); samples landing off-landmass are not credited. The
         centroid gate, the landmass mask over every sample, and the
-        first-covering ownership query each run as one batched pass —
-        the last of which shards over ``pool`` when one is supplied,
-        byte-identically (all randomness is drawn on this thread before
-        the scatter).
+        first-covering ownership query each run as one batched pass.
         """
         n_shapes = len(self.shapes)
         total = 0.0
@@ -694,7 +620,7 @@ class CoverageModel:
                 source = np.repeat(kept, samples_per_shape)
                 on_land = landmass.contains_many(all_lats, all_lons)
                 owners = self.first_covering_many(
-                    all_lats[on_land], all_lons[on_land], pool=pool
+                    all_lats[on_land], all_lons[on_land]
                 )
                 land_source = source[on_land]
                 credited_mask = (owners == -1) | (owners == land_source)

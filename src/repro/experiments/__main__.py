@@ -24,6 +24,7 @@ import time
 from repro import obs
 from repro.experiments.context import get_result
 from repro.experiments.registry import EXPERIMENTS, format_report, run_experiment
+from repro.simulation.__main__ import positive_int
 
 
 def _parse_seeds(spec: str):
@@ -54,7 +55,7 @@ def _sweep_main(argv) -> int:
     )
     parser.add_argument("--jobs", type=int, default=1, metavar="N")
     parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
+        "--checkpoint-every", type=positive_int, default=None, metavar="N",
         help="save resumable day-level checkpoints every N days while "
         "cold-building each seed's scenario (resume is bit-identical)",
     )
@@ -135,17 +136,10 @@ def main(argv=None) -> int:
         "to the serial path)",
     )
     parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
+        "--checkpoint-every", type=positive_int, default=None, metavar="N",
         help="while cold-building the scenario, save a resumable "
         "day-level checkpoint every N days next to the cache entry; "
         "an interrupted build resumes from it bit-identically",
-    )
-    parser.add_argument(
-        "--shard-workers", type=int, default=0, metavar="N",
-        help="intra-run parallelism: shard a cold scenario build's day "
-        "loop over N worker processes, and fan decomposable "
-        "experiments (s8_1's four stationary trials) out over the "
-        "same pool; all output is byte-identical to serial",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -201,61 +195,40 @@ def main(argv=None) -> int:
     print(f"building {resolved.label} scenario "
           f"(seed {resolved.config.seed}, digest {resolved.digest[:12]})...")
     started = time.time()
-    result = get_result(
-        resolved, checkpoint_every=args.checkpoint_every,
-        shard_workers=args.shard_workers,
-    )
+    result = get_result(resolved, checkpoint_every=args.checkpoint_every)
     scenario_ready_s = time.time() - started
     print(f"scenario ready in {scenario_ready_s:.1f}s\n")
 
     experiments_started = time.time()
     timings = {}
-    try:
-        if args.jobs > 1:
-            from repro.parallel import run_farm
+    if args.jobs > 1:
+        from repro.parallel import run_farm
 
-            outcomes = run_farm(
-                resolved, None, ids, jobs=args.jobs,
-                checkpoint_every=args.checkpoint_every,
-                shard_workers=args.shard_workers,
-            )
-            reports = [outcome.report for outcome in outcomes]
-            timings = {
-                outcome.experiment_id: {
-                    "wall_s": outcome.wall_s, "cpu_s": outcome.cpu_s,
-                    "rss_hwm_bytes": outcome.rss_hwm_bytes,
-                }
-                for outcome in outcomes
+        outcomes = run_farm(
+            resolved, None, ids, jobs=args.jobs,
+            checkpoint_every=args.checkpoint_every,
+        )
+        reports = [outcome.report for outcome in outcomes]
+        timings = {
+            outcome.experiment_id: {
+                "wall_s": outcome.wall_s, "cpu_s": outcome.cpu_s,
+                "rss_hwm_bytes": outcome.rss_hwm_bytes,
             }
-        else:
-            if args.shard_workers > 0:
-                # Persistent pool for experiments that decompose into
-                # independent units (s8_1); a no-op without a cache
-                # entry to rehydrate workers from.
-                from repro.experiments.context import ensure_snapshot
-                from repro.parallel import shards
-
-                entry = ensure_snapshot(resolved)
-                shards.configure_experiment_pool(
-                    args.shard_workers,
-                    None if entry is None else str(entry),
-                )
-            reports = []
-            for experiment_id in ids:
-                wall0 = time.perf_counter()
-                cpu0 = time.process_time()
-                reports.append(run_experiment(experiment_id, result))
-                timings[experiment_id] = {
-                    "wall_s": time.perf_counter() - wall0,
-                    "cpu_s": time.process_time() - cpu0,
-                    # The process high-water mark so far: the step from
-                    # the previous experiment is what this one added.
-                    "rss_hwm_bytes": obs.peak_rss_bytes(),
-                }
-    finally:
-        from repro.parallel import shards
-
-        shards.shutdown_experiment_pool()
+            for outcome in outcomes
+        }
+    else:
+        reports = []
+        for experiment_id in ids:
+            wall0 = time.perf_counter()
+            cpu0 = time.process_time()
+            reports.append(run_experiment(experiment_id, result))
+            timings[experiment_id] = {
+                "wall_s": time.perf_counter() - wall0,
+                "cpu_s": time.process_time() - cpu0,
+                # The process high-water mark so far: the step from
+                # the previous experiment is what this one added.
+                "rss_hwm_bytes": obs.peak_rss_bytes(),
+            }
     experiments_wall_s = time.time() - experiments_started
 
     for report in reports:
@@ -288,7 +261,7 @@ def main(argv=None) -> int:
             "experiments": timings,
             "experiments_wall_s": experiments_wall_s,
             # High-water-mark RSS: this process, plus the max over
-            # reaped shard/farm workers when any ran.
+            # reaped farm workers when any ran.
             "memory": {
                 "peak_rss_bytes": obs.peak_rss_bytes(children=True),
             },

@@ -127,7 +127,6 @@ def get_result(
     seed: Optional[int] = None,
     *,
     checkpoint_every: Optional[int] = None,
-    shard_workers: int = 0,
 ) -> SimulationResult:
     """A memoised simulation result for a scenario.
 
@@ -140,10 +139,7 @@ def get_result(
     the cache entry, a later cold call resumes from it instead of
     restarting at day 0 (resume is bit-identical to a fresh run), and
     the checkpoint is deleted once the finished entry is published.
-    ``shard_workers=N`` runs a cold build's day loop with an intra-run
-    shard pool (byte-identical output, see
-    :meth:`~repro.simulation.engine.SimulationEngine.run`). Both are
-    ignored on memo/disk hits and when persistence is disabled.
+    It is ignored on memo/disk hits and when persistence is disabled.
     """
     resolved = resolve_any(scenario, seed=seed)
     cached = _CACHE.get(resolved.digest)
@@ -169,9 +165,7 @@ def get_result(
                     entry=None if entry is None else entry.name,
                 )
                 with obs.timer("cache.build_s") as timing:
-                    cached = _build_result(
-                        resolved, entry, checkpoint_every, shard_workers,
-                    )
+                    cached = _build_result(resolved, entry, checkpoint_every)
                 obs.trace_event(
                     "cache.build.done", scenario=resolved.label,
                     seed=resolved.config.seed,
@@ -197,7 +191,6 @@ def _build_result(
     resolved: ResolvedScenario,
     entry: Optional[Path],
     checkpoint_every: Optional[int],
-    shard_workers: int = 0,
 ) -> SimulationResult:
     """Cold-build a scenario, resuming a day-level checkpoint if one
     is present (and discarding it when stale or corrupt)."""
@@ -230,11 +223,10 @@ def _build_result(
     if engine is None:
         engine = SimulationEngine(config)
     if ckpt is None:
-        result = engine.run(shard_workers=shard_workers)
+        result = engine.run()
     else:
         result = engine.run(
             checkpoint_every=checkpoint_every, checkpoint_dir=ckpt,
-            shard_workers=shard_workers,
         )
     assert result is not None  # no stop_after_day → always completes
     return result
@@ -262,24 +254,20 @@ def ensure_snapshot(
     seed: Optional[int] = None,
     *,
     checkpoint_every: Optional[int] = None,
-    shard_workers: int = 0,
 ) -> Optional[Path]:
     """Materialise the on-disk cache entry and return its directory.
 
     Parallel workers rehydrate from this path instead of receiving the
     result over IPC. Returns ``None`` when persistence is disabled (the
     farm then falls back to per-worker :func:`get_result` builds).
-    ``checkpoint_every`` makes a cold build resumable and
-    ``shard_workers`` shards its day loop — see :func:`get_result`.
+    ``checkpoint_every`` makes a cold build resumable — see
+    :func:`get_result`.
     """
     resolved = resolve_any(scenario, seed=seed)
     entry = _entry_dir(resolved)
     if entry is None:
         return None
-    result = get_result(
-        resolved, checkpoint_every=checkpoint_every,
-        shard_workers=shard_workers,
-    )
+    result = get_result(resolved, checkpoint_every=checkpoint_every)
     if not (entry / "meta.json").exists():
         # The result was memoised before this cache dir existed (or an
         # earlier persist failed); publish it now so workers can load it.

@@ -13,7 +13,6 @@ from repro.core.coverage import (
 from repro.experiments.registry import ExperimentReport, Row
 from repro.geo.hexgrid import HexCell
 from repro.geo.landmass import CONTIGUOUS_US
-from repro.parallel.shards import experiment_pool
 from repro.rng import RngHub
 from repro.simulation.engine import SimulationResult
 
@@ -50,21 +49,17 @@ def run(result: SimulationResult) -> ExperimentReport:
         (t for _, t in result.chain.iter_transactions(PocReceipts)), _locate
     )
 
-    # The shared experiment pool (``--shard-workers N``) shards each
-    # model's Monte-Carlo ownership query; the fig12 RNG stream stays on
-    # this thread, so the estimates are byte-identical to serial.
-    pool = experiment_pool()
     disk = DiskModel(us_online).landmass_fraction(
-        landmass, rng, scale_factor=scale, pool=pool
+        landmass, rng, scale_factor=scale
     )
     hulls = HullModel(geometries).landmass_fraction(
-        landmass, rng, scale_factor=scale, pool=pool
+        landmass, rng, scale_factor=scale
     )
     hulls25 = HullModel(geometries, max_witness_km=25.0).landmass_fraction(
-        landmass, rng, scale_factor=scale, pool=pool
+        landmass, rng, scale_factor=scale
     )
     revised = RevisedModel(geometries, max_witness_km=25.0).landmass_fraction(
-        landmass, rng, scale_factor=scale, pool=pool
+        landmass, rng, scale_factor=scale
     )
 
     report = ExperimentReport(

@@ -8,11 +8,10 @@ trials. Each unit seeds its own named streams from
 ``RngHub(result.config.seed)`` (stream derivation is a pure function of
 seed and name, so a fresh hub per unit draws exactly the bytes the old
 single-hub loop did), which makes the units order-independent and safe
-to run in different processes: the farm fans them out as separate
-tasks, and ``--shard-workers`` dispatches them through the process-wide
-shard pool. :func:`merge_units` reassembles the report; serial
-:func:`run` goes through the same unit/merge path, so parallel and
-serial reports are byte-identical.
+to run in different processes: the farm (``--jobs N``) fans them out as
+separate tasks. :func:`merge_units` reassembles the report; serial
+:func:`run` goes through the same unit/merge path, so farm and serial
+reports are byte-identical.
 """
 
 from __future__ import annotations
@@ -129,19 +128,9 @@ def merge_units(units: Dict[str, StationaryReport]) -> ExperimentReport:
 
 
 def run(result: SimulationResult) -> ExperimentReport:
-    """Both §8.1 runs: May (with firmware outages) and September.
-
-    When the process has a matching experiment shard pool configured
-    (``python -m repro.experiments --shard-workers N``), the four units
-    fan out over its workers; otherwise they run serially in ``UNITS``
-    order. Either way the report is identical.
-    """
-    from repro.parallel import shards
-
-    gathered = shards.dispatch_s8_units(result, UNITS)
-    if gathered is None:
-        site = _dense_site(result)
-        gathered = {
-            unit: run_unit(result, unit, site=site) for unit in UNITS
-        }
-    return merge_units(gathered)
+    """Both §8.1 runs: May (with firmware outages) and September, as
+    the four units in ``UNITS`` order."""
+    site = _dense_site(result)
+    return merge_units(
+        {unit: run_unit(result, unit, site=site) for unit in UNITS}
+    )

@@ -38,8 +38,6 @@ from repro.obs.registry import (
     gauge,
     observe,
     peak_rss_bytes,
-    record_child_peak_rss,
-    rusage_self_bytes,
     reset,
     set_enabled,
     snapshot,
@@ -72,8 +70,6 @@ __all__ = [
     "gauge",
     "observe",
     "peak_rss_bytes",
-    "record_child_peak_rss",
-    "rusage_self_bytes",
     "reset",
     "set_enabled",
     "snapshot",

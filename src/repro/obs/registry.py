@@ -55,9 +55,7 @@ __all__ = [
     "gauge",
     "observe",
     "peak_rss_bytes",
-    "record_child_peak_rss",
     "reset",
-    "rusage_self_bytes",
     "set_enabled",
     "snapshot",
     "timer",
@@ -333,27 +331,6 @@ def enabled() -> bool:
     return REGISTRY.enabled
 
 
-#: Max ru_maxrss reported by still-running worker processes (bytes).
-#: ``RUSAGE_CHILDREN`` only reflects children the process has *reaped*:
-#: a persistent shard pool's workers are not waited on until pool
-#: shutdown, so a mid-run (or pre-join) reading would silently drop
-#: them. Workers measure themselves and report through the gather
-#: protocol; the pool folds the reports in here.
-_children_peak_lock = threading.Lock()
-_children_peak_bytes = 0
-
-
-def record_child_peak_rss(peak_bytes: int) -> None:
-    """Fold a live child's self-reported peak RSS (bytes) into the
-    children high-water mark (monotone max; also exported as the
-    ``process.peak_rss_children_bytes`` gauge)."""
-    global _children_peak_bytes
-    with _children_peak_lock:
-        if peak_bytes > _children_peak_bytes:
-            _children_peak_bytes = int(peak_bytes)
-    gauge("process.peak_rss_children_bytes", float(_children_peak_bytes))
-
-
 def _proc_vm_hwm_bytes() -> int:
     """``VmHWM`` from ``/proc/self/status``, in bytes (0 elsewhere).
 
@@ -374,10 +351,10 @@ def _proc_vm_hwm_bytes() -> int:
     return 0
 
 
-def rusage_self_bytes() -> int:
+def _self_peak_bytes() -> int:
     """This process's own peak RSS, in bytes (0 without POSIX
-    ``resource``). The helper workers use to self-report; prefers
-    ``VmHWM`` (see :func:`_proc_vm_hwm_bytes`) over ``ru_maxrss``."""
+    ``resource``); prefers ``VmHWM`` (see :func:`_proc_vm_hwm_bytes`)
+    over ``ru_maxrss``."""
     hwm = _proc_vm_hwm_bytes()
     if hwm:
         return hwm
@@ -399,13 +376,11 @@ def peak_rss_bytes(children: bool = False) -> int:
     macOS — and records the value as the ``process.peak_rss_bytes``
     gauge as a side effect, so any snapshot/Prometheus export taken
     afterwards carries it. With ``children=True`` the maximum over
-    child processes is folded in: reaped children via
-    ``RUSAGE_CHILDREN`` plus the self-reports live pool workers pushed
-    through :func:`record_child_peak_rss` (``RUSAGE_CHILDREN`` alone
-    misses workers that have not been waited on yet). Returns 0 on
+    reaped child processes (``RUSAGE_CHILDREN``) is folded in, which
+    covers farm workers once the farm's pool has closed. Returns 0 on
     platforms without ``resource`` (Windows).
     """
-    peak = rusage_self_bytes()
+    peak = _self_peak_bytes()
     if not peak:
         return 0
     if children:
@@ -420,6 +395,6 @@ def peak_rss_bytes(children: bool = False) -> int:
             )
         except ImportError:  # pragma: no cover - non-POSIX
             reaped = 0
-        peak = max(peak, reaped, _children_peak_bytes)
+        peak = max(peak, reaped)
     gauge("process.peak_rss_bytes", float(peak))
     return int(peak)

@@ -13,12 +13,12 @@ makes both axes embarrassingly parallel:
   workers — each build publishes into the shared cache under
   :func:`~repro.parallel.locks.build_lock` — and aggregates every
   experiment row across seeds into mean/stddev/CI robustness numbers.
-* :class:`~repro.parallel.shards.ShardPool` parallelises *inside* one
-  run: a persistent pool created once per run scatters randomness-free
-  work (the PoC finish half of the day loop, §8.1's independent
-  stationary trials) and gathers deterministically, so sharded output
-  is byte-identical to serial. Farm dispatch is longest-first via the
-  static cost table in :mod:`repro.parallel.costs`.
+
+Farm dispatch is longest-first via the static cost table in
+:mod:`repro.parallel.costs`; §8.1 splits into four independent
+stationary-trial units so its longest task is one trial, not the whole
+experiment. A single run's day loop stays serial: parallelising inside
+it was measured slower than serial on a 2-vCPU host (DESIGN.md §11).
 
 All worker entry points are module-level functions taking picklable
 tuples, so the farm works under every multiprocessing start method
@@ -28,12 +28,10 @@ tuples, so the farm works under every multiprocessing start method
 from repro.parallel.costs import longest_first, task_cost
 from repro.parallel.farm import FarmOutcome, run_farm
 from repro.parallel.locks import build_lock
-from repro.parallel.shards import ShardPool
 from repro.parallel.sweep import format_sweep, run_sweep
 
 __all__ = [
     "FarmOutcome",
-    "ShardPool",
     "build_lock",
     "format_sweep",
     "longest_first",

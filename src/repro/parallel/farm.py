@@ -219,7 +219,6 @@ def run_farm(
     jobs: int = 1,
     start_method: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
-    shard_workers: int = 0,
 ) -> List[FarmOutcome]:
     """Run experiments for one scenario, fanned over ``jobs`` processes.
 
@@ -232,9 +231,8 @@ def run_farm(
     overrides the platform default (``"spawn"`` / ``"fork"`` /
     ``"forkserver"``) — mainly for portability tests.
     ``checkpoint_every`` makes the parent's cold scenario build
-    resumable and ``shard_workers`` runs it with an intra-run shard
-    pool (see :func:`repro.experiments.context.get_result`); workers
-    only ever rehydrate the finished snapshot.
+    resumable (see :func:`repro.experiments.context.get_result`);
+    workers only ever rehydrate the finished snapshot.
     """
     from repro.experiments.context import ensure_snapshot
     from repro.scenarios import resolve_any
@@ -242,10 +240,7 @@ def run_farm(
     resolved = resolve_any(scenario, seed=seed)
     payload = resolved.payload()
     ids = list(experiment_ids)
-    entry = ensure_snapshot(
-        resolved, checkpoint_every=checkpoint_every,
-        shard_workers=shard_workers,
-    )
+    entry = ensure_snapshot(resolved, checkpoint_every=checkpoint_every)
     snapshot_dir = None if entry is None else str(entry)
     tasks = [
         (snapshot_dir, payload, eid, unit)

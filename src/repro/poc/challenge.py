@@ -31,9 +31,6 @@ from repro.radio.propagation import (
 __all__ = [
     "PocParticipant",
     "ChallengeOutcome",
-    "ChallengePlan",
-    "plan_challenge",
-    "finish_challenge",
     "run_challenge",
     "run_challenge_reference",
 ]
@@ -136,59 +133,7 @@ _LINK_ENV = [
 ]
 
 
-@dataclass
-class ChallengePlan:
-    """A challenge with its randomness fully consumed.
-
-    :func:`plan_challenge` produces one of these on the thread that owns
-    the RNG stream; :func:`finish_challenge` turns it into a
-    :class:`ChallengeOutcome` without touching any RNG, so the finish
-    work can run anywhere — including a shard-pool worker process. Every
-    field is built from primitives (``Address`` is a ``str`` alias,
-    :class:`~repro.geo.geodesy.LatLon` is a plain dataclass), so the
-    plan pickles cheaply across a process boundary.
-    """
-
-    challenger_gateway: Address
-    challenger_owner: Address
-    challengee_gateway: Address
-    challengee_owner: Address
-    challengee_asserted: LatLon
-    challengee_token: str
-    freq_mhz: float
-    channel_index: int
-    secret_hash: str
-    #: Per filed report, in report order (valid and invalid alike).
-    witness_gateways: List[Address] = field(default_factory=list)
-    witness_owners: List[Address] = field(default_factory=list)
-    witness_asserted: List[LatLon] = field(default_factory=list)
-    reported_vals: List[float] = field(default_factory=list)
-    snrs: List[float] = field(default_factory=list)
-    witness_actual_km: List[float] = field(default_factory=list)
-    #: Challengee→witness *asserted* distances when the cheat path
-    #: already computed them; ``None`` defers the haversine pass to
-    #: :func:`finish_challenge`.
-    report_km: Optional[np.ndarray] = None
-
-
-#: (cell, token, pentagon-distorted) per asserted coordinate. The
-#: location-keyed twin of :meth:`PocParticipant._poc_cell` for code that
-#: only holds a :class:`LatLon` (finish work in shard workers); a run
-#: touches a few thousand distinct assertions, so it stays small.
-_CELL_INFO_CACHE: dict = {}
-
-
-def _cell_info(loc: LatLon) -> Tuple[HexCell, str, bool]:
-    key = (loc.lat, loc.lon)
-    info = _CELL_INFO_CACHE.get(key)
-    if info is None:
-        cell = HexGrid.encode_cell(loc)
-        info = (cell, cell.token, cell.is_pentagon_distorted())
-        _CELL_INFO_CACHE[key] = info
-    return info
-
-
-def plan_challenge(
+def run_challenge(
     challenger: PocParticipant,
     challengee: PocParticipant,
     candidates: Sequence[PocParticipant],
@@ -196,19 +141,18 @@ def plan_challenge(
     checker: Optional[WitnessValidityChecker] = None,
     plan: ChannelPlan = US915,
     distances_km: Optional[Sequence[float]] = None,
-) -> ChallengePlan:
-    """Run the randomness-consuming half of one challenge.
+) -> ChallengeOutcome:
+    """Simulate one challenge and produce its chain transactions.
 
-    Consumes the RNG stream in exactly the order :func:`run_challenge`
-    always has — channel draw, secret draw, then the three physics
-    phases: (1) one batched shadowing draw covering the in-range
-    candidates in candidate order, (2) per-candidate cheat forgery draws
-    in candidate order, (3) one batched SNR draw covering the filed
-    reports in report order. (The SNR draw historically happened after
-    the validity checks; the checks consume no randomness, so hoisting
-    the draw into the plan leaves the stream byte-identical.) The
-    deterministic remainder — validity verdicts, cell tokens, and
-    transaction assembly — lives in :func:`finish_challenge`.
+    Consumes the RNG stream in a fixed order — channel draw, secret
+    draw, then three vectorised physics phases: (1) one batched
+    shadowing draw covering the in-range candidates in candidate order,
+    (2) per-candidate cheat forgery draws in candidate order, (3) one
+    batched SNR draw covering the filed reports in report order. The
+    validity checks consume no randomness, so they run after the SNR
+    draw. :func:`run_challenge_reference` replays the same draw order
+    with scalar arithmetic, so both implementations are
+    stream-compatible and property-testable against each other.
 
     Args:
         challenger: the hotspot that constructed the challenge.
@@ -216,8 +160,7 @@ def plan_challenge(
         candidates: hotspots near the challengee's *actual* location
             (from a spatial index), plus any gossip-clique members.
         rng: random stream.
-        checker: validity heuristics (defaults to chain defaults);
-            consulted here only by cheat forgery.
+        checker: validity heuristics (defaults to chain defaults).
         plan: regional channel plan for the transmission.
         distances_km: optional challengee→candidate *actual* distances
             aligned with ``candidates``. The spatial index already
@@ -250,13 +193,9 @@ def plan_challenge(
         provided_km = np.asarray(distances_km, dtype=float)[keep_idx]
     n = len(eligible)
 
-    witness_gateways: List[Address] = []
-    witness_owners: List[Address] = []
-    witness_asserted: List[LatLon] = []
-    final_reported: List[float] = []
-    snrs: List[float] = []
-    witness_actual: List[float] = []
-    report_km: Optional[np.ndarray] = None
+    reports: List[WitnessReport] = []
+    event_witnesses: List[Tuple[Address, Address]] = []
+    actual_distances: List[Tuple[Address, float]] = []
 
     if n > 0:
         if provided_km is None:
@@ -347,169 +286,75 @@ def plan_challenge(
                     reporting.append(in_range_pos[j])
                     reported_vals.append(rssi)
 
-        # Challengee→witness asserted distances: the cheat path already
-        # computed them for every eligible candidate; otherwise the
-        # haversine pass over just the filed reports is deferred to
-        # :func:`finish_challenge` (it consumes no randomness).
-        if asserted_km is not None:
-            report_km = (
-                asserted_km[reporting] if reporting else np.empty(0)
-            )
-
         # Phase 3: one batched SNR draw covering the reports in order.
         snrs = rng.normal(5.0, 4.0, size=len(reporting)).tolist()
-        actual_list = actual_km.tolist()
-        for pos in reporting:
-            candidate = eligible[pos]
-            witness_gateways.append(candidate.gateway)
-            witness_owners.append(candidate.owner)
-            witness_asserted.append(candidate.asserted_location)
-            witness_actual.append(actual_list[pos])
-        final_reported = reported_vals
 
-    return ChallengePlan(
-        challenger_gateway=challenger.gateway,
-        challenger_owner=challenger.owner,
-        challengee_gateway=challengee.gateway,
-        challengee_owner=challengee.owner,
-        challengee_asserted=challengee.asserted_location,
-        challengee_token=challengee._poc_cell()[2],
-        freq_mhz=freq_mhz,
-        channel_index=channel_index,
-        secret_hash=secret_hash,
-        witness_gateways=witness_gateways,
-        witness_owners=witness_owners,
-        witness_asserted=witness_asserted,
-        reported_vals=final_reported,
-        snrs=snrs,
-        witness_actual_km=witness_actual,
-        report_km=report_km,
-    )
-
-
-def finish_challenge(
-    plan: ChallengePlan,
-    checker: Optional[WitnessValidityChecker] = None,
-) -> ChallengeOutcome:
-    """Run the deterministic half of one challenge.
-
-    Consumes no randomness: validity verdicts, witness cell tokens and
-    the chain transactions are all pure functions of the
-    :class:`ChallengePlan`, so this half can execute in any process —
-    the shard pool ships plans to workers and merges the outcomes back
-    in challenge order, byte-identical to running serially.
-    """
-    if checker is None:
-        checker = WitnessValidityChecker()
-    reports: List[WitnessReport] = []
-    event_witnesses: List[Tuple[Address, Address]] = []
-    n_reports = len(plan.witness_gateways)
-    if n_reports:
-        report_km = plan.report_km
-        if report_km is None:
-            rep_coords = np.array(
-                [(loc.lat, loc.lon) for loc in plan.witness_asserted],
-                dtype=float,
-            )
-            report_km = haversine_km_many(
-                plan.challengee_asserted.lat,
-                plan.challengee_asserted.lon,
-                rep_coords[:, 0],
-                rep_coords[:, 1],
-            )
-        infos = [_cell_info(loc) for loc in plan.witness_asserted]
-        verdicts = checker.check_many(
-            challengee_location=plan.challengee_asserted,
-            witness_locations=list(plan.witness_asserted),
-            witness_cells=[info[0] for info in infos],
-            rssi_dbm=np.asarray(plan.reported_vals, dtype=float),
-            freq_mhz=plan.freq_mhz,
-            channel_indices=[plan.channel_index] * n_reports,
-            distances_km=report_km,
-            pentagon_flags=[info[2] for info in infos],
-        )
-        for j in range(n_reports):
-            verdict = verdicts[j]
-            reports.append(WitnessReport(
-                witness=plan.witness_gateways[j],
-                rssi_dbm=plan.reported_vals[j],
-                snr_db=plan.snrs[j],
-                frequency_mhz=plan.freq_mhz,
-                reported_location_token=infos[j][1],
-                is_valid=verdict.is_valid,
-                invalid_reason=(
-                    verdict.reason.value
-                    if verdict.reason is not None
-                    else None
+        if reporting:
+            witnesses = [eligible[pos] for pos in reporting]
+            # (location, cell, token, pentagon) per witness, from each
+            # participant's own per-assertion memo.
+            cells = [witness._poc_cell() for witness in witnesses]
+            verdicts = checker.check_many(
+                challengee_location=challengee.asserted_location,
+                witness_locations=[w.asserted_location for w in witnesses],
+                witness_cells=[cell[1] for cell in cells],
+                rssi_dbm=np.asarray(reported_vals, dtype=float),
+                freq_mhz=freq_mhz,
+                channel_indices=[channel_index] * len(reporting),
+                # The cheat path already has the challengee→witness
+                # asserted distances; otherwise the checker computes
+                # them over just the filed reports.
+                distances_km=(
+                    None if asserted_km is None else asserted_km[reporting]
                 ),
-            ))
-            if verdict.is_valid:
-                event_witnesses.append(
-                    (plan.witness_gateways[j], plan.witness_owners[j])
+                pentagon_flags=[cell[3] for cell in cells],
+            )
+            actual_list = actual_km.tolist()
+            for j, witness in enumerate(witnesses):
+                verdict = verdicts[j]
+                reports.append(WitnessReport(
+                    witness=witness.gateway,
+                    rssi_dbm=reported_vals[j],
+                    snr_db=snrs[j],
+                    frequency_mhz=freq_mhz,
+                    reported_location_token=cells[j][2],
+                    is_valid=verdict.is_valid,
+                    invalid_reason=(
+                        verdict.reason.value
+                        if verdict.reason is not None
+                        else None
+                    ),
+                ))
+                actual_distances.append(
+                    (witness.gateway, actual_list[reporting[j]])
                 )
+                if verdict.is_valid:
+                    event_witnesses.append((witness.gateway, witness.owner))
 
     request = PocRequest(
-        challenger=plan.challenger_gateway,
-        secret_hash=plan.secret_hash,
-        challengee=plan.challengee_gateway,
+        challenger=challenger.gateway,
+        secret_hash=secret_hash,
+        challengee=challengee.gateway,
     )
     receipts = PocReceipts(
-        challenger=plan.challenger_gateway,
-        challengee=plan.challengee_gateway,
-        challengee_location_token=plan.challengee_token,
+        challenger=challenger.gateway,
+        challengee=challengee.gateway,
+        challengee_location_token=challengee._poc_cell()[2],
         witnesses=tuple(reports),
-        frequency_mhz=plan.freq_mhz,
+        frequency_mhz=freq_mhz,
     )
     event = PocEvent(
-        challenger=plan.challenger_gateway,
-        challenger_owner=plan.challenger_owner,
-        challengee=plan.challengee_gateway,
-        challengee_owner=plan.challengee_owner,
+        challenger=challenger.gateway,
+        challenger_owner=challenger.owner,
+        challengee=challengee.gateway,
+        challengee_owner=challengee.owner,
         witnesses=tuple(event_witnesses),
     )
     return ChallengeOutcome(
         request=request,
         receipts=receipts,
         event=event,
-        witness_actual_distances=list(
-            zip(plan.witness_gateways, plan.witness_actual_km)
-        ),
-    )
-
-
-def run_challenge(
-    challenger: PocParticipant,
-    challengee: PocParticipant,
-    candidates: Sequence[PocParticipant],
-    rng: np.random.Generator,
-    checker: Optional[WitnessValidityChecker] = None,
-    plan: ChannelPlan = US915,
-    distances_km: Optional[Sequence[float]] = None,
-) -> ChallengeOutcome:
-    """Simulate one challenge and produce its chain transactions.
-
-    Composition of :func:`plan_challenge` (consumes the RNG in three
-    fixed phases, vectorised) and :func:`finish_challenge` (the
-    deterministic tail) — the same two halves the sharded day loop runs
-    on different processes, so serial and sharded execution are
-    byte-identical by construction. :func:`run_challenge_reference`
-    replays the same draw order with scalar arithmetic, so both
-    implementations are stream-compatible and property-testable against
-    each other. See :func:`plan_challenge` for the argument contract.
-    """
-    if checker is None:
-        checker = WitnessValidityChecker()
-    return finish_challenge(
-        plan_challenge(
-            challenger=challenger,
-            challengee=challengee,
-            candidates=candidates,
-            rng=rng,
-            checker=checker,
-            plan=plan,
-            distances_km=distances_km,
-        ),
-        checker=checker,
+        witness_actual_distances=actual_distances,
     )
 
 

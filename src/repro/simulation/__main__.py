@@ -22,6 +22,14 @@ from repro.chain.serialize import dump_chain
 from repro.simulation import SimulationEngine
 
 
+def positive_int(text: str) -> int:
+    """argparse type for day counts: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.simulation",
@@ -43,7 +51,7 @@ def main(argv=None) -> int:
     parser.add_argument("--dump", metavar="FILE", default=None,
                         help="write the chain as JSONL")
     parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
+        "--checkpoint-every", type=positive_int, default=None, metavar="N",
         help="save the full run state every N simulated days into "
         "--checkpoint-dir (each save atomically replaces the last)",
     )
@@ -58,15 +66,9 @@ def main(argv=None) -> int:
         "--scenario/--seed are taken from the checkpoint",
     )
     parser.add_argument(
-        "--stop-after", type=int, default=None, metavar="D",
+        "--stop-after", type=positive_int, default=None, metavar="D",
         help="halt once D days are simulated, saving a checkpoint to "
         "--checkpoint-dir (exit summary reports the partial state)",
-    )
-    parser.add_argument(
-        "--shard-workers", type=int, default=0, metavar="N",
-        help="scatter the day loop's randomness-free work over N "
-        "worker processes (0 = serial); the chain is byte-identical "
-        "to the serial run for any N",
     )
     parser.add_argument(
         "--chain-log", dest="chain_log", action="store_true", default=True,
@@ -117,7 +119,6 @@ def main(argv=None) -> int:
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=checkpoint_dir,
         stop_after_day=args.stop_after,
-        shard_workers=args.shard_workers,
         chain_log=args.chain_log,
     )
     elapsed = time.time() - started
@@ -142,7 +143,7 @@ def main(argv=None) -> int:
     print(f"  relayed:  {result.peerbook.relayed_fraction():.1%} of peers")
     from repro import obs
 
-    peak_rss = obs.peak_rss_bytes(children=args.shard_workers > 0)
+    peak_rss = obs.peak_rss_bytes()
     if peak_rss:
         print(f"  peak RSS: {peak_rss / 1e9:.2f} GB")
 

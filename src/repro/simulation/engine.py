@@ -148,7 +148,6 @@ class SimulationEngine:
         checkpoint_every: Optional[int] = None,
         checkpoint_dir: Optional[Union[str, Path]] = None,
         stop_after_day: Optional[int] = None,
-        shard_workers: int = 0,
         chain_log: bool = True,
     ) -> Optional[SimulationResult]:
         """Execute the scenario and return the result bundle.
@@ -169,16 +168,6 @@ class SimulationEngine:
         saves a final checkpoint, and returns ``None``; a later
         :meth:`resume` continues bit-identically to an uninterrupted
         run.
-
-        ``shard_workers=N`` (default 0 = fully serial) attaches a
-        persistent :class:`~repro.parallel.shards.ShardPool` for the
-        run: phases scatter their randomness-free work over N worker
-        processes and merge deterministically, so the result — chain,
-        digests, RNG streams — is byte-identical to the serial path.
-        Checkpoints compose freely with sharding: saves happen at day
-        boundaries with no shard work in flight, the pool is never
-        serialized, and a resume may use any worker count (including
-        zero).
         """
         state = self.state
         n_days = state.config.n_days
@@ -186,40 +175,13 @@ class SimulationEngine:
             raise SimulationError("checkpoint_every must be >= 1")
         if checkpoint_every and checkpoint_dir is None:
             raise SimulationError("checkpoint_every requires checkpoint_dir")
-        if shard_workers < 0:
-            raise SimulationError("shard_workers must be >= 0")
+        if stop_after_day is not None and stop_after_day < 1:
+            raise SimulationError("stop_after_day must be >= 1")
 
         if chain_log and state.chain.chain_log is None:
             from repro.chain.chainlog import ChainLog
 
             state.chain.attach_log(ChainLog())
-        if shard_workers > 0:
-            from repro.parallel.shards import ShardPool
-
-            state.shard_pool = ShardPool(shard_workers)
-        try:
-            return self._run_loop(
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=checkpoint_dir,
-                stop_after_day=stop_after_day,
-                chain_log=chain_log,
-            )
-        finally:
-            pool = state.shard_pool
-            state.shard_pool = None
-            if pool is not None:
-                pool.close()
-
-    def _run_loop(
-        self,
-        *,
-        checkpoint_every: Optional[int],
-        checkpoint_dir: Optional[Union[str, Path]],
-        stop_after_day: Optional[int],
-        chain_log: bool,
-    ) -> Optional[SimulationResult]:
-        state = self.state
-        n_days = state.config.n_days
         run_started = perf_counter()
         if state.console_owner is None:
             state.bootstrap_routers()

@@ -104,7 +104,6 @@ class MovesPhase(Phase):
             hotspot.move_days.append(day)
             if participant is not None:
                 participant.asserted_location = asserted
-                state.fleet.reassert(slot)
             block = day * _BLOCKS_PER_DAY + int(
                 (move.day - int(move.day)) * _BLOCKS_PER_DAY
             )

@@ -7,11 +7,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro import units
-from repro.poc.challenge import (
-    PocParticipant,
-    finish_challenge,
-    plan_challenge,
-)
+from repro.poc.challenge import PocParticipant, run_challenge
 from repro.poc.cheats import GossipClique
 from repro.radio.lora import plan_for_country
 from repro.simulation.phases.base import Phase
@@ -20,12 +16,6 @@ from repro.simulation.state import WorldState
 __all__ = ["PoCPhase", "candidates_for"]
 
 _BLOCKS_PER_DAY = units.BLOCKS_PER_DAY
-
-# The geographic shard key (challengee's res-4 parent cell, ~1700 km²
-# regions) is now a fleet column maintained on deploy and re-assert
-# (state.SHARD_REGION_RESOLUTION); challenges grouped by it before
-# being split into contiguous worker chunks share witnesses — and
-# therefore cell-encode memo hits — within a chunk.
 
 
 def candidates_for(
@@ -110,14 +100,6 @@ class PoCPhase(Phase):
         ))
         n_challenges = max(n_challenges, 1 if len(online) >= 10 else 0)
         checker = state.checker
-        pool = state.shard_pool
-        # Sharded or not, the leader thread owns the "poc" stream: every
-        # draw — selection, candidate query, challenge physics, block
-        # placement — happens here, in challenge order, exactly as the
-        # serial path always consumed it. Only the randomness-free
-        # finish half (validity verdicts, tokens, transaction assembly)
-        # is eligible for worker processes.
-        planned = []
         for _ in range(n_challenges):
             challenger = online[int(rng.integers(len(online)))]
             challengee = challenger
@@ -129,7 +111,7 @@ class PoCPhase(Phase):
             channel_plan = plan_for_country(
                 state.world.hotspots[challengee.gateway].city.country
             )
-            plan = plan_challenge(
+            outcome = run_challenge(
                 challenger=challenger,
                 challengee=challengee,
                 candidates=candidates,
@@ -146,60 +128,6 @@ class PoCPhase(Phase):
                 state.world.hotspots[challenger.gateway].added_block + 1,
                 state.world.hotspots[challengee.gateway].added_block + 1,
             )
-            if pool is None:
-                outcome = finish_challenge(plan, checker=checker)
-                batch.append((block, outcome.request))
-                batch.append((block, outcome.receipts))
-                activity.poc_events.append(outcome.event)
-            else:
-                # Shard key straight from the fleet's region column
-                # (kept current across re-asserts) — no per-challenge
-                # cell encode.
-                region = state.fleet.regions[
-                    state.fleet.index[challengee.gateway]
-                ]
-                planned.append((block, plan, region))
-        if pool is not None and planned:
-            self._finish_sharded(state, planned)
-
-    @staticmethod
-    def _finish_sharded(state: WorldState, planned: List[Tuple]) -> None:
-        """Scatter planned challenges over the shard pool; merge back in
-        challenge order.
-
-        Partition: challenge indices sort by (challengee region, index)
-        and split into contiguous chunks, one per worker — geographic
-        grouping for worker-side cache locality. Merge: every outcome
-        returns tagged with its challenge index, and the batch/activity
-        appends replay in index order — so the day's output is
-        byte-identical to the serial path for any worker count and any
-        chunk boundary placement.
-        """
-        pool = state.shard_pool
-        checker = state.checker
-        order = sorted(
-            range(len(planned)), key=lambda i: (planned[i][2], i)
-        )
-        n_chunks = min(pool.workers, len(order))
-        base, extra = divmod(len(order), n_chunks)
-        chunks = []
-        start = 0
-        for c in range(n_chunks):
-            size = base + (1 if c < extra else 0)
-            chunks.append(order[start:start + size])
-            start += size
-        gathered = pool.run([
-            ("poc_finish", (checker, [planned[i][1] for i in chunk], chunk))
-            for chunk in chunks
-        ])
-        outcomes = {}
-        for part in gathered:
-            for index, outcome in part:
-                outcomes[index] = outcome
-        batch = state.batch
-        activity = state.activity
-        for i, (block, _plan, _region) in enumerate(planned):
-            outcome = outcomes[i]
             batch.append((block, outcome.request))
             batch.append((block, outcome.receipts))
             activity.poc_events.append(outcome.event)

@@ -1,15 +1,13 @@
 """TrafficPhase: LoRaWAN data traffic settled through state channels.
 
-The phase is split into the same leader/worker halves as PoC
-(:mod:`repro.simulation.phases.poc`): a *plan* half that owns the
-``"traffic"`` RNG stream and draws volumes, spammer designation and
-per-channel packet attribution serially, and a randomness-free *finish*
-half — building the ``StateChannelOpen``/``StateChannelClose``
-transaction pair (sorted summaries, stake arithmetic) for each planned
-channel — that can scatter over the shard pool grouped by hex region.
-The leader then applies ledger credits, batch appends and activity
-updates in channel order, so ``--shard-workers N`` is byte-identical to
-serial.
+The day runs in two steps. :meth:`TrafficPhase._plan_day` is the one
+place the ``"traffic"`` RNG stream is drawn: volumes, spammer
+designation and per-channel packet attribution, in a fixed order.
+:meth:`TrafficPhase._apply_channel` then consumes no randomness: for
+each planned channel, in channel order, it builds the
+``StateChannelOpen``/``StateChannelClose`` pair (sorted summaries,
+stake arithmetic), credits the stake, appends both transactions and
+tallies per-hotspot activity.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from repro.chain.transactions import (
 from repro.simulation.phases.base import Phase
 from repro.simulation.state import WorldState
 
-__all__ = ["ChannelPlan", "TrafficPhase", "ferry_weights", "finish_channel"]
+__all__ = ["ChannelPlan", "TrafficPhase", "ferry_weights"]
 
 _BLOCKS_PER_DAY = units.BLOCKS_PER_DAY
 
@@ -68,10 +66,7 @@ def ferry_weights(
 
 @dataclass(frozen=True)
 class ChannelPlan:
-    """One planned state channel: everything the randomness-free finish
-    half needs, as picklable primitives. ``region`` is the shard key —
-    the res-4 hex token of the channel's heaviest gateway (where its
-    traffic concentrates), '' when unknown."""
+    """One planned state channel, with every random draw already made."""
 
     owner: Address
     oui: int
@@ -80,30 +75,6 @@ class ChannelPlan:
     close_block: int
     alloc: Tuple[Tuple[Address, int], ...]
     expire_blocks: int
-    region: str
-
-
-def finish_channel(plan: ChannelPlan) -> Tuple[StateChannelOpen, StateChannelClose]:
-    """Build the open/close transaction pair for a planned channel.
-
-    Pure function of the plan — no RNG, no world state — so it runs
-    identically on the leader or on any shard worker.
-    """
-    total_dcs = sum(count for _, count in plan.alloc)
-    stake = max(total_dcs, 10_000)
-    open_txn = StateChannelOpen(
-        channel_id=plan.channel_id, owner=plan.owner, oui=plan.oui,
-        amount_dc=stake, expire_within_blocks=plan.expire_blocks,
-    )
-    summaries = tuple(
-        StateChannelSummary(hotspot=gw, num_packets=count, num_dcs=count)
-        for gw, count in sorted(plan.alloc)
-    )
-    close_txn = StateChannelClose(
-        channel_id=plan.channel_id, owner=plan.owner, oui=plan.oui,
-        summaries=summaries,
-    )
-    return open_txn, close_txn
 
 
 class TrafficPhase(Phase):
@@ -117,25 +88,16 @@ class TrafficPhase(Phase):
     ferry_impl = staticmethod(ferry_weights)
 
     def run_day(self, state: WorldState, day: int) -> None:
-        plans = self._plan_day(state, day)
-        if not plans:
-            return
-        pool = state.shard_pool
-        if pool is not None and len(plans) > 1:
-            finished = self._finish_sharded(state, plans)
-        else:
-            finished = [finish_channel(plan) for plan in plans]
-        for plan, (open_txn, close_txn) in zip(plans, finished):
-            self._apply_channel(state, plan, open_txn, close_txn)
+        for plan in self._plan_day(state, day):
+            self._apply_channel(state, plan)
 
     # ------------------------------------------------------------- plan --
 
     def _plan_day(self, state: WorldState, day: int) -> List[ChannelPlan]:
-        """The leader half: every ``"traffic"`` stream draw — volumes,
-        spammer designation, per-channel attribution — happens here, in
-        exactly the order the unsplit phase consumed it (transaction
-        assembly never drew randomness, so hoisting it out changes no
-        draw)."""
+        """Every ``"traffic"`` stream draw of the day — volumes, spammer
+        designation, per-channel attribution — in a fixed order
+        (transaction assembly draws no randomness, so it happens after
+        all of them)."""
         rng = state.hub.stream("traffic")
         traffic = state.traffic.day_traffic(day, rng)
         weights = self.ferry_impl(state, day, rng)
@@ -203,14 +165,6 @@ class TrafficPhase(Phase):
         expire_blocks: int,
     ) -> ChannelPlan:
         state.channel_seq += 1
-        region = ""
-        if alloc:
-            # Heaviest gateway, count-descending with the gateway as a
-            # deterministic tie-break.
-            top = min(alloc.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-            slot = state.fleet.index.get(top)
-            if slot is not None:
-                region = state.fleet.regions[slot]
         return ChannelPlan(
             owner=owner,
             oui=oui,
@@ -219,59 +173,30 @@ class TrafficPhase(Phase):
             close_block=close_block,
             alloc=tuple(alloc.items()),
             expire_blocks=expire_blocks,
-            region=region,
         )
-
-    # ----------------------------------------------------------- finish --
-
-    @staticmethod
-    def _finish_sharded(
-        state: WorldState, plans: List[ChannelPlan]
-    ) -> List[Tuple[StateChannelOpen, StateChannelClose]]:
-        """Scatter channel finishes over the shard pool; gather aligned
-        with ``plans``.
-
-        Partition: channel indices sort by (region, index) and split
-        into contiguous chunks, one per worker — the same geographic
-        grouping as the PoC phase. Merge: every transaction pair comes
-        back tagged with its channel index, so the apply loop replays in
-        channel order and the output is byte-identical to serial for
-        any worker count.
-        """
-        pool = state.shard_pool
-        order = sorted(
-            range(len(plans)), key=lambda i: (plans[i].region, i)
-        )
-        n_chunks = min(pool.workers, len(order))
-        base, extra = divmod(len(order), n_chunks)
-        chunks = []
-        start = 0
-        for c in range(n_chunks):
-            size = base + (1 if c < extra else 0)
-            chunks.append(order[start:start + size])
-            start += size
-        gathered = pool.run([
-            ("traffic_finish", ([plans[i] for i in chunk], chunk))
-            for chunk in chunks
-        ])
-        finished: Dict[int, Tuple] = {}
-        for part in gathered:
-            for index, pair in part:
-                finished[index] = pair
-        return [finished[i] for i in range(len(plans))]
 
     # ------------------------------------------------------------ apply --
 
     @staticmethod
-    def _apply_channel(
-        state: WorldState,
-        plan: ChannelPlan,
-        open_txn: StateChannelOpen,
-        close_txn: StateChannelClose,
-    ) -> None:
-        """Leader-side mutations, replayed in channel order: ledger
-        stake credit, batch appends, per-hotspot activity tallies."""
-        state.chain.ledger.credit_dc(plan.owner, open_txn.amount_dc)
+    def _apply_channel(state: WorldState, plan: ChannelPlan) -> None:
+        """Settle one planned channel: build its open/close pair, credit
+        the stake, append both transactions and tally per-hotspot
+        activity."""
+        stake = max(sum(count for _, count in plan.alloc), 10_000)
+        open_txn = StateChannelOpen(
+            channel_id=plan.channel_id, owner=plan.owner, oui=plan.oui,
+            amount_dc=stake, expire_within_blocks=plan.expire_blocks,
+        )
+        close_txn = StateChannelClose(
+            channel_id=plan.channel_id, owner=plan.owner, oui=plan.oui,
+            summaries=tuple(
+                StateChannelSummary(
+                    hotspot=gw, num_packets=count, num_dcs=count
+                )
+                for gw, count in sorted(plan.alloc)
+            ),
+        )
+        state.chain.ledger.credit_dc(plan.owner, stake)
         state.batch.append((max(plan.open_block, 2), open_txn))
         state.batch.append((plan.close_block, close_txn))
         activity = state.activity

@@ -82,7 +82,6 @@ from repro.simulation.world import SimHotspot, World
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
-    "SHARD_REGION_RESOLUTION",
     "FleetColumns",
     "GrowthLogRow",
     "WorldState",
@@ -110,11 +109,6 @@ __all__ = [
 #: log incrementally after one prefix verification.
 CHECKPOINT_SCHEMA_VERSION = 3
 
-#: Hex resolution of the geographic shard key (~1700 km² regions).
-#: Fleet slots carry their challengee region token so the sharded PoC
-#: and traffic phases can partition work without re-encoding cells.
-SHARD_REGION_RESOLUTION = 4
-
 _CHAIN_FILE = "chain.log"
 _STATE_FILE = "state.json"
 _META_FILE = "meta.json"
@@ -132,18 +126,6 @@ class GrowthLogRow:
     online: int
     online_us: int
     online_international: int
-
-
-def _region_token(participant: Optional[PocParticipant]) -> str:
-    """Res-:data:`SHARD_REGION_RESOLUTION` shard token of a
-    participant's asserted cell ('' for validators, who are never
-    challengees). Rides the participant's ``_poc_cell`` memo, so the
-    encode is free whenever a challenge already touched the assert."""
-    if participant is None:
-        return ""
-    return (
-        participant._poc_cell()[1].parent(SHARD_REGION_RESOLUTION).token
-    )
 
 
 class FleetColumns:
@@ -172,7 +154,7 @@ class FleetColumns:
         "_lat", "_lon", "_uptime", "_ferry_weight",
         "_online", "_poc_online", "_is_poc", "_in_us",
         "_deploy_day", "_owner_index",
-        "hotspots", "participants", "gateways", "regions",
+        "hotspots", "participants", "gateways",
         "index", "owner_slots", "owner_wallets", "online_day",
     )
 
@@ -192,7 +174,6 @@ class FleetColumns:
         self.hotspots: List[SimHotspot] = []
         self.participants: List[Optional[PocParticipant]] = []
         self.gateways: List[Address] = []
-        self.regions: List[str] = []
         self.index: Dict[Address, int] = {}
         self.owner_slots: Dict[Address, int] = {}
         self.owner_wallets: List[Address] = []
@@ -290,23 +271,17 @@ class FleetColumns:
         self.hotspots.append(hotspot)
         self.participants.append(participant)
         self.gateways.append(hotspot.gateway)
-        self.regions.append(_region_token(participant))
         self.index[hotspot.gateway] = slot
         return slot
 
     # -- maintenance touch points -------------------------------------------
 
     def relocate(self, slot: int, hotspot: SimHotspot) -> None:
-        """Refresh the location-derived columns after a physical move
-        (re-asserts refresh the region via :meth:`reassert`)."""
+        """Refresh the location-derived columns after a physical move."""
         location = hotspot.actual_location
         self._lat[slot] = location.lat
         self._lon[slot] = location.lon
         self._in_us[slot] = hotspot.in_us
-
-    def reassert(self, slot: int) -> None:
-        """Refresh the shard-region column after a re-assert."""
-        self.regions[slot] = _region_token(self.participants[slot])
 
     def set_owner(self, slot: int, wallet: Address) -> None:
         self._owner_index[slot] = self.owner_id(wallet)
@@ -444,16 +419,6 @@ class WorldState:
     #: without re-reading a single byte of it. Process-local, never
     #: serialized; ``None`` simply forces one prefix re-verification.
     _chain_cache: Optional[Dict[str, Any]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    #: The run's intra-run shard pool (``--shard-workers N``), attached
-    #: by the engine for the duration of :meth:`SimulationEngine.run`
-    #: and read by phases that can scatter randomness-free work.
-    #: Process-local and never serialized: a checkpoint resumed with a
-    #: different worker count is still byte-identical, because sharding
-    #: never changes what is computed — only where.
-    shard_pool: Optional[Any] = field(
         default=None, repr=False, compare=False
     )
 

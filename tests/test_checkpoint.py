@@ -219,6 +219,17 @@ class TestEngineArgValidation:
         with pytest.raises(SimulationError, match="checkpoint_dir"):
             SimulationEngine(_trimmed_config()).run(stop_after_day=5)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"stop_after_day": 0}, {"stop_after_day": -4},
+         {"checkpoint_every": 0}, {"checkpoint_every": -1}],
+    )
+    def test_day_counts_must_be_positive(self, tmp_path, kwargs):
+        engine = SimulationEngine(_trimmed_config())
+        with pytest.raises(SimulationError, match="must be >= 1"):
+            engine.run(checkpoint_dir=tmp_path / "ck", **kwargs)
+        assert engine.state.day == 0
+
     def test_config_must_match_state(self, tmp_path):
         config = _trimmed_config()
         state = WorldState.create(config)

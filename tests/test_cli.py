@@ -53,6 +53,46 @@ class TestSimulationCli:
         assert rebuilt.total_transactions > 0
 
 
+class TestDayCountValidation:
+    """Day counts below 1 are usage errors (exit 2) raised by argparse,
+    before any scenario is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--checkpoint-every", "0"],
+        ["--checkpoint-every", "-1"],
+        ["--stop-after", "0"],
+        ["--stop-after", "-4"],
+    ])
+    def test_simulation_cli(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            simulation_main([
+                "--scenario", "small",
+                "--checkpoint-dir", str(tmp_path / "ck"), *argv,
+            ])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--scenario", "small", "--checkpoint-every", "0", "fig02"],
+        ["--scenario", "small", "--checkpoint-every", "-1", "fig02"],
+        ["sweep", "--scenario", "small", "--seeds", "7",
+         "--checkpoint-every", "0", "fig02"],
+    ])
+    def test_experiments_cli(self, argv, capsys, monkeypatch):
+        import repro.experiments.__main__ as experiments_module
+        import repro.parallel
+
+        def must_not_build(*args, **kwargs):
+            pytest.fail("a rejected day count must not build a scenario")
+
+        monkeypatch.setattr(experiments_module, "get_result", must_not_build)
+        monkeypatch.setattr(repro.parallel, "run_sweep", must_not_build)
+        with pytest.raises(SystemExit) as exc:
+            experiments_main(argv)
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+
 class TestExperimentsListFlag:
     def test_lists_every_experiment_with_a_description(self, capsys):
         from repro.experiments.registry import EXPERIMENTS

@@ -4,7 +4,8 @@ The determinism contracts under test:
 
 * farm output (any job count, any start method) is byte-identical to
   the serial path — workers rehydrate from the scenario cache, and the
-  experiments draw only from seed-derived named streams;
+  experiments draw only from seed-derived named streams; §8.1's four
+  farm units merge into the serial report;
 * re-running a sweep produces byte-identical JSON (warm cache included);
 * two processes racing one cold build perform exactly one simulation.
 """
@@ -30,7 +31,7 @@ from repro.experiments.registry import (
     reports_digest,
     run_experiment,
 )
-from repro.parallel import run_farm, run_sweep
+from repro.parallel import longest_first, run_farm, run_sweep, task_cost
 from repro.parallel.locks import build_lock
 from repro.simulation import small_scenario
 
@@ -83,6 +84,38 @@ class TestFarm:
         assert outcomes[0].wall_s > 0.0
         assert outcomes[0].cpu_s > 0.0
         assert outcomes[0].rss_hwm_bytes > 0
+
+
+class TestS8UnitDecomposition:
+    def test_farm_units_match_serial(self, seeded_cache, small_result):
+        serial = run_experiment("s8_1", small_result)
+        outcomes = run_farm("small", 7, ["s8_1"], jobs=2)
+        assert outcomes[0].experiment_id == "s8_1"
+        assert reports_digest([outcomes[0].report]) == reports_digest(
+            [serial]
+        )
+
+
+class TestCostTable:
+    def test_longest_first_puts_s8_units_ahead(self):
+        tasks = [
+            ("fig02", None), ("s8_1", "sept-1"), ("fig12", None),
+            ("s8_1", "may"),
+        ]
+        ordered = longest_first(tasks)
+        assert ordered[0] == ("s8_1", "may")
+        assert ordered[1] == ("s8_1", "sept-1")
+        assert ordered[-1] == ("fig02", None)
+
+    def test_unknown_experiment_gets_default_cost(self):
+        assert task_cost("fig99") == pytest.approx(0.05)
+        # Deterministic tie-break among unknowns.
+        assert longest_first([("zz", None), ("aa", None)]) == [
+            ("aa", None), ("zz", None),
+        ]
+
+    def test_unit_cost_falls_back_to_experiment(self):
+        assert task_cost("s8_1", "no-such-unit") == task_cost("s8_1")
 
 
 class TestReportPayload:
