@@ -16,17 +16,30 @@ append-to-disk :class:`~repro.chain.chainlog.ChainLog` (frame *i* holds
 block position *i*'s exact dump bytes). Spilled blocks materialise
 lazily as view objects on access, through a small LRU, so analyses and
 the ETL read the same ``Block`` values whether or not the object graph
-is resident — only the peak RSS differs.
+is resident — only the peak RSS differs. A chain loaded from a framed
+log file (checkpoint resume, warm scenario-cache load) is log-backed
+from the start: only its tip is resident.
+
+Typed reads go through a **per-kind position index**: for every
+concrete transaction class the chain holds an ``array`` of the block
+positions that contain one. Every append path fills it (mint and both
+framed-log loads), so it never goes stale, and
+:meth:`Blockchain.iter_transactions` visits only the blocks holding the
+requested kind. A spilled block outside the LRU is then decoded entry by
+entry — only the matching transactions are built, never a ``Block``.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from typing import (
     Callable,
+    Collection,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -34,13 +47,14 @@ from typing import (
     Tuple,
     Type,
     TypeVar,
+    Union,
 )
 
 from repro import units
 from repro.chain.block import Block
 from repro.chain.chainlog import BLOCK_CACHE_SLOTS, ChainLog, encode_frame
 from repro.chain.ledger import Ledger
-from repro.chain.transactions import Transaction
+from repro.chain.transactions import _KIND_BY_TYPE, Transaction
 from repro.chain.varmap import ChainVars, DEFAULT_VARS
 from repro.errors import ChainError
 
@@ -87,6 +101,8 @@ class BlockSequence:
             return [self[i] for i in range(*index.indices(len(self._slots)))]
         if index < 0:
             index += len(self._slots)
+            if index < 0:
+                raise IndexError("block index out of range")
         block = self._slots[index]
         if block is None:
             block = self._materialize(index)
@@ -142,9 +158,9 @@ class BlockSequence:
         self._evicted_to = max(self._evicted_to, limit)
         return evicted
 
-    def append_spilled(self, height: int) -> None:
+    def append_spilled(self) -> None:
         """Register a position whose bytes are already in the log
-        (streaming checkpoint load: the frame was just byte-copied)."""
+        (framed-log load: the frame was just byte-copied)."""
         if self._log is None or len(self._log) != len(self._slots) + 1:
             raise ChainError("append_spilled needs the frame in the log")
         self._slots.append(None)
@@ -177,6 +193,36 @@ class BlockSequence:
         if len(self._cache) > BLOCK_CACHE_SLOTS:
             self._cache.popitem(last=False)
         return block
+
+    def transactions_at(
+        self,
+        position: int,
+        kinds: Tuple[type, ...],
+        kind_names: Collection[str],
+    ) -> List[Transaction]:
+        """The transactions of block ``position`` that are instances of
+        ``kinds``, in block order.
+
+        A resident or LRU-cached block is filtered in place. A spilled
+        one is parsed from its frame and only the entries whose
+        ``type`` is in ``kind_names`` (the dump names of ``kinds``) are
+        decoded; no :class:`Block` is built and the LRU is untouched.
+        """
+        block = self._slots[position]
+        if block is None:
+            block = self._cache.get(position)
+        if block is not None:
+            return [t for t in block.transactions if isinstance(t, kinds)]
+        if self._log is None or position >= self._spilled:
+            raise ChainError(f"block at position {position} unavailable")
+        from repro.chain.serialize import transaction_from_dict
+
+        record = json.loads(self._log.payload(position))
+        return [
+            transaction_from_dict(entry)
+            for entry in record.get("transactions", [])
+            if entry.get("type") in kind_names
+        ]
 
     # -- serialization support --------------------------------------------
 
@@ -237,6 +283,9 @@ class Blockchain:
         self._height_index: Dict[int, int] = {0: 0}
         #: Materialised heights in ascending order (bisect support).
         self._heights: List[int] = [0]
+        #: Concrete transaction class -> ascending positions of the
+        #: blocks holding at least one (the per-kind index).
+        self._kind_positions: Dict[type, array] = {}
 
     # -- chain growth ------------------------------------------------------
 
@@ -302,17 +351,29 @@ class Blockchain:
         return block
 
     def _append_block(self, block: Block) -> None:
-        """Register a new tip block (mint and trusted-load paths)."""
-        self._height_index[block.height] = len(self.blocks)
-        self._heights.append(block.height)
+        """Register a new tip block (mint and resident-load paths)."""
+        self._index(block.height, block.transactions)
         self.blocks.append(block)
 
-    def _append_spilled(self, height: int) -> None:
+    def _append_spilled(
+        self, height: int, transactions: Iterable[Transaction]
+    ) -> None:
         """Register a new tip whose bytes are already in the attached
-        log (streaming checkpoint load byte-copies the frame first)."""
-        self._height_index[height] = len(self.blocks)
+        log (a framed-log load byte-copies the frame first)."""
+        self._index(height, transactions)
+        self.blocks.append_spilled()
+
+    def _index(
+        self, height: int, transactions: Iterable[Transaction]
+    ) -> None:
+        position = len(self.blocks)
+        self._height_index[height] = position
         self._heights.append(height)
-        self.blocks.append_spilled(height)
+        for cls in {type(txn) for txn in transactions}:
+            positions = self._kind_positions.get(cls)
+            if positions is None:
+                positions = self._kind_positions[cls] = array("I")
+            positions.append(position)
 
     def drop_pending(self) -> List[Transaction]:
         """Discard and return staged transactions (test/debug helper)."""
@@ -359,7 +420,7 @@ class Blockchain:
 
     def iter_transactions(
         self,
-        kind: Optional[Type[T]] = None,
+        kind: Union[Type[T], Tuple[type, ...], None] = None,
         start_height: int = 0,
         end_height: Optional[int] = None,
         predicate: Optional[Callable[[Transaction], bool]] = None,
@@ -367,24 +428,37 @@ class Blockchain:
         """Yield ``(height, txn)`` pairs in chain order, filtered.
 
         Args:
-            kind: restrict to one transaction class.
+            kind: restrict to instances of one transaction class or a
+                tuple of them (``isinstance`` semantics); ``None`` means
+                every transaction. Only the blocks the per-kind index
+                lists are visited.
             start_height: inclusive lower bound.
             end_height: inclusive upper bound (default: the tip).
             predicate: extra filter applied after the kind filter.
         """
         stop = self.height if end_height is None else end_height
-        for position in range(
-            bisect_left(self._heights, start_height), len(self._heights)
-        ):
-            if self._heights[position] > stop:
-                break
-            block = self.blocks[position]
-            for txn in block.transactions:
-                if kind is not None and not isinstance(txn, kind):
-                    continue
-                if predicate is not None and not predicate(txn):
-                    continue
-                yield block.height, txn
+        low = bisect_left(self._heights, start_height)
+        high = bisect_right(self._heights, stop)
+        if kind is None:
+            kinds: Tuple[type, ...] = (Transaction,)
+        else:
+            kinds = kind if isinstance(kind, tuple) else (kind,)
+        classes = [
+            cls for cls in self._kind_positions if issubclass(cls, kinds)
+        ]
+        names = {_KIND_BY_TYPE.get(cls) for cls in classes} - {None}
+        runs = []
+        for cls in classes:
+            positions = self._kind_positions[cls]
+            runs.append(positions[
+                bisect_left(positions, low):bisect_left(positions, high)
+            ])
+        selected = runs[0] if len(runs) == 1 else sorted(set().union(*runs))
+        for position in selected:
+            height = self._heights[position]
+            for txn in self.blocks.transactions_at(position, kinds, names):
+                if predicate is None or predicate(txn):
+                    yield height, txn
 
     def transactions_of_kind(self, kind: Type[T]) -> List[Tuple[int, T]]:
         """All ``(height, txn)`` of one class, materialised."""

@@ -96,7 +96,7 @@ class ChainLog:
 
     Appends go through :meth:`append` (payload serialization) or
     :meth:`append_frame` (verified raw bytes, used when seeding a run
-    log from a checkpoint); reads are positional and stateless.
+    log from a chain-log file); reads are positional and stateless.
     """
 
     def __init__(self, path: Union[str, Path, None] = None) -> None:
@@ -115,7 +115,6 @@ class ChainLog:
         self.tail_digest = seed_digest()
         self._offsets: List[int] = []
         self._lengths: List[int] = []
-        self.heights: List[int] = []
 
     # -- append ------------------------------------------------------------
 
@@ -125,18 +124,16 @@ class ChainLog:
         os.write(self._fd, frame)
         self._offsets.append(self.size)
         self._lengths.append(len(payload))
-        self.heights.append(height)
         self.size += len(frame)
         self.tail_digest = digest
 
-    def append_frame(self, frame: bytes, height: int, digest: bytes) -> None:
+    def append_frame(self, frame: bytes, digest: bytes) -> None:
         """Append pre-encoded frame bytes whose chain digest the caller
-        has already verified (checkpoint load seeds the run log this
+        has already verified (a framed-log load seeds the run log this
         way — the scan just proved every link)."""
         os.write(self._fd, frame)
         self._offsets.append(self.size)
         self._lengths.append(len(frame) - FRAME_HEADER_SIZE)
-        self.heights.append(height)
         self.size += len(frame)
         self.tail_digest = digest
 
@@ -207,7 +204,6 @@ class ChainLog:
         log.tail_digest = seed_digest()
         log._offsets = []
         log._lengths = []
-        log.heights = []
         try:
             file_size = os.fstat(log._fd).st_size
             magic = os.pread(log._fd, len(CHAINLOG_MAGIC), 0)
@@ -220,7 +216,7 @@ class ChainLog:
                 if len(header) < FRAME_HEADER_SIZE:
                     torn_at = offset
                     break
-                length, height, digest = _FRAME_HEADER.unpack(header)
+                length, _, digest = _FRAME_HEADER.unpack(header)
                 payload = os.pread(
                     log._fd, length, offset + FRAME_HEADER_SIZE
                 )
@@ -240,7 +236,6 @@ class ChainLog:
                     )
                 log._offsets.append(offset)
                 log._lengths.append(length)
-                log.heights.append(height)
                 log.tail_digest = digest
                 offset += FRAME_HEADER_SIZE + length
                 log.size = offset

@@ -1,4 +1,4 @@
-"""Chain serialization: JSONL dump and load.
+"""Chain serialization: JSONL dump and load, framed chain-log files.
 
 The paper's methodology notes that "anyone can download and parse the
 blockchain" (§3); the DeWi database is an ETL of exactly such dumps. This
@@ -6,18 +6,42 @@ module provides the equivalent for the simulated chain: a line-per-block
 JSON format that round-trips every transaction type, so analyses can run
 against dumped chains without re-simulating (and external tools can
 consume them).
+
+Persisted chains — day-level checkpoints and scenario-cache entries —
+use the framed :mod:`repro.chain.chainlog` layout instead, whose frame
+payloads are exactly those JSONL lines. :func:`write_chain_log` writes
+one and returns its extent record for the caller's ``meta.json``;
+:func:`load_chain_log` takes that meta and streams the file back into a
+log-backed chain.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
-from typing import IO, Any, Dict, Iterator, Type, Union
+from typing import (
+    IO,
+    Any,
+    Dict,
+    Iterator,
+    Mapping,
+    Optional,
+    Tuple,
+    Type,
+    Union,
+)
 
 from repro import units
 from repro.chain.block import Block
 from repro.chain.blockchain import Blockchain
+from repro.chain.chainlog import (
+    CHAINLOG_MAGIC,
+    ChainLog,
+    scan_frames,
+    seed_digest,
+)
 from repro.chain.transactions import (
     AddGateway,
     AssertLocation,
@@ -42,10 +66,13 @@ from repro.errors import ChainError
 __all__ = [
     "block_from_record",
     "block_record_text",
+    "chain_log_extent",
     "dump_chain",
     "load_chain",
+    "load_chain_log",
     "transaction_to_dict",
     "transaction_from_dict",
+    "write_chain_log",
 ]
 
 _TXN_TYPES: Dict[str, Type[Transaction]] = {
@@ -155,9 +182,9 @@ def block_record_text(block: Block) -> str:
 def block_from_record(record: Dict[str, Any]) -> Block:
     """Reconstruct a trusted block view from one dump record.
 
-    The parent hash is taken from the record (the ``validate=False``
-    contract); the block's own hash recomputes lazily to the identical
-    value, since transactions round-trip ``repr``-exactly.
+    The parent hash is taken from the record (the chain that wrote it
+    already linked it); the block's own hash recomputes lazily to the
+    identical value, since transactions round-trip ``repr``-exactly.
     """
     try:
         height = int(record["height"])
@@ -217,22 +244,12 @@ def _iter_records(source: Union[str, Path, IO[str]]) -> Iterator[Dict[str, Any]]
 def load_chain(
     source: Union[str, Path, IO[str]],
     vars: ChainVars = ChainVars(),
-    validate: bool = True,
 ) -> Blockchain:
     """Rebuild a chain from a JSONL dump, replaying every transaction.
 
-    With ``validate=True`` (the default) every block goes through the
-    normal mint path, which recomputes each parent hash and re-validates
-    everything, so a tampered dump fails loudly rather than producing
-    silent corruption.
-
-    With ``validate=False`` blocks are reconstructed directly from the
-    dumped fields: transactions still replay through the ledger (so the
-    folded state is identical), but the parent hash is trusted from the
-    dump instead of being recomputed over the whole parent block. Block
-    hashes remain lazily computable to the exact same values. This path
-    is several times faster on large dumps and is what the persistent
-    scenario cache uses for its own trusted files.
+    Every block goes through the normal mint path, which recomputes
+    each parent hash and re-validates everything, so a tampered dump
+    fails loudly rather than producing silent corruption.
 
     Raises:
         ChainError: on malformed records, height disorder, or any
@@ -253,26 +270,159 @@ def load_chain(
         # exactly the fees/stakes required, which preserves burn totals.
         for txn in txns:
             _prefund(chain, txn)
-        if validate:
-            chain.submit_many(txns)
-            chain.mint_block(height)
-        else:
-            if height <= chain.height:
-                raise ChainError(
-                    f"block height must increase: tip={chain.height}, "
-                    f"asked={height}"
-                )
-            for txn in txns:
-                chain.ledger.apply(txn, height)
-            chain._append_block(Block(
-                height=height,
-                unix_time=int(
-                    record.get("time", units.block_to_unix_time(height))
-                ),
-                prev_hash=record.get("prev_hash", ""),
-                transactions=tuple(txns),
-            ))
+        chain.submit_many(txns)
+        chain.mint_block(height)
     return chain
+
+
+def chain_log_extent(meta: Mapping[str, Any]) -> Tuple[int, int, str]:
+    """The ``(blocks, bytes, sha256)`` extent that a
+    :func:`write_chain_log` record merged into ``meta`` describes.
+
+    Raises:
+        ChainError: when the record is missing or mistyped.
+    """
+    blocks = meta.get("chain_blocks")
+    size = meta.get("chain_bytes")
+    sha256 = meta.get("chain_sha256")
+    if not (
+        isinstance(blocks, int)
+        and isinstance(size, int)
+        and isinstance(sha256, str)
+    ):
+        raise ChainError("chain log extent is not recorded")
+    return blocks, size, sha256
+
+
+def write_chain_log(
+    chain: Blockchain,
+    handle: IO[bytes],
+    sha: "hashlib._Hash",
+    after: Optional[Tuple[Mapping[str, Any], bytes]] = None,
+) -> Tuple[Dict[str, Any], bytes]:
+    """Write ``chain`` as framed chain-log bytes.
+
+    Without ``after`` the file magic goes first. ``after=(meta, tail)``
+    continues an existing log (``handle`` open for update on it) whose
+    recorded extent is ``meta``'s, whose digest-chain state after its
+    last frame is ``tail`` and whose bytes ``sha`` has already hashed:
+    anything past that extent (a killed append) is truncated first.
+    Spilled blocks are raw frame copies from the chain's own log. Every
+    byte written also updates ``sha``.
+
+    Returns ``(record, tail)``: ``record`` is the ``chain_blocks``,
+    ``chain_bytes`` and ``chain_sha256`` entry a caller merges into its
+    ``meta.json`` for :func:`load_chain_log`, and ``tail`` is the
+    digest-chain state after the last frame.
+    """
+    if after is None:
+        handle.write(CHAINLOG_MAGIC)
+        sha.update(CHAINLOG_MAGIC)
+        start, size, tail = 0, len(CHAINLOG_MAGIC), seed_digest()
+    else:
+        start, size, _ = chain_log_extent(after[0])
+        tail = after[1]
+        handle.seek(size)
+        handle.truncate()
+    for frame, digest in chain.blocks.iter_frames(start, tail):
+        handle.write(frame)
+        sha.update(frame)
+        size += len(frame)
+        tail = digest
+    record = {
+        "chain_blocks": len(chain.blocks),
+        "chain_bytes": size,
+        "chain_sha256": sha.hexdigest(),
+    }
+    return record, tail
+
+
+def load_chain_log(
+    path: Union[str, Path],
+    meta: Mapping[str, Any],
+    vars: ChainVars = ChainVars(),
+    resident: bool = False,
+) -> Tuple[Blockchain, "hashlib._Hash", bytes]:
+    """Stream a :func:`write_chain_log` file back into a chain.
+
+    ``meta`` holds the writer's extent record: the load reads exactly
+    ``chain_bytes`` bytes (a hardlinked checkpoint file may have grown
+    past them), verifies every frame's digest link and the SHA-256 of
+    those bytes, and requires exactly ``chain_blocks`` frames starting
+    at genesis, so a torn, truncated or flipped file fails instead of
+    loading a shorter chain.
+
+    Each block's transactions replay through the ledger (parent hashes
+    are the recorded ones). The frame itself is byte-copied into a new
+    anonymous :class:`ChainLog` — ``path`` is only ever read — and the
+    chain keeps just its tip resident. ``resident=True`` builds every
+    :class:`Block` instead and attaches no log.
+
+    Returns ``(chain, hash of the bytes read, digest-chain tail)``.
+
+    Raises:
+        ChainError: on a missing extent, any integrity failure, or a
+            malformed or out-of-order block.
+    """
+    blocks, size, sha256 = chain_log_extent(meta)
+    chain = Blockchain(vars)
+    log = None if resident else ChainLog()
+    try:
+        sha = hashlib.sha256(CHAINLOG_MAGIC)
+        read = len(CHAINLOG_MAGIC)
+        tail = seed_digest()
+        frames = 0
+        with open(path, "rb") as handle:
+            for frame, height, payload, digest in scan_frames(
+                handle, limit_bytes=size
+            ):
+                sha.update(frame)
+                read += len(frame)
+                tail = digest
+                frames += 1
+                if frames == 1:
+                    if height != 0:
+                        raise ChainError(
+                            f"first chain frame is height {height}, "
+                            f"not genesis"
+                        )
+                    # Genesis is already in place (Blockchain() makes it).
+                    if log is not None:
+                        log.append_frame(frame, digest)
+                        chain.attach_log(log)
+                        chain.evict_finalized(keep_tail=0)
+                    continue
+                if height <= chain.height:
+                    raise ChainError(
+                        f"chain height goes {chain.height} -> {height}"
+                    )
+                block = block_from_record(json.loads(payload))
+                for txn in block.transactions:
+                    _prefund(chain, txn)
+                for txn in block.transactions:
+                    chain.ledger.apply(txn, height)
+                if log is None:
+                    chain._append_block(block)
+                else:
+                    log.append_frame(frame, digest)
+                    chain._append_spilled(height, block.transactions)
+        if read != size or sha.hexdigest() != sha256:
+            raise ChainError(
+                f"chain log digest mismatch ({sha.hexdigest()[:12]}… != "
+                f"recorded {sha256[:12]}…)"
+            )
+        if frames != blocks:
+            raise ChainError(
+                f"chain log has {frames} blocks, meta records {blocks}"
+            )
+        if log is not None and frames:
+            # Pin the tip: the next mint seeds prev_hash from it.
+            chain.blocks.keep_resident(frames - 1)
+    except BaseException:
+        if log is not None:
+            log.close()
+        raise
+    return chain, sha, tail
 
 
 def _prefund(chain: Blockchain, txn: Transaction) -> None:

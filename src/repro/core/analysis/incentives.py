@@ -13,7 +13,12 @@ from typing import Dict, List
 from repro.chain.blockchain import Blockchain
 from repro.chain.crypto import Address
 from repro.chain.naming import hotspot_name
-from repro.chain.transactions import PocReceipts, Rewards, RewardType
+from repro.chain.transactions import (
+    AssertLocation,
+    PocReceipts,
+    Rewards,
+    RewardType,
+)
 from repro.errors import AnalysisError
 from repro.geo.geodesy import LatLon
 from repro.geo.hexgrid import HexCell
@@ -57,15 +62,11 @@ def find_silent_movers(
     that far): silent movers, never-honest asserts (the Striped Yellow
     Bird pattern), and location-impossible collusion.
     """
-    from repro.chain.transactions import AssertLocation
-
     asserted: Dict[Address, LatLon] = {}
     events: Dict[Address, List[LatLon]] = {}
-    for _, txn in chain.iter_transactions():
+    for _, txn in chain.iter_transactions((AssertLocation, PocReceipts)):
         if isinstance(txn, AssertLocation):
             asserted[txn.gateway] = HexCell.from_token(txn.location_token).center()
-            continue
-        if not isinstance(txn, PocReceipts):
             continue
         receipt = txn
         challengee_loc = HexCell.from_token(

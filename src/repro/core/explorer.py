@@ -128,7 +128,9 @@ class Explorer:
     def _build_indexes(self) -> None:
         for gateway in self.chain.ledger.hotspots:
             self._name_index[hotspot_name(gateway).lower()] = gateway
-        for height, txn in self.chain.iter_transactions():
+        for height, txn in self.chain.iter_transactions(
+            (Rewards, StateChannelClose, TransferHotspot, PocReceipts)
+        ):
             if isinstance(txn, Rewards):
                 for share in txn.shares:
                     if share.gateway is not None:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterable, List
 
 from repro import obs
 from repro.chain.block import Block
@@ -73,26 +72,28 @@ def ingest_chain(
     checkpoint = store.checkpoint_height
     # Bisect to the tail instead of filtering a full materialised pass:
     # on a log-backed chain the blocks below the checkpoint stay on
-    # disk, and only one batch of views is ever resident at a time.
+    # disk, and blocks materialise one at a time inside each batch.
     start_position = chain.position_after(checkpoint)
-    n_fresh = len(chain.blocks) - start_position
+    total = len(chain.blocks)
+    n_fresh = total - start_position
     obs.gauge("etl.ingest.checkpoint_lag", n_fresh)
     txn_count = 0
-    for batch in _batches(chain, start_position, batch_blocks):
+    step = max(1, batch_blocks)
+    for low in range(start_position, total, step):
+        high = min(low + step, total)
         batch_started = perf_counter()
         batch_txns = 0
         with store.connection:  # one transaction per batch
-            for block in batch:
+            for position in range(low, high):
+                block = chain.blocks[position]
                 batch_txns += _load_block(store, block)
-            store._set_meta("checkpoint_height", str(batch[-1].height))
+            store._set_meta("checkpoint_height", str(block.height))
         txn_count += batch_txns
         obs.observe("etl.ingest.batch_s", perf_counter() - batch_started)
-        obs.counter("etl.ingest.blocks", len(batch))
+        obs.counter("etl.ingest.blocks", high - low)
         obs.counter("etl.ingest.transactions", batch_txns)
         # Blocks committed but not yet caught up to the chain tip.
-        obs.gauge(
-            "etl.ingest.checkpoint_lag", chain.height - batch[-1].height
-        )
+        obs.gauge("etl.ingest.checkpoint_lag", chain.height - block.height)
     # Folded ledger state + tip marker, in one final transaction. Always
     # refreshed: the ledger is the chain's current state even when no
     # new history rows landed.
@@ -120,18 +121,6 @@ def ingest_chain(
         blocks_ingested=n_fresh,
         transactions_ingested=txn_count,
     )
-
-
-def _batches(
-    chain: Blockchain, start: int, size: int
-) -> Iterable[List[Block]]:
-    """Materialise blocks one transaction-batch at a time from position
-    ``start`` (slicing a log-backed sequence builds just that window of
-    views)."""
-    step = max(1, size)
-    total = len(chain.blocks)
-    for low in range(start, total, step):
-        yield chain.blocks[low : min(low + step, total)]
 
 
 def _load_block(store: EtlStore, block: Block) -> int:

@@ -102,6 +102,7 @@ def _load_from_disk(entry: Path) -> Optional[SimulationResult]:
 
 
 def _save_to_disk(result: SimulationResult, entry: Path) -> None:
+    tmp: Optional[Path] = None
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
         tmp = Path(
@@ -112,14 +113,20 @@ def _save_to_disk(result: SimulationResult, entry: Path) -> None:
         # none of it. If someone beat us to it, keep theirs.
         try:
             os.rename(tmp, entry)
+            tmp = None
         except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)
+            pass
     except OSError as exc:
         warnings.warn(
             f"could not persist scenario cache entry {entry}: {exc}",
             RuntimeWarning,
             stacklevel=3,
         )
+    finally:
+        # Whatever went wrong (ENOSPC mid-save, a lost publish race),
+        # the partial temp entry must not outlive the call.
+        if tmp is not None:
+            shutil.rmtree(tmp, ignore_errors=True)
 
 
 def get_result(

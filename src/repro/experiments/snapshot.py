@@ -8,11 +8,15 @@ process can reload it in a few seconds instead of re-simulating.
 
 Design notes:
 
-* The chain is stored as the standard JSONL dump
-  (:func:`repro.chain.serialize.dump_chain`) and reloaded with
-  ``validate=False``: transactions still replay through the ledger (the
-  folded state is identical) but parent hashes are trusted from the
-  dump, which is what makes warm loads fast.
+* The chain is stored as the framed ``chain.log`` that day-level
+  checkpoints use (:func:`repro.chain.serialize.write_chain_log`), and
+  ``meta.json`` records its block count, byte extent and SHA-256. A
+  warm load streams it (:func:`repro.chain.serialize.load_chain_log`):
+  every frame is verified, its transactions replay through the ledger,
+  and the frame is copied into the process's own anonymous chain log,
+  so the reloaded chain is log-backed with only its tip resident. A
+  torn or corrupt entry fails the load (and the cache rebuilds it)
+  instead of yielding a shorter chain.
 * The world is *reconstructed*, not pickled: cities and the AS universe
   are deterministic functions of the scenario seed (named RNG streams),
   so the snapshot stores only per-hotspot/owner facts and resolves
@@ -25,13 +29,13 @@ Design notes:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.chain.serialize import dump_chain, load_chain
-from repro.chain.varmap import ChainVars
+from repro.chain.serialize import load_chain_log, write_chain_log
 from repro.economics.oracle import PriceOracle
 from repro.errors import SimulationError
 from repro.geo.geodesy import LatLon
@@ -64,9 +68,13 @@ __all__ = [
 #: v2: the engine now iterates gossip-clique members in sorted order, so
 #: scenario bytes no longer depend on the per-process ``PYTHONHASHSEED``;
 #: entries built by the order-sensitive engine must miss.
-SCHEMA_VERSION = 2
+#:
+#: v3: the chain is the framed ``chain.log`` (checkpoint layout) instead
+#: of ``chain.jsonl``, and ``meta.json`` records its extent (block
+#: count, bytes, SHA-256).
+SCHEMA_VERSION = 3
 
-_CHAIN_FILE = "chain.jsonl"
+_CHAIN_FILE = "chain.log"
 _SNAPSHOT_FILE = "snapshot.json"
 _META_FILE = "meta.json"
 
@@ -84,8 +92,6 @@ _TUPLE_FIELDS = ("mining_pools", "commercial_fleets", "gossip_cliques")
 
 def config_digest(config: ScenarioConfig) -> str:
     """Stable hash of every scenario knob (cache-key ingredient)."""
-    import hashlib
-
     payload = json.dumps(
         dataclasses.asdict(config), sort_keys=True, separators=(",", ":")
     )
@@ -93,25 +99,19 @@ def config_digest(config: ScenarioConfig) -> str:
 
 
 def result_digest(result: SimulationResult) -> str:
-    """SHA-256 over the canonical snapshot bytes (chain + world state).
+    """SHA-256 over the canonical result bytes (chain + world state).
 
-    Two results digest equal iff :func:`save_result` would write the
-    same chain and snapshot files — the repo's working definition of
+    The chain contributes its JSONL dump lines (the frame payloads of
+    ``chain.log``), followed by the ``snapshot.json`` text
+    :func:`save_result` writes. Two results digest equal iff they hold
+    the same chain and world — the repo's working definition of
     "bit-identical scenarios" (meta.json is excluded: it restates the
     schema version and config digest, which the cache key already pins).
     """
-    import hashlib
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        save_result(result, tmp)
-        digest = hashlib.sha256()
-        for name in (_CHAIN_FILE, _SNAPSHOT_FILE):
-            # Stream: a scale-tier chain file is hundreds of MB, and
-            # one read_bytes() of it would dwarf the day loop's peak.
-            with open(Path(tmp) / name, "rb") as handle:
-                for chunk in iter(lambda: handle.read(1 << 20), b""):
-                    digest.update(chunk)
+    digest = hashlib.sha256()
+    for text in result.chain.blocks.iter_record_texts():
+        digest.update(text.encode("utf-8"))
+    digest.update(_snapshot_text(result).encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -282,13 +282,8 @@ def owner_from_payload(
     )
 
 
-def save_result(result: SimulationResult, directory: Union[str, Path]) -> None:
-    """Write ``result`` into ``directory`` (created if missing)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-
-    dump_chain(result.chain, directory / _CHAIN_FILE)
-
+def _snapshot_text(result: SimulationResult) -> str:
+    """The ``snapshot.json`` text: everything but the chain."""
     cliques: Dict[int, List[str]] = {}
     hotspots: List[Dict[str, Any]] = []
     for hotspot in result.world.hotspots.values():
@@ -319,8 +314,21 @@ def save_result(result: SimulationResult, directory: Union[str, Path]) -> None:
         },
         "spammer_owners": result.spammer_owners,
     }
+    return json.dumps(snapshot, separators=(",", ":"))
+
+
+def save_result(result: SimulationResult, directory: Union[str, Path]) -> None:
+    """Write ``result`` into ``directory`` (created if missing)."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+
+    with open(directory / _CHAIN_FILE, "wb") as handle:
+        chain_record, _ = write_chain_log(
+            result.chain, handle, hashlib.sha256()
+        )
+
     with open(directory / _SNAPSHOT_FILE, "w", encoding="utf-8") as handle:
-        json.dump(snapshot, handle, separators=(",", ":"))
+        handle.write(_snapshot_text(result))
 
     from repro.etl.schema import SCHEMA_VERSION as ETL_SCHEMA_VERSION
 
@@ -328,6 +336,7 @@ def save_result(result: SimulationResult, directory: Union[str, Path]) -> None:
         "schema": SCHEMA_VERSION,
         "seed": result.config.seed,
         "config_digest": config_digest(result.config),
+        **chain_record,
         # Recorded for humans inspecting the entry; the authoritative
         # stamp lives inside the .db and is checked on every open.
         "etl_schema": ETL_SCHEMA_VERSION,
@@ -337,10 +346,12 @@ def save_result(result: SimulationResult, directory: Union[str, Path]) -> None:
 
 
 def load_result(directory: Union[str, Path]) -> SimulationResult:
-    """Reload a :func:`save_result` snapshot.
+    """Reload a :func:`save_result` snapshot, its chain log-backed.
 
     Raises:
         SimulationError: when the directory is not a compatible snapshot.
+        ChainError: when ``chain.log`` fails its recorded extent or
+            digests (a torn or corrupted entry).
     """
     directory = Path(directory)
     try:
@@ -361,9 +372,7 @@ def load_result(directory: Union[str, Path]) -> SimulationResult:
     config = _config_from_dict(snapshot["config"])
     hub = RngHub(config.seed)
 
-    chain = load_chain(
-        directory / _CHAIN_FILE, vars=ChainVars(), validate=False
-    )
+    chain, _, _ = load_chain_log(directory / _CHAIN_FILE, meta)
 
     world = World(
         rng_cities=hub.stream("cities"),

@@ -11,11 +11,12 @@ Because the state is explicit it is also *serializable*:
 ``WorldState.save(dir)`` writes a day-boundary checkpoint and
 ``WorldState.load(dir)`` reconstructs a state that continues the run
 **bit-identically** — the pinned scenario digests assert resumed ≡
-fresh. The checkpoint reuses the snapshot idioms of
-:mod:`repro.experiments.snapshot` (chain as a JSONL dump replayed with
-``validate=False``, world reconstructed against the deterministic
-city/ISP universe rather than pickled) and adds what a *mid-run* state
-needs beyond a finished result:
+fresh. The checkpoint shares its chain format and loader with
+:mod:`repro.experiments.snapshot` (a framed ``chain.log`` written by
+:func:`~repro.chain.serialize.write_chain_log` and streamed back by
+:func:`~repro.chain.serialize.load_chain_log`, world reconstructed
+against the deterministic city/ISP universe rather than pickled) and
+adds what a *mid-run* state needs beyond a finished result:
 
 * exact RNG stream states (``bit_generator.state`` per named stream —
   a few ints; restoring them realigns every stream with the draws the
@@ -48,18 +49,12 @@ from typing import Any, Dict, List, Optional, Set, Tuple, Union
 import numpy as np
 
 from repro import units
-from repro.chain.block import Block
 from repro.chain.blockchain import Blockchain
-from repro.chain.chainlog import (
-    CHAINLOG_MAGIC,
-    ChainLog,
-    scan_frames,
-    seed_digest,
-)
 from repro.chain.crypto import Address, Keypair
 from repro.chain.serialize import (
-    _prefund,
-    transaction_from_dict,
+    chain_log_extent,
+    load_chain_log,
+    write_chain_log,
 )
 from repro.chain.transactions import OuiRegistration, Transaction
 from repro.chain.varmap import ChainVars
@@ -329,26 +324,6 @@ def _sha256_file(path: Path) -> str:
     return _sha256_prefix(path)[0]
 
 
-class _HashingReader:
-    """Binary-handle wrapper that SHA-256-hashes everything read.
-
-    Lets the streaming checkpoint load produce the chain file's
-    integrity digest while scanning frames, instead of reading the
-    multi-MB file twice (once for the hash, once for the replay).
-    """
-
-    def __init__(self, handle, sha: "hashlib._Hash"):
-        self._handle = handle
-        self.sha = sha
-        self.bytes_read = 0
-
-    def read(self, size: int) -> bytes:
-        data = self._handle.read(size)
-        self.sha.update(data)
-        self.bytes_read += len(data)
-        return data
-
-
 @dataclass
 class WorldState:
     """All mutable state of one simulation run, phase-agnostic.
@@ -413,8 +388,8 @@ class WorldState:
     added_today: int = 0
 
     #: Running SHA-256 of the chain file the last :meth:`save` wrote (or
-    #: :meth:`load` verified):
-    #: ``{"blocks", "bytes", "sha", "hex", "tail"}``.
+    #: :meth:`load` verified): ``{"extent", "sha", "tail"}``, where
+    #: ``extent`` is its :func:`~repro.chain.serialize.chain_log_extent`.
     #: Lets a steady-state periodic save extend the previous chain dump
     #: without re-reading a single byte of it. Process-local, never
     #: serialized; ``None`` simply forces one prefix re-verification.
@@ -603,7 +578,7 @@ class WorldState:
         from repro.experiments import snapshot as snap
 
         config_digest = snap.config_digest(self.config)
-        chain_sha, chain_bytes, chain_tail = self._write_chain(
+        chain_record, chain_tail = self._write_chain(
             directory / _CHAIN_FILE, previous, config_digest
         )
 
@@ -694,9 +669,7 @@ class WorldState:
             "seed": self.config.seed,
             "day": self.day,
             "config_digest": config_digest,
-            "chain_blocks": len(self.chain.blocks),
-            "chain_bytes": chain_bytes,
-            "chain_sha256": chain_sha,
+            **chain_record,
             "chain_log_tail": chain_tail.hex(),
             "state_sha256": hashlib.sha256(
                 state_blob.encode("utf-8")
@@ -709,8 +682,9 @@ class WorldState:
 
     def _write_chain(
         self, path: Path, previous: Optional[Path], config_digest: str
-    ) -> Tuple[str, int, bytes]:
-        """Write ``chain.log``; returns ``(sha256, bytes, tail digest)``.
+    ) -> Tuple[Dict[str, Any], bytes]:
+        """Write ``chain.log``; returns its extent record (merged into
+        ``meta.json``) and the tail digest.
 
         The chain is append-only and the run deterministic, so a
         previous checkpoint of the same (config, seed) holds a byte
@@ -733,12 +707,13 @@ class WorldState:
         ``chain_bytes`` bytes: the old meta keeps describing a valid
         prefix of the grown file until the atomic swap replaces it.
         """
-        n_blocks = len(self.chain.blocks)
         base = None
         if previous is not None:
-            base = self._reusable_prefix(previous, config_digest, n_blocks)
+            base = self._reusable_prefix(
+                previous, config_digest, len(self.chain.blocks)
+            )
         if base is not None:
-            sha, prev_bytes, prev_blocks, tail = base
+            sha, prev_meta, tail = base
             sha = sha.copy()
             prev_file = previous / _CHAIN_FILE
             try:
@@ -746,51 +721,34 @@ class WorldState:
             except OSError:
                 shutil.copyfile(str(prev_file), str(path))
             with open(path, "r+b") as handle:
-                handle.truncate(prev_bytes)
-            total = prev_bytes
-            start = prev_blocks
-            mode = "ab"
+                record, tail = write_chain_log(
+                    self.chain, handle, sha, (prev_meta, tail)
+                )
         else:
             sha = hashlib.sha256()
-            tail = seed_digest()
-            total = 0
-            start = 0
-            mode = "wb"
-        with open(path, mode) as handle:
-            if start == 0:
-                handle.write(CHAINLOG_MAGIC)
-                sha.update(CHAINLOG_MAGIC)
-                total += len(CHAINLOG_MAGIC)
-            for frame, digest in self.chain.blocks.iter_frames(start, tail):
-                handle.write(frame)
-                sha.update(frame)
-                total += len(frame)
-                tail = digest
-        hexdigest = sha.hexdigest()
+            with open(path, "wb") as handle:
+                record, tail = write_chain_log(self.chain, handle, sha)
         self._chain_cache = {
-            "blocks": n_blocks, "bytes": total, "sha": sha,
-            "hex": hexdigest, "tail": tail,
+            "extent": chain_log_extent(record), "sha": sha, "tail": tail,
         }
-        return hexdigest, total, tail
+        return record, tail
 
     def _reusable_prefix(
         self, previous: Path, config_digest: str, n_blocks: int
-    ) -> Optional[Tuple["hashlib._Hash", int, int, bytes]]:
-        """``(hash object, bytes, blocks, tail digest)`` of the previous
+    ) -> Optional[Tuple["hashlib._Hash", Dict[str, Any], bytes]]:
+        """``(hash object, meta, tail digest)`` of the previous
         checkpoint's chain log when it is a trusted prefix of the live
         chain, else ``None`` (→ full write)."""
         try:
             meta = self.read_meta(previous)
-        except SimulationError:
+            extent = chain_log_extent(meta)
+        except (SimulationError, ChainError):
             return None
-        prev_blocks = meta.get("chain_blocks")
-        prev_bytes = meta.get("chain_bytes")
+        prev_blocks, prev_bytes, prev_sha = extent
         tail_hex = meta.get("chain_log_tail")
         if not (
             meta.get("schema") == CHECKPOINT_SCHEMA_VERSION
             and meta.get("config_digest") == config_digest
-            and isinstance(prev_blocks, int)
-            and isinstance(prev_bytes, int)
             and isinstance(tail_hex, str)
             and 0 < prev_blocks <= n_blocks
         ):
@@ -800,25 +758,20 @@ class WorldState:
         except ValueError:
             return None
         cache = self._chain_cache
-        if (
-            cache is not None
-            and cache["blocks"] == prev_blocks
-            and cache["bytes"] == prev_bytes
-            and cache["hex"] == meta.get("chain_sha256")
-        ):
+        if cache is not None and cache["extent"] == extent:
             # This process wrote (or load-verified) exactly those bytes:
             # trust the running hash, skip re-reading the prefix.
-            return cache["sha"], prev_bytes, prev_blocks, cache["tail"]
+            return cache["sha"], meta, cache["tail"]
         try:
             hexdigest, sha, size = _sha256_prefix(
                 previous / _CHAIN_FILE, prev_bytes
             )
         except OSError:
             return None
-        if size != prev_bytes or hexdigest != meta.get("chain_sha256"):
+        if size != prev_bytes or hexdigest != prev_sha:
             return None
         # The prefix hash validates, so the recorded tail describes it.
-        return sha, prev_bytes, prev_blocks, tail
+        return sha, meta, tail
 
     # -------------------------------------------------------------- load --
 
@@ -844,15 +797,13 @@ class WorldState:
         """Reconstruct a :meth:`save` checkpoint, bit-exactly.
 
         With ``chain_log=True`` (the default) the chain stays on disk:
-        each verified frame is byte-copied into the run's own anonymous
-        :class:`ChainLog` while its transactions replay through the
-        ledger, so resume-time peak RSS is bounded by one frame plus
-        the folded ledger — the block object graph is never resident.
-        ``chain_log=False`` rebuilds resident :class:`Block` objects,
-        still streaming one frame at a time (the old path read the whole
-        chain file into memory *and* decoded it to a second string-sized
-        copy before parsing — a transient double-residency spike that
-        grew with the chain).
+        :func:`~repro.chain.serialize.load_chain_log` byte-copies each
+        verified frame into the run's own anonymous chain log while its
+        transactions replay through the ledger, so resume-time peak RSS
+        is bounded by one frame plus the folded ledger — the block
+        object graph is never resident. ``chain_log=False`` rebuilds
+        resident :class:`~repro.chain.block.Block` objects, still
+        streaming one frame at a time.
 
         Raises:
             SimulationError: when the checkpoint is missing, schema-
@@ -876,12 +827,6 @@ class WorldState:
                 f"unsupported checkpoint schema {schema!r} in {directory} "
                 f"(this build reads schema {CHECKPOINT_SCHEMA_VERSION}): "
                 f"{hint}"
-            )
-        chain_blocks = meta.get("chain_blocks")
-        chain_bytes = meta.get("chain_bytes")
-        if not (isinstance(chain_blocks, int) and isinstance(chain_bytes, int)):
-            raise SimulationError(
-                f"corrupt checkpoint: meta lacks chain extent in {directory}"
             )
         chain_path = directory / _CHAIN_FILE
         if not chain_path.exists():
@@ -908,94 +853,21 @@ class WorldState:
         state = cls.create(config)
         state.day = int(payload["day"])
 
-        # Chain: stream-verify frames (digest chain + file hash in one
-        # pass, via the hashing reader) and replay each block's
-        # transactions with trusted parent hashes; the folded ledger
-        # (balances, gateways, OUIs) is identical to the live one. The
-        # scan consumes exactly ``chain_bytes``: an in-progress
+        # The load reads exactly ``chain_bytes``: an in-progress
         # incremental save may have appended past the recorded extent
         # (hardlinked inode), which this meta does not describe.
-        chain = Blockchain(ChainVars())
-        run_log = ChainLog() if chain_log else None
-        sha = hashlib.sha256()
-        tail = seed_digest()
-        frames = 0
         try:
-            with open(chain_path, "rb") as handle:
-                reader = _HashingReader(handle, sha)
-                for frame, height, raw, digest in scan_frames(
-                    reader, limit_bytes=chain_bytes
-                ):
-                    if frames == 0:
-                        if height != 0:
-                            raise SimulationError(
-                                f"corrupt checkpoint: first chain frame "
-                                f"is height {height}, not genesis"
-                            )
-                        # Genesis is already resident (Blockchain()
-                        # creates it); attach the run log only once it
-                        # mirrors the sequence exactly.
-                        if run_log is not None:
-                            run_log.append_frame(frame, height, digest)
-                            chain.attach_log(run_log)
-                    else:
-                        if height <= chain.height:
-                            raise SimulationError(
-                                f"corrupt checkpoint: chain height goes "
-                                f"{chain.height} -> {height}"
-                            )
-                        record = json.loads(raw)
-                        txns = [
-                            transaction_from_dict(p)
-                            for p in record.get("transactions", [])
-                        ]
-                        for txn in txns:
-                            _prefund(chain, txn)
-                        for txn in txns:
-                            chain.ledger.apply(txn, height)
-                        if run_log is not None:
-                            run_log.append_frame(frame, height, digest)
-                            chain._append_spilled(height)
-                        else:
-                            chain._append_block(Block(
-                                height=height,
-                                unix_time=int(record.get(
-                                    "time", units.block_to_unix_time(height)
-                                )),
-                                prev_hash=record.get("prev_hash", ""),
-                                transactions=tuple(txns),
-                            ))
-                    frames += 1
-                    tail = digest
+            chain, sha, tail = load_chain_log(
+                chain_path, meta, vars=ChainVars(), resident=not chain_log
+            )
         except ChainError as exc:
             # Torn frames, digest-chain breaks, malformed payloads.
             raise SimulationError(f"corrupt checkpoint: {exc}") from exc
-        if (
-            reader.bytes_read != chain_bytes
-            or sha.hexdigest() != meta.get("chain_sha256")
-        ):
-            raise SimulationError(
-                f"corrupt checkpoint: {_CHAIN_FILE} digest mismatch "
-                f"({sha.hexdigest()[:12]}… != recorded "
-                f"{str(meta.get('chain_sha256'))[:12]}…)"
-            )
-        if frames != chain_blocks:
-            raise SimulationError(
-                f"corrupt checkpoint: chain has {frames} "
-                f"blocks, meta records {chain_blocks}"
-            )
-        if run_log is not None and frames:
-            # Pin the tip: the next mint seeds prev_hash from it.
-            chain.blocks.keep_resident(frames - 1)
         state.chain = chain
         # Seed the running-hash cache so the first post-resume periodic
         # save extends this verified prefix without re-reading it.
         state._chain_cache = {
-            "blocks": chain_blocks,
-            "bytes": chain_bytes,
-            "sha": sha,
-            "hex": sha.hexdigest(),
-            "tail": tail,
+            "extent": chain_log_extent(meta), "sha": sha, "tail": tail,
         }
         state.checker = WitnessValidityChecker(
             min_distance_km=state.chain.vars.poc_witness_min_distance_km

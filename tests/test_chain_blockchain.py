@@ -4,7 +4,13 @@ import pytest
 
 from repro import units
 from repro.chain.blockchain import Blockchain
-from repro.chain.transactions import AddGateway, AssertLocation, PocRequest
+from repro.chain.chainlog import ChainLog
+from repro.chain.transactions import (
+    AddGateway,
+    AssertLocation,
+    PocRequest,
+    Transaction,
+)
 from repro.errors import ChainError, TransactionError
 
 
@@ -90,6 +96,26 @@ class TestQueries:
         assert len(window) == 2
         assert all(h == 20 for h, _ in window)
 
+    def test_iter_by_kind_tuple_keeps_chain_order(self, chain):
+        self._populate(chain)
+        mixed = list(chain.iter_transactions((AssertLocation, AddGateway)))
+        assert [(h, type(t)) for h, t in mixed] == [
+            (10, AddGateway), (20, AssertLocation), (20, AddGateway),
+        ]
+        # A base class selects every subclass, as isinstance would.
+        assert len(list(chain.iter_transactions(Transaction))) == 4
+        assert list(chain.iter_transactions(int)) == []
+
+    def test_iter_by_kind_in_height_window(self, chain):
+        self._populate(chain)
+        window = list(chain.iter_transactions(
+            AddGateway, start_height=15, end_height=30
+        ))
+        assert [(h, t.gateway) for h, t in window] == [(20, "hs_2")]
+        assert list(chain.iter_transactions(
+            PocRequest, start_height=31
+        )) == []
+
     def test_iter_with_predicate(self, chain):
         self._populate(chain)
         mine = list(chain.iter_transactions(
@@ -109,3 +135,28 @@ class TestQueries:
         assert chain.block_at(20).height == 20
         with pytest.raises(ChainError):
             chain.block_at(15)
+
+
+class TestBlockSequenceIndexing:
+    """``chain.blocks`` indexes like a list, resident or log-backed."""
+
+    @pytest.fixture(params=["resident", "log-backed"])
+    def four_blocks(self, request) -> Blockchain:
+        chain = Blockchain()
+        for height in (10, 20, 30):
+            chain.submit(AddGateway(gateway=f"hs_{height}", owner="wal_a"))
+            chain.mint_block(height)
+        if request.param == "log-backed":
+            chain.attach_log(ChainLog())
+            assert chain.evict_finalized() == 3
+        return chain
+
+    def test_negative_indices_within_range(self, four_blocks):
+        blocks = four_blocks.blocks
+        assert len(blocks) == 4
+        assert [blocks[i].height for i in range(-4, 0)] == [0, 10, 20, 30]
+
+    @pytest.mark.parametrize("index", [-5, -6, -8, 4, 9])
+    def test_out_of_range_index_raises(self, four_blocks, index):
+        with pytest.raises(IndexError):
+            four_blocks.blocks[index]

@@ -15,10 +15,18 @@ The contracts under test are the ones the bounded-RSS chain rests on:
   mid-append) is detected and rejected, or cleanly truncated with
   ``recover=True`` — never silently skipped. Corruption *before* the
   tail always raises, recover or not.
+* **Chain-log files.** ``write_chain_log`` returns the extent record
+  ``load_chain_log`` needs, and continuing a file after a recorded
+  extent writes the bytes a full write would.
+* **Typed reads.** The per-kind index makes ``iter_transactions(kind)``
+  equal a plain filtered loop over ``chain.blocks`` on every residency:
+  resident, evicted to the log, checkpoint-resumed and warm-loaded from
+  a scenario snapshot.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 
@@ -26,6 +34,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chain.blockchain import Blockchain
+from repro.chain import transactions as txns
 from repro.chain.chainlog import (
     CHAINLOG_MAGIC,
     FRAME_HEADER_SIZE,
@@ -35,7 +44,13 @@ from repro.chain.chainlog import (
     scan_frames,
     seed_digest,
 )
-from repro.chain.serialize import dump_chain, transaction_to_dict
+from repro.chain.serialize import (
+    dump_chain,
+    load_chain_log,
+    transaction_to_dict,
+    write_chain_log,
+)
+from repro.errors import ChainError
 
 from tests.etl_chains import ChainBuilder
 
@@ -44,6 +59,15 @@ def _dump_text(chain: Blockchain) -> str:
     sink = io.StringIO()
     dump_chain(chain, sink)
     return sink.getvalue()
+
+
+#: Every concrete transaction class.
+_KINDS = (
+    txns.AddGateway, txns.AssertLocation, txns.TransferHotspot,
+    txns.PocRequest, txns.PocReceipts, txns.StateChannelOpen,
+    txns.StateChannelClose, txns.Payment, txns.TokenBurn,
+    txns.OuiRegistration, txns.Rewards,
+)
 
 
 def _grown(seed: int, blocks: int) -> Blockchain:
@@ -75,14 +99,16 @@ class TestEvictionParity:
                 == [transaction_to_dict(t) for t in b.transactions]
             )
 
-        # Filtered iteration reads through the log identically.
-        assert [
-            (h, transaction_to_dict(t))
-            for h, t in resident.iter_transactions()
-        ] == [
-            (h, transaction_to_dict(t))
-            for h, t in evicted.iter_transactions()
-        ]
+        # Filtered iteration reads through the log identically, for the
+        # full scan and for every kind the index holds.
+        for kind in (None, *_KINDS):
+            assert [
+                (h, transaction_to_dict(t))
+                for h, t in evicted.iter_transactions(kind)
+            ] == [
+                (h, transaction_to_dict(t))
+                for h, t in resident.iter_transactions(kind)
+            ]
 
     def test_eviction_keeps_growing_chain_consistent(self):
         builder = ChainBuilder(seed=5, n_hotspots=5)
@@ -224,3 +250,161 @@ class TestTornTails:
         with open(path, "rb") as handle:
             with pytest.raises(ChainLogError, match="crosses the recorded"):
                 list(scan_frames(handle, limit_bytes=size - 4))
+
+
+class TestChainLogFile:
+    """``write_chain_log`` returns the extent record ``load_chain_log``
+    reads back from the caller's meta."""
+
+    def test_extent_record_round_trips(self, tmp_path):
+        chain = _grown(seed=5, blocks=40)
+        path = tmp_path / "chain.log"
+        with open(path, "wb") as handle:
+            record, tail = write_chain_log(chain, handle, hashlib.sha256())
+        assert record == {
+            "chain_blocks": len(chain.blocks),
+            "chain_bytes": path.stat().st_size,
+            "chain_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        }
+        loaded, sha, loaded_tail = load_chain_log(
+            path, {"schema": 3, **record}
+        )
+        assert sha.hexdigest() == record["chain_sha256"]
+        assert loaded_tail == tail
+        assert _dump_text(loaded) == _dump_text(chain)
+        for key in record:
+            partial = {k: v for k, v in record.items() if k != key}
+            with pytest.raises(ChainError, match="not recorded"):
+                load_chain_log(path, partial)
+
+    def test_continuing_after_an_extent_equals_a_full_write(self, tmp_path):
+        builder = ChainBuilder(seed=6, n_hotspots=5, n_owners=3)
+        builder.grow(blocks=20)
+        path = tmp_path / "grown.log"
+        with open(path, "wb") as handle:
+            record, tail = write_chain_log(
+                builder.chain, handle, hashlib.sha256()
+            )
+        builder.grow(blocks=20)
+        with open(path, "ab") as handle:
+            handle.write(b"bytes a killed append left")
+        sha = hashlib.sha256(path.read_bytes()[:record["chain_bytes"]])
+        with open(path, "r+b") as handle:
+            grown, _ = write_chain_log(
+                builder.chain, handle, sha, (record, tail)
+            )
+        full = tmp_path / "full.log"
+        with open(full, "wb") as handle:
+            expected, _ = write_chain_log(
+                builder.chain, handle, hashlib.sha256()
+            )
+        assert grown == expected
+        assert path.read_bytes() == full.read_bytes()
+
+
+def _plain_filter(chain, kind=None, start_height=0, end_height=None,
+                  predicate=None):
+    """``iter_transactions`` spelled as a loop over ``chain.blocks``."""
+    stop = chain.height if end_height is None else end_height
+    return [
+        (block.height, txn)
+        for block in chain.blocks
+        if start_height <= block.height <= stop
+        for txn in block.transactions
+        if (kind is None or isinstance(txn, kind))
+        and (predicate is None or predicate(txn))
+    ]
+
+
+class TestKindIndex:
+    """``iter_transactions`` over the per-kind index ≡ a plain filter."""
+
+    @pytest.fixture(scope="class")
+    def chains(self, tmp_path_factory):
+        from repro.experiments.snapshot import load_result, save_result
+        from repro.simulation import SimulationEngine
+
+        from tests.test_engine_hotpath import _trimmed_config
+
+        config = _trimmed_config(seed=31)
+        tmp = tmp_path_factory.mktemp("kind-index")
+        logged = SimulationEngine(config).run()
+        SimulationEngine(config).run(
+            stop_after_day=30, checkpoint_dir=tmp / "ckpt"
+        )
+        save_result(logged, tmp / "snap")
+        return {
+            "resident": SimulationEngine(config).run(chain_log=False).chain,
+            "log-backed": logged.chain,
+            "checkpoint-resumed": SimulationEngine.resume(
+                tmp / "ckpt"
+            ).run().chain,
+            "warm-loaded": load_result(tmp / "snap").chain,
+        }
+
+    @staticmethod
+    def _queries(chain):
+        tip = chain.height
+        third = tip // 3
+        yield {}
+        for kind in _KINDS:
+            yield {"kind": kind}
+        yield {"kind": (txns.AssertLocation, txns.PocReceipts)}
+        yield {"kind": txns.Transaction}
+        yield {"kind": (txns.Transaction, txns.Rewards)}
+        for kind in (None, txns.PocReceipts, txns.StateChannelClose):
+            yield {"kind": kind, "start_height": third}
+            yield {"kind": kind, "end_height": 2 * third}
+            yield {"kind": kind, "start_height": third,
+                   "end_height": 2 * third}
+            yield {"kind": kind, "start_height": tip + 1}
+        yield {"kind": txns.AssertLocation,
+               "predicate": lambda t: t.nonce > 1}
+        yield {"kind": (txns.Payment, txns.TransferHotspot),
+               "predicate": lambda t: getattr(t, "amount_dc", 0) > 0}
+
+    @pytest.mark.parametrize("name", [
+        "resident", "log-backed", "checkpoint-resumed", "warm-loaded",
+    ])
+    def test_typed_scan_equals_plain_filter(self, chains, name):
+        chain = chains[name]
+        reference = chains["resident"]
+        assert [b.height for b in chain.blocks] == [
+            b.height for b in reference.blocks
+        ]
+        for query in self._queries(reference):
+            got = list(chain.iter_transactions(**query))
+            assert got == _plain_filter(reference, **query), query
+            assert got == _plain_filter(chain, **query), query
+        # The engine's chains hold every class but token burns.
+        kinds = {type(t) for _, t in chain.iter_transactions(
+            txns.Transaction
+        )}
+        assert kinds == set(_KINDS) - {txns.TokenBurn}
+
+    def test_warm_load_keeps_only_the_tip_resident(self, chains):
+        chain = chains["warm-loaded"]
+        resident = [
+            position for position, slot in enumerate(chain.blocks._slots)
+            if slot is not None
+        ]
+        assert resident == [len(chain.blocks) - 1]
+        assert chain.tip.hash == chains["resident"].tip.hash
+
+    def test_ingest_of_warm_load_matches_fresh(self, chains):
+        """A warm-loaded chain ingests to the store a fresh replay of the
+        same chain gives. The reference is the validating JSONL replay,
+        not the simulated chain itself: the engine funds some wallets
+        off-chain, so every replayed ledger differs from the live one
+        in those balances (and always has)."""
+        from repro.chain.serialize import load_chain
+        from repro.etl import EtlStore, ingest_chain
+
+        replayed = load_chain(io.StringIO(_dump_text(chains["log-backed"])))
+        digests = []
+        for chain in (replayed, chains["warm-loaded"]):
+            store = EtlStore()
+            ingest_chain(chain, store, batch_blocks=64)
+            digests.append(store.content_digest())
+            store.close()
+        assert digests[0] == digests[1]

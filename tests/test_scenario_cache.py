@@ -164,6 +164,83 @@ class TestCacheWiring:
         assert meta["schema"] == SCHEMA_VERSION
 
 
+class TestEntryIntegrity:
+    """A cache entry either loads whole or is rebuilt, never shortened."""
+
+    @pytest.fixture()
+    def entry(self, monkeypatch, tmp_path, small_result):
+        monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path))
+        monkeypatch.setattr(context, "_CACHE", {})
+        entry = tmp_path / (
+            f"scn-seed7-{config_digest(small_scenario(seed=7))[:12]}"
+            f"-v{SCHEMA_VERSION}"
+        )
+        save_result(small_result, entry)
+        return entry
+
+    def test_meta_records_chain_extent(self, entry, small_result):
+        meta = json.loads((entry / "meta.json").read_text())
+        assert meta["chain_blocks"] == len(small_result.chain.blocks)
+        assert meta["chain_bytes"] == (entry / "chain.log").stat().st_size
+        assert not (entry / "chain.jsonl").exists()
+
+    def _truncate_last_frame(self, entry):
+        from repro.chain.chainlog import scan_frames
+
+        with open(entry / "chain.log", "r+b") as handle:
+            *_, (last, _, _, _) = scan_frames(handle)
+            handle.truncate(handle.tell() - len(last))
+
+    def _flip_payload_byte(self, entry):
+        path = entry / "chain.log"
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        path.write_bytes(bytes(blob))
+
+    def _wrong_sha(self, entry):
+        path = entry / "meta.json"
+        meta = json.loads(path.read_text())
+        meta["chain_sha256"] = "0" * 64
+        path.write_text(json.dumps(meta))
+
+    @pytest.mark.parametrize("damage", [
+        "_truncate_last_frame", "_flip_payload_byte", "_wrong_sha",
+    ])
+    def test_damaged_entry_is_rebuilt(self, entry, small_result, damage):
+        from repro.experiments.snapshot import result_digest
+
+        from tests.test_engine_hotpath import SMALL_SEED7_DIGEST
+
+        getattr(self, damage)(entry)
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            rebuilt = context.get_result("small", seed=7)
+        assert rebuilt is not small_result
+        assert result_digest(rebuilt) == SMALL_SEED7_DIGEST
+        # The healed entry on disk loads whole.
+        assert result_digest(load_result(entry)) == SMALL_SEED7_DIGEST
+
+    def test_failed_save_leaves_no_temp_entry(
+        self, monkeypatch, tmp_path, small_result
+    ):
+        """ENOSPC mid-save: warn, hand back the result, and remove the
+        partial temp entry."""
+        monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path))
+        monkeypatch.setattr(context, "_CACHE", {})
+        monkeypatch.setattr(
+            context, "_build_result", lambda *args: small_result
+        )
+
+        def full_disk(result, directory):
+            (directory / "chain.log").write_bytes(b"partial" * 1000)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(context.snapshot, "save_result", full_disk)
+        with pytest.warns(RuntimeWarning, match="could not persist"):
+            result = context.get_result("small", seed=7)
+        assert result is small_result
+        assert [p for p in tmp_path.iterdir() if p.is_dir()] == []
+
+
 class TestStoreWiring:
     """get_store: the ETL replica rides along inside the cache entry."""
 
