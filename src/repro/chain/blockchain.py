@@ -14,11 +14,12 @@ Residency is a second, orthogonal axis: ``chain.blocks`` is a
 :class:`BlockSequence` whose finalized prefix may be **spilled** to an
 append-to-disk :class:`~repro.chain.chainlog.ChainLog` (frame *i* holds
 block position *i*'s exact dump bytes). Spilled blocks materialise
-lazily as view objects on access, through a small LRU, so analyses and
-the ETL read the same ``Block`` values whether or not the object graph
-is resident — only the peak RSS differs. A chain loaded from a framed
-log file (checkpoint resume, warm scenario-cache load) is log-backed
-from the start: only its tip is resident.
+lazily as view objects on access, through a small LRU, so analyses
+read the same ``Block`` values whether or not the object graph is
+resident — only the peak RSS differs. The ETL reads the dump records
+themselves (:meth:`BlockSequence.iter_record_texts`). A chain loaded
+from a framed log file (checkpoint resume, warm scenario-cache load)
+is log-backed from the start: only its tip is resident.
 
 Typed reads go through a **per-kind position index**: for every
 concrete transaction class the chain holds an ``array`` of the block
@@ -278,11 +279,9 @@ class Blockchain:
         self.blocks = BlockSequence()
         self.blocks.append(Block.genesis())
         self._pending: List[Transaction] = []
-        #: height -> position in ``blocks`` (positions are stable: the
-        #: chain is append-only).
-        self._height_index: Dict[int, int] = {0: 0}
-        #: Materialised heights in ascending order (bisect support).
-        self._heights: List[int] = [0]
+        #: Height of the block at each position, ascending (positions
+        #: are stable: the chain is append-only), for bisecting.
+        self._heights = array("Q", [0])
         #: Concrete transaction class -> ascending positions of the
         #: blocks holding at least one (the per-kind index).
         self._kind_positions: Dict[type, array] = {}
@@ -367,7 +366,6 @@ class Blockchain:
         self, height: int, transactions: Iterable[Transaction]
     ) -> None:
         position = len(self.blocks)
-        self._height_index[height] = position
         self._heights.append(height)
         for cls in {type(txn) for txn in transactions}:
             positions = self._kind_positions.get(cls)
@@ -401,22 +399,19 @@ class Blockchain:
 
     def block_at(self, height: int) -> Block:
         """The materialised block at exactly ``height``."""
-        position = self._height_index.get(height)
-        if position is None:
+        return self.blocks[self.position_of(height)]
+
+    def position_of(self, height: int) -> int:
+        """The position of the block at exactly ``height``.
+
+        Raises:
+            ChainError: when no block sits at that height.
+        """
+        heights = self._heights
+        position = bisect_left(heights, height)
+        if position == len(heights) or heights[position] != height:
             raise ChainError(f"no block at height {height} (tip={self.height})")
-        return self.blocks[position]
-
-    def position_after(self, height: int) -> int:
-        """The position of the first block with height > ``height``."""
-        return bisect_right(self._heights, height)
-
-    def iter_blocks(self, start_height: int = 0) -> Iterator[Block]:
-        """Yield blocks with height >= ``start_height`` in chain order,
-        materialising one at a time (the ETL tail path)."""
-        for position in range(
-            bisect_left(self._heights, start_height), len(self._heights)
-        ):
-            yield self.blocks[position]
+        return position
 
     def iter_transactions(
         self,

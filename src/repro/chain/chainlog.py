@@ -28,9 +28,10 @@ representation for the simulated chain:
   and either raises :class:`ChainLogError` or, with ``recover=True``,
   truncates the file back to the last intact frame. A torn tail is
   never silently skipped.
-* **Random access.** Frames are indexed in memory as ``(offset,
-  length)`` pairs; :meth:`payload` is one ``os.pread``, so lazily
-  materialising block *i* never touches the rest of the file.
+* **Random access.** Frames are indexed in memory by two compact
+  arrays, offsets (``u64``) and payload lengths (``u32``, the header's
+  width); :meth:`payload` is one ``os.pread``, so lazily materialising
+  block *i* never touches the rest of the file.
 
 The default constructor backs the log with an anonymous unlinked
 temporary file: the descriptor keeps the bytes alive for the run and
@@ -43,8 +44,9 @@ import hashlib
 import os
 import struct
 import tempfile
+from array import array
 from pathlib import Path
-from typing import IO, Iterator, List, Optional, Tuple, Union
+from typing import IO, Iterator, Optional, Tuple, Union
 
 from repro.errors import ChainError
 
@@ -113,8 +115,8 @@ class ChainLog:
         os.write(self._fd, CHAINLOG_MAGIC)
         self.size = len(CHAINLOG_MAGIC)
         self.tail_digest = seed_digest()
-        self._offsets: List[int] = []
-        self._lengths: List[int] = []
+        self._offsets = array("Q")
+        self._lengths = array("I")
 
     # -- append ------------------------------------------------------------
 
@@ -202,8 +204,8 @@ class ChainLog:
         log._fd = os.open(path, os.O_RDWR)
         log.size = len(CHAINLOG_MAGIC)
         log.tail_digest = seed_digest()
-        log._offsets = []
-        log._lengths = []
+        log._offsets = array("Q")
+        log._lengths = array("I")
         try:
             file_size = os.fstat(log._fd).st_size
             magic = os.pread(log._fd, len(CHAINLOG_MAGIC), 0)

@@ -38,18 +38,19 @@ from repro.etl import schema
 from repro.geo.hexgrid import HexCell
 
 __all__ = [
-    "MAX_PAGE_LIMIT", "REPLICA_CACHE_KIB", "EtlStore", "ReadReplicas",
+    "MAX_PAGE_LIMIT", "PAGE_CACHE_KIB", "EtlStore", "ReadReplicas",
     "clamp_page",
 ]
 
 _MEMORY = ":memory:"
 
-#: Page-cache cap of a read-only replica, in KiB (SQLite's default is
-#: 2,000 KiB per connection). The serving tier opens one replica per
-#: worker thread over the same file, whose pages the OS page cache
-#: already holds, so a large private cache per replica only duplicates
-#: them; a small one still keeps the hot B-tree interior pages.
-REPLICA_CACHE_KIB = 256
+#: Page-cache cap of every connection, writer and read-only replicas
+#: alike, in KiB (SQLite's default is 2,000 KiB per connection). The
+#: file's pages already sit in the OS page cache, so a large private
+#: cache per connection only duplicates them; a small one still keeps
+#: the hot B-tree interior pages. The writer pays a little time for it:
+#: a warm ``paper`` ingest runs ~1 s longer than with the default.
+PAGE_CACHE_KIB = 256
 
 #: Hard ceiling on one page of results. Every paginated query surface
 #: (HTTP routes and the store's own paging helpers) clamps to this, so
@@ -93,6 +94,7 @@ class EtlStore:
     writable open; the mode is persistent), so readers see consistent
     snapshots and never block behind the ingest writer, and
     ``synchronous=NORMAL`` — the WAL-recommended durability point.
+    Every handle caps its page cache at :data:`PAGE_CACHE_KIB`.
 
     Raises:
         EtlError: if the file is not an ETL store, is corrupt, or was
@@ -124,18 +126,15 @@ class EtlStore:
                     uri, uri=True, check_same_thread=False,
                     isolation_level=None,
                 )
-                self.connection.execute("PRAGMA busy_timeout=5000")
-                self.connection.execute(
-                    f"PRAGMA cache_size=-{REPLICA_CACHE_KIB}"
-                )
             else:
                 self.connection = sqlite3.connect(self.path)
                 self.connection.execute("PRAGMA synchronous=NORMAL")
-                self.connection.execute("PRAGMA busy_timeout=5000")
-                if self.path != _MEMORY:
-                    # Persistent: every later open (including mode=ro
-                    # replicas) finds the database already in WAL.
-                    self.connection.execute("PRAGMA journal_mode=WAL")
+            self.connection.execute("PRAGMA busy_timeout=5000")
+            self.connection.execute(f"PRAGMA cache_size=-{PAGE_CACHE_KIB}")
+            if not read_only and self.path != _MEMORY:
+                # Persistent: every later open (including mode=ro
+                # replicas) finds the database already in WAL.
+                self.connection.execute("PRAGMA journal_mode=WAL")
             existing = self._schema_version()
         except sqlite3.DatabaseError as exc:
             raise EtlError(f"unreadable ETL store {self.path}: {exc}") from exc

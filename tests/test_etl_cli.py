@@ -7,8 +7,11 @@ import json
 import pytest
 
 from repro.core.explorer import Explorer
+from repro.etl import EtlStore, ingest_chain
 from repro.etl.cli import main
 from repro.experiments import context
+
+from tests.etl_chains import ChainBuilder
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +34,22 @@ class TestIngestCommand:
         assert report["up_to_date"] is True
         assert report["blocks_ingested"] == 0
         assert report["tip_height"] == result.chain.height
+
+    def test_refuses_a_store_of_another_chain(
+        self, ingested_db, tmp_path, capsys
+    ):
+        db = tmp_path / "foreign.db"
+        builder = ChainBuilder(seed=5)
+        builder.grow(12)
+        with EtlStore(db) as store:
+            ingest_chain(builder.chain, store)
+            digest = store.content_digest()
+        code = main(["ingest", "--db", str(db), "--scenario", "small"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        with EtlStore(db, create=False) as store:
+            assert store.checkpoint_height == builder.chain.height
+            assert store.content_digest() == digest
 
 
 class TestQueryCommand:

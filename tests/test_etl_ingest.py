@@ -1,7 +1,15 @@
-"""Incremental ingest: checkpoints, resume ≡ fresh, idempotent replays."""
+"""Incremental ingest: checkpoints, resume ≡ fresh, idempotent replays,
+refusal of foreign chains, and the record path's parity with blocks."""
 
 from __future__ import annotations
 
+import hashlib
+
+import pytest
+
+from repro.chain import serialize
+from repro.chain.chainlog import ChainLog
+from repro.errors import EtlError
 from repro.etl import EtlStore, ingest_chain
 
 from tests.etl_chains import ChainBuilder
@@ -107,3 +115,109 @@ class TestLedgerFold:
             gateway: record.owner
             for gateway, record in builder.chain.ledger.hotspots.items()
         }
+
+
+class TestForeignChain:
+    """A store only takes the chain it already holds a prefix of."""
+
+    def test_chain_with_a_different_block_at_the_checkpoint_is_refused(self):
+        store = EtlStore()
+        ingest_chain(_grown_builder(seed=1, blocks=12).chain, store)
+        checkpoint = store.checkpoint_height
+        digest = store.content_digest()
+        foreign = _grown_builder(seed=2, blocks=12).chain
+        assert foreign.block_at(checkpoint).hash != store.connection.execute(
+            "SELECT hash FROM blocks WHERE height=?", (checkpoint,)
+        ).fetchone()[0]
+        with pytest.raises(EtlError, match="different chain"):
+            ingest_chain(foreign, store)
+        assert store.checkpoint_height == checkpoint
+        assert store.content_digest() == digest
+
+    def test_shorter_chain_is_refused(self):
+        store = EtlStore()
+        ingest_chain(_grown_builder(seed=3, blocks=12).chain, store)
+        assert store.checkpoint_height == 17
+        digest = store.content_digest()
+        # The same seed grown less: a prefix that ends below the store.
+        shorter = _grown_builder(seed=3, blocks=6).chain
+        assert shorter.height == 11
+        with pytest.raises(EtlError, match="has no block"):
+            ingest_chain(shorter, store)
+        assert store.checkpoint_height == 17
+        assert store.content_digest() == digest
+
+
+def _evicted_builder(seed: int, blocks: int) -> ChainBuilder:
+    builder = ChainBuilder(seed=seed, n_hotspots=5)
+    builder.chain.attach_log(ChainLog())
+    builder.grow(blocks)
+    builder.chain.evict_finalized()
+    return builder
+
+
+def _warm_loaded(chain, tmp_path):
+    """``chain`` written to a chain-log file and streamed back, as a warm
+    scenario-cache load does: log-backed, only the tip resident."""
+    path = tmp_path / "chain.log"
+    with open(path, "wb") as handle:
+        record, _ = serialize.write_chain_log(chain, handle, hashlib.sha256())
+    loaded, _, _ = serialize.load_chain_log(path, record)
+    return loaded
+
+
+class TestRecordPath:
+    """Ingest reads dump records, never ``Block`` objects; the rows it
+    writes are the ones the blocks describe."""
+
+    #: ``content_digest`` of ``ChainBuilder(seed=41)`` grown 40 blocks,
+    #: as the block-object ingest wrote it before the record path.
+    PINNED_DIGEST = (
+        "fc277bbb2b055c312d5796a910b0bec58ef9282d04c22db9917f720e9c859a47"
+    )
+
+    def test_content_digest_is_pinned(self):
+        builder = ChainBuilder(seed=41)
+        builder.grow(40)
+        store = EtlStore()
+        ingest_chain(builder.chain, store, batch_blocks=16)
+        assert store.content_digest() == self.PINNED_DIGEST
+
+    @pytest.mark.parametrize("residency", ["resident", "evicted", "warm"])
+    def test_block_hashes_equal_the_blocks(self, residency, tmp_path):
+        reference = _grown_builder(seed=51, blocks=30).chain
+        if residency == "resident":
+            chain = reference
+        elif residency == "evicted":
+            chain = _evicted_builder(seed=51, blocks=30).chain
+        else:
+            chain = _warm_loaded(reference, tmp_path)
+        store = EtlStore()
+        ingest_chain(chain, store, batch_blocks=7)
+        stored = store.connection.execute(
+            "SELECT height, hash FROM blocks ORDER BY height"
+        ).fetchall()
+        assert stored == [(b.height, b.hash) for b in reference.blocks]
+        assert stored == [(b.height, b.hash) for b in chain.blocks]
+        assert store.get_meta("tip_hash") == chain.tip.hash
+
+    @pytest.mark.parametrize("residency", ["evicted", "warm"])
+    def test_log_backed_ingest_builds_no_block(
+        self, residency, tmp_path, monkeypatch
+    ):
+        chain = _evicted_builder(seed=52, blocks=30).chain
+        if residency == "warm":
+            chain = _warm_loaded(chain, tmp_path)
+        cached = list(chain.blocks._cache)
+
+        def no_blocks(record):
+            raise AssertionError("ingest built a Block")
+
+        monkeypatch.setattr(serialize, "block_from_record", no_blocks)
+        store = EtlStore()
+        ingest_chain(chain, store, batch_blocks=8)
+        assert list(chain.blocks._cache) == cached
+        assert store.checkpoint_height == chain.height
+        counts = store.counts()
+        assert counts["blocks"] == len(chain.blocks)
+        assert counts["transactions"] == chain.total_transactions

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.etl.store import REPLICA_CACHE_KIB, EtlStore, ReadReplicas
+from repro.etl.store import PAGE_CACHE_KIB, EtlStore, ReadReplicas
 
 SERVE_MODULES = ("repro.serve.server", "repro.serve.cli", "repro.etl.store")
 FORBIDDEN = ("numpy", "repro.simulation", "repro.experiments")
@@ -77,6 +77,7 @@ def test_every_exported_name_resolves(package):
 
 def test_read_only_replica_caps_its_page_cache(tmp_path):
     # A negative cache_size is a size in KiB; SQLite's default is -2000.
+    # The writer and every replica share one cap.
     path = tmp_path / "etl.db"
     with EtlStore(path) as writer:
         writer_kib = -writer.connection.execute("PRAGMA cache_size").fetchone()[0]
@@ -87,4 +88,4 @@ def test_read_only_replica_caps_its_page_cache(tmp_path):
         ).fetchone()[0]
     finally:
         replicas.close_all()
-    assert replica_kib == REPLICA_CACHE_KIB < writer_kib
+    assert writer_kib == replica_kib == PAGE_CACHE_KIB
