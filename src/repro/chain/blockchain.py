@@ -23,8 +23,8 @@ is log-backed from the start: only its tip is resident.
 
 Typed reads go through a **per-kind position index**: for every
 concrete transaction class the chain holds an ``array`` of the block
-positions that contain one. Every append path fills it (mint and both
-framed-log loads), so it never goes stale, and
+positions that contain one. Every append path fills it (mint and the
+framed-log load), so it never goes stale, and
 :meth:`Blockchain.iter_transactions` visits only the blocks holding the
 requested kind. A spilled block outside the LRU is then decoded entry by
 entry — only the matching transactions are built, never a ``Block``.
@@ -345,14 +345,10 @@ class Blockchain:
             prev_hash=self.tip.hash,
             transactions=tuple(applied),
         )
-        self._append_block(block)
-        self._pending = []
-        return block
-
-    def _append_block(self, block: Block) -> None:
-        """Register a new tip block (mint and resident-load paths)."""
         self._index(block.height, block.transactions)
         self.blocks.append(block)
+        self._pending = []
+        return block
 
     def _append_spilled(
         self, height: int, transactions: Iterable[Transaction]

@@ -341,7 +341,6 @@ def load_chain_log(
     path: Union[str, Path],
     meta: Mapping[str, Any],
     vars: ChainVars = ChainVars(),
-    resident: bool = False,
 ) -> Tuple[Blockchain, "hashlib._Hash", bytes]:
     """Stream a :func:`write_chain_log` file back into a chain.
 
@@ -355,8 +354,7 @@ def load_chain_log(
     Each block's transactions replay through the ledger (parent hashes
     are the recorded ones). The frame itself is byte-copied into a new
     anonymous :class:`ChainLog` — ``path`` is only ever read — and the
-    chain keeps just its tip resident. ``resident=True`` builds every
-    :class:`Block` instead and attaches no log.
+    chain keeps just its tip resident.
 
     Returns ``(chain, hash of the bytes read, digest-chain tail)``.
 
@@ -366,7 +364,7 @@ def load_chain_log(
     """
     blocks, size, sha256 = chain_log_extent(meta)
     chain = Blockchain(vars)
-    log = None if resident else ChainLog()
+    log = ChainLog()
     try:
         sha = hashlib.sha256(CHAINLOG_MAGIC)
         read = len(CHAINLOG_MAGIC)
@@ -387,10 +385,9 @@ def load_chain_log(
                             f"not genesis"
                         )
                     # Genesis is already in place (Blockchain() makes it).
-                    if log is not None:
-                        log.append_frame(frame, digest)
-                        chain.attach_log(log)
-                        chain.evict_finalized(keep_tail=0)
+                    log.append_frame(frame, digest)
+                    chain.attach_log(log)
+                    chain.evict_finalized(keep_tail=0)
                     continue
                 if height <= chain.height:
                     raise ChainError(
@@ -401,11 +398,8 @@ def load_chain_log(
                     _prefund(chain, txn)
                 for txn in block.transactions:
                     chain.ledger.apply(txn, height)
-                if log is None:
-                    chain._append_block(block)
-                else:
-                    log.append_frame(frame, digest)
-                    chain._append_spilled(height, block.transactions)
+                log.append_frame(frame, digest)
+                chain._append_spilled(height, block.transactions)
         if read != size or sha.hexdigest() != sha256:
             raise ChainError(
                 f"chain log digest mismatch ({sha.hexdigest()[:12]}… != "
@@ -415,12 +409,11 @@ def load_chain_log(
             raise ChainError(
                 f"chain log has {frames} blocks, meta records {blocks}"
             )
-        if log is not None and frames:
+        if frames:
             # Pin the tip: the next mint seeds prev_hash from it.
             chain.blocks.keep_resident(frames - 1)
     except BaseException:
-        if log is not None:
-            log.close()
+        log.close()
         raise
     return chain, sha, tail
 

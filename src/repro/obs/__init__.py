@@ -14,9 +14,9 @@ Two cooperating pieces:
 
 Everything is always-on but cheap: metrics cost a lock plus dict ops,
 trace events are no-ops until a sink is configured. ``REPRO_OBS=off``
-disables metric recording entirely — the overhead benchmark in
-``benchmarks/bench_parallel.py`` measures the difference and holds it
-under the documented budget (DESIGN.md §9).
+disables metric recording entirely — the overhead check in
+``tests/test_budgets.py`` measures the difference and holds it under
+its bound (DESIGN.md §9).
 
 Typical use::
 

@@ -15,7 +15,7 @@ Timing histograms keep count / sum / min / max plus fixed exponential
 buckets, which is what the Prometheus text export needs and costs a few
 dict operations per observation — cheap enough to leave on in the hot
 paths (the ``REPRO_OBS=off`` switch exists for measuring that claim,
-see ``benchmarks/bench_parallel.py``).
+see ``tests/test_budgets.py``).
 
 >>> registry = MetricsRegistry()
 >>> registry.counter("demo.events")

@@ -2,13 +2,13 @@
 
 The farm used to dispatch tasks in registry order, which parked the
 18-second ``s8_1`` monolith at whatever position the registry gave it —
-often the tail of the queue, where it alone set the makespan (the
-measured 1.01× "speedup" in earlier ``BENCH_parallel.json`` revisions).
+often the tail of the queue, where it alone set the makespan (a
+measured 1.01× "speedup" at four workers).
 Longest-processing-time-first is the classic 4/3-approximation for
 minimising makespan on identical machines, and it only needs a rough
-cost ordering, not accurate walls — so a static table seeded from the
-benchmark's measured per-experiment walls is enough, with a small
-default for experiments the table has never met.
+cost ordering, not accurate walls — so a static table seeded from
+measured per-experiment walls is enough, with a small default for
+experiments the table has never met.
 
 Costs are keyed by ``(experiment_id, unit)``: ``s8_1`` decomposes into
 four independent stationary-trial units (see
@@ -22,9 +22,11 @@ from typing import Optional, Sequence, Tuple
 
 __all__ = ["DEFAULT_COST_S", "longest_first", "task_cost"]
 
-#: Whole-experiment walls (seconds) from ``BENCH_parallel.json``'s
-#: ``per_experiment_wall_s`` on the recording host. Relative order is
-#: what matters; absolute values just make the table auditable.
+#: Whole-experiment walls (seconds) of one serial run of every
+#: experiment on the ``small`` scenario, seed 2021, warm cache, on a
+#: 1-CPU host (the farm check in ``tests/test_budgets.py`` measures
+#: the same walls). Relative order is what matters; absolute values
+#: just make the table auditable.
 EXPERIMENT_COST_S = {
     "s8_1": 20.1226,
     "fig12": 1.1006,
@@ -49,9 +51,9 @@ EXPERIMENT_COST_S = {
     "s4_3": 0.0008,
 }
 
-#: Per-unit walls for decomposable experiments, from the benchmark's
-#: ``s8_1_unit_wall_s``. The May unit (24 simulated hours) costs roughly
-#: three September units (8 hours each), as the hour split predicts.
+#: Per-unit walls for decomposable experiments, from the same run. The
+#: May unit (24 simulated hours) costs roughly three September units
+#: (8 hours each), as the hour split predicts.
 UNIT_COST_S = {
     ("s8_1", "may"): 9.1808,
     ("s8_1", "sept-0"): 3.3338,

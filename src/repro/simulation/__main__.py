@@ -70,17 +70,6 @@ def main(argv=None) -> int:
         help="halt once D days are simulated, saving a checkpoint to "
         "--checkpoint-dir (exit summary reports the partial state)",
     )
-    parser.add_argument(
-        "--chain-log", dest="chain_log", action="store_true", default=True,
-        help="spill finalized blocks to an append-to-disk chain log, "
-        "bounding chain RSS (the default; results are byte-identical "
-        "either way)",
-    )
-    parser.add_argument(
-        "--resident-chain", dest="chain_log", action="store_false",
-        help="keep every block resident in memory (the pre-chain-log "
-        "behaviour; needs RSS proportional to run length)",
-    )
     args = parser.parse_args(argv)
 
     if args.list_scenarios:
@@ -96,7 +85,7 @@ def main(argv=None) -> int:
 
     started = time.time()
     if args.resume:
-        engine = SimulationEngine.resume(args.resume, chain_log=args.chain_log)
+        engine = SimulationEngine.resume(args.resume)
         config = engine.config
         print(f"resuming from {args.resume} at day {engine.state.day} "
               f"(seed {config.seed}, {config.n_days} days total)...")
@@ -119,7 +108,6 @@ def main(argv=None) -> int:
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=checkpoint_dir,
         stop_after_day=args.stop_after,
-        chain_log=args.chain_log,
     )
     elapsed = time.time() - started
 

@@ -99,18 +99,9 @@ class SimulationEngine:
         checkpoint_dir: Union[str, Path],
         *,
         phases: Optional[List[Phase]] = None,
-        chain_log: bool = True,
     ) -> "SimulationEngine":
-        """Engine positioned at a checkpoint's next unsimulated day.
-
-        ``chain_log`` selects the chain residency of the restored state
-        (see :meth:`WorldState.load`); it defaults to the bounded-RSS
-        on-disk log, matching :meth:`run`'s default.
-        """
-        return cls(
-            state=WorldState.load(checkpoint_dir, chain_log=chain_log),
-            phases=phases,
-        )
+        """Engine positioned at a checkpoint's next unsimulated day."""
+        return cls(state=WorldState.load(checkpoint_dir), phases=phases)
 
     # Back-compat accessors: the run state used to live directly on the
     # engine; analyses, tests, and the CLI still reach it this way.
@@ -148,17 +139,14 @@ class SimulationEngine:
         checkpoint_every: Optional[int] = None,
         checkpoint_dir: Optional[Union[str, Path]] = None,
         stop_after_day: Optional[int] = None,
-        chain_log: bool = True,
     ) -> Optional[SimulationResult]:
         """Execute the scenario and return the result bundle.
 
-        ``chain_log=True`` (the default) attaches an append-to-disk
-        :class:`~repro.chain.chainlog.ChainLog` and spills each day's
+        The chain is log-backed: an append-to-disk
+        :class:`~repro.chain.chainlog.ChainLog` takes each day's
         finalized blocks out of memory at the day boundary, keeping the
         chain's RSS footprint bounded regardless of run length; blocks
-        rematerialize lazily wherever the result is read, so the chain,
-        digests, and dumps are byte-identical to ``chain_log=False``
-        (the fully resident object graph — the pre-log behaviour).
+        rematerialize lazily wherever the result is read.
 
         With ``checkpoint_every=N`` (requires ``checkpoint_dir``), the
         full run state is saved after every N-th completed day — each
@@ -178,7 +166,7 @@ class SimulationEngine:
         if stop_after_day is not None and stop_after_day < 1:
             raise SimulationError("stop_after_day must be >= 1")
 
-        if chain_log and state.chain.chain_log is None:
+        if state.chain.chain_log is None:
             from repro.chain.chainlog import ChainLog
 
             state.chain.attach_log(ChainLog())
@@ -189,11 +177,10 @@ class SimulationEngine:
         for day in range(state.day, n_days):
             self.scheduler.run_day(state, day)
             state.day = day + 1
-            if chain_log:
-                # Day boundary: the batch is minted and nothing holds a
-                # block reference, so spill the finalized prefix. Runs
-                # before the checkpoint so a save raw-copies frames.
-                state.chain.evict_finalized()
+            # Day boundary: the batch is minted and nothing holds a
+            # block reference, so spill the finalized prefix. Runs
+            # before the checkpoint so a save raw-copies frames.
+            state.chain.evict_finalized()
             if state.day >= n_days:
                 break
             if stop_after_day is not None and state.day >= stop_after_day:

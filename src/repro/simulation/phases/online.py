@@ -47,8 +47,8 @@ class OnlinePhase(Phase):
     """Applies the day's online/offline flips.
 
     The implementation is swappable: equivalence tests monkeypatch
-    ``impl`` with :func:`repro.simulation.reference.
-    update_online_reference` and assert the digest does not move.
+    ``impl`` with ``update_online_reference`` from
+    ``tests/reference_twins.py`` and assert the digest does not move.
     """
 
     name = "online"

@@ -82,7 +82,7 @@ class PoCPhase(Phase):
     """Runs the day's thinned challenge schedule.
 
     ``candidates_impl`` is swappable: equivalence tests monkeypatch it
-    with :func:`repro.simulation.reference.candidates_for_reference`.
+    with ``candidates_for_reference`` from ``tests/reference_twins.py``.
     """
 
     name = "poc"

@@ -81,7 +81,7 @@ class TrafficPhase(Phase):
     """Generates the day's traffic and its on-chain state channels.
 
     ``ferry_impl`` is swappable: equivalence tests monkeypatch it with
-    :func:`repro.simulation.reference.ferry_weights_reference`.
+    ``ferry_weights_reference`` from ``tests/reference_twins.py``.
     """
 
     name = "traffic"

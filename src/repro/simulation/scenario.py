@@ -361,10 +361,9 @@ def million_hotspot_scenario(seed: int = 2021) -> ScenarioConfig:
     hotspot/day; ``poc_thinning_factor`` records the ratio) so the
     per-day transaction volume stays tractable. The chain this tier
     produces is orders of magnitude too large to hold resident: it is
-    only feasible with the append-to-disk chain log
-    (``chain_log=True``, the engine default) bounding chain RSS.
-    Capped-day runs (``stop_after_day`` / ``REPRO_SCALE_DAYS``) are the
-    intended smoke vehicle; the fleet reaches full size late in the
+    only feasible because the engine's append-to-disk chain log bounds
+    chain RSS. Capped-day runs (``stop_after_day``, ``--stop-after``
+    on the CLI) are the intended smoke vehicle; the fleet reaches full size late in the
     adoption schedule. Knobs:
     ``repro/scenarios/builtin/million-hotspot.json``.
     """

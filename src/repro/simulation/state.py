@@ -455,8 +455,10 @@ class WorldState:
         """Register the console + third-party OUIs and mint block 1."""
         console_owner = Keypair.generate("console", "wal").address
         oui_owners: Dict[int, Address] = {1: console_owner, 2: console_owner}
+        # Credit exactly the fees the registrations spend, as a replay
+        # of the chain does: the ledger then equals a framed-log load's.
         self.chain.ledger.credit_dc(
-            console_owner, 10 * self.chain.vars.oui_fee_dc
+            console_owner, 2 * self.chain.vars.oui_fee_dc
         )
         self.chain.submit(OuiRegistration(oui=1, owner=console_owner,
                                           fee_dc=self.chain.vars.oui_fee_dc))
@@ -465,7 +467,7 @@ class WorldState:
         for oui in range(3, 3 + self.config.third_party_ouis):
             owner = Keypair.generate(f"router-{oui}", "wal").address
             oui_owners[oui] = owner
-            self.chain.ledger.credit_dc(owner, 2 * self.chain.vars.oui_fee_dc)
+            self.chain.ledger.credit_dc(owner, self.chain.vars.oui_fee_dc)
             self.chain.submit(OuiRegistration(
                 oui=oui, owner=owner, fee_dc=self.chain.vars.oui_fee_dc
             ))
@@ -791,19 +793,15 @@ class WorldState:
             ) from exc
 
     @classmethod
-    def load(
-        cls, directory: Union[str, Path], chain_log: bool = True
-    ) -> "WorldState":
+    def load(cls, directory: Union[str, Path]) -> "WorldState":
         """Reconstruct a :meth:`save` checkpoint, bit-exactly.
 
-        With ``chain_log=True`` (the default) the chain stays on disk:
+        The chain stays on disk:
         :func:`~repro.chain.serialize.load_chain_log` byte-copies each
         verified frame into the run's own anonymous chain log while its
         transactions replay through the ledger, so resume-time peak RSS
         is bounded by one frame plus the folded ledger — the block
-        object graph is never resident. ``chain_log=False`` rebuilds
-        resident :class:`~repro.chain.block.Block` objects, still
-        streaming one frame at a time.
+        object graph is never resident.
 
         Raises:
             SimulationError: when the checkpoint is missing, schema-
@@ -858,7 +856,7 @@ class WorldState:
         # (hardlinked inode), which this meta does not describe.
         try:
             chain, sha, tail = load_chain_log(
-                chain_path, meta, vars=ChainVars(), resident=not chain_log
+                chain_path, meta, vars=ChainVars()
             )
         except ChainError as exc:
             # Torn frames, digest-chain breaks, malformed payloads.

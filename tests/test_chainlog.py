@@ -20,8 +20,8 @@ The contracts under test are the ones the bounded-RSS chain rests on:
   extent writes the bytes a full write would.
 * **Typed reads.** The per-kind index makes ``iter_transactions(kind)``
   equal a plain filtered loop over ``chain.blocks`` on every residency:
-  resident, evicted to the log, checkpoint-resumed and warm-loaded from
-  a scenario snapshot.
+  a resident JSONL replay, evicted to the log, checkpoint-resumed and
+  warm-loaded from a scenario snapshot.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from repro.chain.chainlog import (
 )
 from repro.chain.serialize import (
     dump_chain,
+    load_chain,
     load_chain_log,
     transaction_to_dict,
     write_chain_log,
@@ -334,7 +335,8 @@ class TestKindIndex:
         )
         save_result(logged, tmp / "snap")
         return {
-            "resident": SimulationEngine(config).run(chain_log=False).chain,
+            # A validating, fully resident replay of the simulated chain.
+            "resident": load_chain(io.StringIO(_dump_text(logged.chain))),
             "log-backed": logged.chain,
             "checkpoint-resumed": SimulationEngine.resume(
                 tmp / "ckpt"
@@ -392,19 +394,16 @@ class TestKindIndex:
         assert chain.tip.hash == chains["resident"].tip.hash
 
     def test_ingest_of_warm_load_matches_fresh(self, chains):
-        """A warm-loaded chain ingests to the store a fresh replay of the
-        same chain gives. The reference is the validating JSONL replay,
-        not the simulated chain itself: the engine funds some wallets
-        off-chain, so every replayed ledger differs from the live one
-        in those balances (and always has)."""
-        from repro.chain.serialize import load_chain
+        """A warm-loaded chain ingests to the store that the simulated
+        chain and a validating JSONL replay of it give: every ledger
+        balance, DC included, is the same however the chain got into
+        memory."""
         from repro.etl import EtlStore, ingest_chain
 
-        replayed = load_chain(io.StringIO(_dump_text(chains["log-backed"])))
         digests = []
-        for chain in (replayed, chains["warm-loaded"]):
+        for name in ("resident", "log-backed", "warm-loaded"):
             store = EtlStore()
-            ingest_chain(chain, store, batch_blocks=64)
+            ingest_chain(chains[name], store, batch_blocks=64)
             digests.append(store.content_digest())
             store.close()
-        assert digests[0] == digests[1]
+        assert digests[0] == digests[1] == digests[2]

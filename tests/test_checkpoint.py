@@ -82,24 +82,6 @@ class TestResumeEqualsFresh:
         assert engine.state.day == 35
         assert result_digest(engine.run()) == fresh
 
-    def test_resident_chain_resume_is_bit_identical(self, tmp_path):
-        """--resident-chain (chain_log=False) round-trips through the
-        same v3 checkpoint files, and its digest equals the default
-        log-backed run's — the two residency modes are one format."""
-        config = _trimmed_config(seed=21)
-        fresh = result_digest(
-            SimulationEngine(config).run(chain_log=False)
-        )
-        assert fresh == _fresh_digest(config)  # log on ≡ log off
-        ckpt = tmp_path / "ckpt"
-        SimulationEngine(config).run(
-            stop_after_day=25, checkpoint_dir=ckpt, chain_log=False
-        )
-        resumed = SimulationEngine.resume(ckpt, chain_log=False).run(
-            chain_log=False
-        )
-        assert result_digest(resumed) == fresh
-
     @pytest.mark.skipif(
         not os.environ.get("REPRO_PAPER_DIGEST"),
         reason="paper-scale build (~40s); set REPRO_PAPER_DIGEST=1 "

@@ -1,7 +1,7 @@
 """Day-loop hot-path elimination: bit-identity against reference twins.
 
 The repo keeps the pre-optimisation implementations in-tree
-(:mod:`repro.simulation.reference`) as equivalence oracles; the fast
+(``tests/reference_twins.py``) as equivalence oracles; the fast
 paths hang off their phase classes as swappable ``staticmethod``
 attributes (``OnlinePhase.impl``, ``TrafficPhase.ferry_impl``,
 ``PoCPhase.candidates_impl``). These tests assert the two strongest
@@ -29,11 +29,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.snapshot import result_digest
 from repro.simulation import SimulationEngine, small_scenario
-from repro.simulation import reference
 from repro.simulation.phases import OnlinePhase, PoCPhase, TrafficPhase
 from repro.simulation.phases.online import update_online
 from repro.simulation.phases.poc import candidates_for
 from repro.simulation.phases.traffic import ferry_weights
+
+from tests import reference_twins as reference
 
 #: Captured on the pre-optimisation engine (PR 2 tree); neither the
 #: hot-path rewrite nor the WorldState/phase refactor may move them.
