@@ -12,17 +12,18 @@ Run with::
     python examples/cheat_detection.py
 """
 
-from repro import SimulationEngine, small_scenario
+from repro import SimulationEngine
 from repro.core.analysis.incentives import (
     cheater_rewards,
     find_rssi_anomalies,
     find_silent_movers,
 )
 from repro.poc.cheats import GossipClique, RssiLiar, SilentMover
+from repro.scenarios import resolve
 
 
 def main() -> None:
-    result = SimulationEngine(small_scenario(seed=97)).run()
+    result = SimulationEngine(resolve("small", seed=97).config).run()
     world = result.world
 
     truth = {"silent_mover": set(), "rssi_liar": set(), "gossip": set()}

@@ -14,7 +14,7 @@ Run with::
 
 import numpy as np
 
-from repro import SimulationEngine, small_scenario
+from repro import SimulationEngine
 from repro.chain.transactions import PocReceipts
 from repro.core.coverage import (
     DiskModel,
@@ -27,10 +27,11 @@ from repro.geo.hexgrid import HexCell
 from repro.geo.landmass import CONTIGUOUS_US
 from repro.radio.propagation import LinkBudget, PropagationModel
 from repro.rng import RngHub
+from repro.scenarios import resolve
 
 
 def main() -> None:
-    result = SimulationEngine(small_scenario(seed=5)).run()
+    result = SimulationEngine(resolve("small", seed=5).config).run()
     hub = RngHub(777)
     landmass = CONTIGUOUS_US
     scale = result.config.scale_factor

@@ -19,7 +19,7 @@ Run with::
 
 import numpy as np
 
-from repro import SimulationEngine, small_scenario
+from repro import SimulationEngine
 from repro.chain.transactions import PocReceipts
 from repro.core.coverage import DiskModel, HullModel, RevisedModel, build_witness_geometry
 from repro.field.counter_app import CounterAppExperiment
@@ -27,10 +27,11 @@ from repro.core.analysis.empirical import hotspot_field_near
 from repro.geo.geodesy import destination
 from repro.geo.hexgrid import HexCell
 from repro.rng import RngHub
+from repro.scenarios import resolve
 
 
 def main() -> None:
-    result = SimulationEngine(small_scenario(seed=11)).run()
+    result = SimulationEngine(resolve("small", seed=11).config).run()
     hub = RngHub(1234)
 
     # Target: the densest US deployment in the simulated world.

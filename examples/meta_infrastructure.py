@@ -13,7 +13,7 @@ Run with::
     python examples/meta_infrastructure.py
 """
 
-from repro import SimulationEngine, small_scenario
+from repro import SimulationEngine
 from repro.core.analysis.meta import isp_ranking, tos_exposure
 from repro.core.analysis.outage import isp_outage_impact, worst_city_outages
 from repro.core.analysis.rewards import (
@@ -22,10 +22,11 @@ from repro.core.analysis.rewards import (
     speculation_ratio,
 )
 from repro.core.explorer import Explorer
+from repro.scenarios import resolve
 
 
 def main() -> None:
-    result = SimulationEngine(small_scenario(seed=21)).run()
+    result = SimulationEngine(resolve("small", seed=21).config).run()
     world = result.world
 
     # --- who carries the traffic -------------------------------------------

@@ -14,7 +14,7 @@ Run with::
 
 import sys
 
-from repro import SimulationEngine, paper_scenario, small_scenario
+from repro import SimulationEngine
 from repro.core.analysis.chainstats import chain_stats
 from repro.core.analysis.growth import growth_curves, snapshot
 from repro.core.analysis.meta import isp_ranking, tos_exposure
@@ -22,11 +22,15 @@ from repro.core.analysis.ownership import ownership_stats
 from repro.core.analysis.relays import relay_stats
 from repro.core.analysis.resale import resale_stats
 from repro.core.analysis.traffic import channel_share, traffic_series
+from repro.scenarios import resolve
 
 
 def main() -> None:
     use_paper = "--paper" in sys.argv
-    config = paper_scenario() if use_paper else small_scenario(seed=3)
+    if use_paper:
+        config = resolve("paper").config
+    else:
+        config = resolve("small", seed=3).config
     print(f"building {'paper' if use_paper else 'small'} scenario...")
     result = SimulationEngine(config).run()
     chain = result.chain

@@ -10,16 +10,17 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import SimulationEngine, small_scenario, run_experiment, format_report
+from repro import SimulationEngine, run_experiment, format_report
 from repro.chain.transactions import AssertLocation, TransferHotspot
 from repro.core.analysis.chainstats import chain_stats
 from repro.core.analysis.ownership import ownership_stats
+from repro.scenarios import resolve
 
 
 def main() -> None:
     # 1. Generate a network history. Everything is seeded: the same
     #    scenario always produces the same chain, bit for bit.
-    config = small_scenario(seed=42)
+    config = resolve("small", seed=42).config
     result = SimulationEngine(config).run()
     chain = result.chain
 

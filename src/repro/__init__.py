@@ -20,9 +20,10 @@ The library has three layers:
 
 Quickstart::
 
-    from repro import SimulationEngine, small_scenario, run_experiment
+    from repro import SimulationEngine, run_experiment
+    from repro.scenarios import resolve
 
-    result = SimulationEngine(small_scenario()).run()
+    result = SimulationEngine(resolve("small").config).run()
     report = run_experiment("fig02", result)
 """
 
@@ -37,9 +38,7 @@ __all__, __getattr__ = lazy_exports(__name__, {
     "repro.geo.sphere": ["LatLon"],
     "repro.geo.hexgrid": ["HexGrid"],
     "repro.rng": ["RngHub"],
-    "repro.simulation.scenario": [
-        "ScenarioConfig", "paper_scenario", "small_scenario",
-    ],
+    "repro.simulation.scenario": ["ScenarioConfig"],
     "repro.simulation.engine": ["SimulationEngine", "SimulationResult"],
     "repro.core.coverage": [
         "DiskModel", "HullModel", "RevisedModel", "ExplorerDotMap",

@@ -23,19 +23,21 @@ representation for the simulated chain:
   corruption (or a frame spliced in from another run) breaks the chain
   at the exact frame.
 * **Torn tails.** A crash mid-append leaves a partial final frame.
-  :meth:`ChainLog.open` detects it — a header that does not fit, a
-  payload shorter than its declared length, or a digest-chain break —
-  and either raises :class:`ChainLogError` or, with ``recover=True``,
-  truncates the file back to the last intact frame. A torn tail is
-  never silently skipped.
+  :func:`scan_frames`, the one reader of chain-log files, detects it —
+  a header that does not fit, a payload shorter than its declared
+  length, a frame crossing the recorded extent, or a digest-chain
+  break — and raises :class:`ChainLogError`, so a torn tail is never
+  silently skipped. A writer continuing a file cuts what a killed
+  append left past the recorded extent
+  (:func:`repro.chain.serialize.write_chain_log`).
 * **Random access.** Frames are indexed in memory by two compact
   arrays, offsets (``u64``) and payload lengths (``u32``, the header's
   width); :meth:`payload` is one ``os.pread``, so lazily materialising
   block *i* never touches the rest of the file.
 
-The default constructor backs the log with an anonymous unlinked
-temporary file: the descriptor keeps the bytes alive for the run and
-the kernel reclaims them when the process exits, crash included.
+A :class:`ChainLog` is backed by an anonymous unlinked temporary file:
+the descriptor keeps the bytes alive for the run and the kernel
+reclaims them when the process exits, crash included.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ import os
 import struct
 import tempfile
 from array import array
-from pathlib import Path
-from typing import IO, Iterator, Optional, Tuple, Union
+from typing import IO, Iterator, Optional, Tuple
 
 from repro.errors import ChainError
 
@@ -101,16 +102,9 @@ class ChainLog:
     log from a chain-log file); reads are positional and stateless.
     """
 
-    def __init__(self, path: Union[str, Path, None] = None) -> None:
-        if path is None:
-            fd, tmp_path = tempfile.mkstemp(prefix="repro-chainlog-")
-            os.unlink(tmp_path)  # anonymous: vanishes with the fd
-            self.path: Optional[str] = None
-        else:
-            self.path = str(path)
-            fd = os.open(
-                self.path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o644
-            )
+    def __init__(self) -> None:
+        fd, tmp_path = tempfile.mkstemp(prefix="repro-chainlog-")
+        os.unlink(tmp_path)  # anonymous: vanishes with the fd
         self._fd = fd
         os.write(self._fd, CHAINLOG_MAGIC)
         self.size = len(CHAINLOG_MAGIC)
@@ -168,11 +162,6 @@ class ChainLog:
             )
         return data
 
-    def digest_at(self, index: int) -> bytes:
-        """The chained digest carried by frame ``index``."""
-        header = os.pread(self._fd, FRAME_HEADER_SIZE, self._offsets[index])
-        return _FRAME_HEADER.unpack(header)[2]
-
     def close(self) -> None:
         if self._fd >= 0:
             os.close(self._fd)
@@ -183,78 +172,6 @@ class ChainLog:
             self.close()
         except OSError:
             pass
-
-    # -- open / recover ----------------------------------------------------
-
-    @classmethod
-    def open(
-        cls, path: Union[str, Path], recover: bool = False
-    ) -> "ChainLog":
-        """Open an existing log, verifying every frame's digest chain.
-
-        A torn final frame (crash mid-append) raises
-        :class:`ChainLogError` unless ``recover=True``, which truncates
-        the file back to the last intact frame. Corruption *before* the
-        tail — a broken digest link with more intact-looking frames
-        after it — always raises: that is damage, not a torn append.
-        """
-        path = str(path)
-        log = cls.__new__(cls)
-        log.path = path
-        log._fd = os.open(path, os.O_RDWR)
-        log.size = len(CHAINLOG_MAGIC)
-        log.tail_digest = seed_digest()
-        log._offsets = array("Q")
-        log._lengths = array("I")
-        try:
-            file_size = os.fstat(log._fd).st_size
-            magic = os.pread(log._fd, len(CHAINLOG_MAGIC), 0)
-            if magic != CHAINLOG_MAGIC:
-                raise ChainLogError(f"{path} is not a chain log (bad magic)")
-            torn_at: Optional[int] = None
-            offset = len(CHAINLOG_MAGIC)
-            while offset < file_size:
-                header = os.pread(log._fd, FRAME_HEADER_SIZE, offset)
-                if len(header) < FRAME_HEADER_SIZE:
-                    torn_at = offset
-                    break
-                length, _, digest = _FRAME_HEADER.unpack(header)
-                payload = os.pread(
-                    log._fd, length, offset + FRAME_HEADER_SIZE
-                )
-                if len(payload) < length:
-                    torn_at = offset
-                    break
-                expected = hashlib.sha256(
-                    log.tail_digest + payload
-                ).digest()[:8]
-                if digest != expected:
-                    if offset + FRAME_HEADER_SIZE + length >= file_size:
-                        # Digest-mangled final frame: recoverable tear.
-                        torn_at = offset
-                        break
-                    raise ChainLogError(
-                        f"digest chain broken at offset {offset} in {path}"
-                    )
-                log._offsets.append(offset)
-                log._lengths.append(length)
-                log.tail_digest = digest
-                offset += FRAME_HEADER_SIZE + length
-                log.size = offset
-            if torn_at is not None:
-                if not recover:
-                    raise ChainLogError(
-                        f"torn frame at offset {torn_at} in {path} "
-                        f"(file ends mid-frame); pass recover=True to "
-                        f"truncate to the last intact frame"
-                    )
-                os.ftruncate(log._fd, log.size)
-            os.lseek(log._fd, log.size, os.SEEK_SET)
-        except BaseException:
-            os.close(log._fd)
-            log._fd = -1
-            raise
-        return log
 
 
 def scan_frames(

@@ -18,14 +18,20 @@ The disk cache lives under ``$XDG_CACHE_HOME/repro-scenarios`` (or
 ``~/.cache/repro-scenarios``). The ``REPRO_SCENARIO_CACHE`` environment
 variable overrides it: set it to a directory to relocate the cache, or
 to ``0`` / ``off`` to disable persistence entirely. Entries are keyed
-by seed, the canonical spec digest and the snapshot schema version, so
-stale entries are never mistaken for current ones.
+by seed, the canonical spec digest and the checkpoint schema version,
+so stale entries are never mistaken for current ones.
+
+An entry is the finished run's final day-boundary checkpoint
+(:mod:`repro.experiments.snapshot`): the format ``--checkpoint-dir``
+holds mid-run, with every file digest-checked on load. A resumable
+cold build (``checkpoint_every``) publishes its ``.ckpt`` sibling as
+the entry once the final state is saved into it.
 
 ``get_store`` materialises the DeWi-style ETL replica (``etl.db``,
-:mod:`repro.etl`) alongside the snapshot files inside the same entry:
-the first call ingests the cached chain, later calls resume from the
+:mod:`repro.etl`) alongside the run files inside the same entry: the
+first call ingests the cached chain, later calls resume from the
 store's checkpoint (a no-op when the chain hasn't grown). A corrupt or
-schema-stale database self-heals exactly like a bad snapshot entry —
+schema-stale database self-heals exactly like a bad cache entry —
 warn, discard, re-ingest — and never crashes the caller.
 """
 
@@ -45,7 +51,8 @@ from repro.etl.ingest import ingest_chain
 from repro.etl.store import EtlStore
 from repro.experiments import snapshot
 from repro.scenarios import ResolvedScenario, resolve_any
-from repro.simulation import SimulationEngine, SimulationResult
+from repro.simulation import SimulationEngine, SimulationResult, WorldState
+from repro.simulation.state import CHECKPOINT_SCHEMA_VERSION
 
 __all__ = [
     "ensure_snapshot",
@@ -81,7 +88,7 @@ def _entry_dir(resolved: ResolvedScenario) -> Optional[Path]:
         return None
     return root / (
         f"scn-seed{resolved.config.seed}-{resolved.digest[:12]}"
-        f"-v{snapshot.SCHEMA_VERSION}"
+        f"-v{CHECKPOINT_SCHEMA_VERSION}"
     )
 
 
@@ -101,16 +108,23 @@ def _load_from_disk(entry: Path) -> Optional[SimulationResult]:
         return None
 
 
-def _save_to_disk(result: SimulationResult, entry: Path) -> None:
-    tmp: Optional[Path] = None
+def _save_to_disk(
+    result: SimulationResult, entry: Path, staging: Optional[Path] = None
+) -> None:
+    """Save ``result`` into ``staging`` (the build's own checkpoint
+    directory, whose chain log the save extends, or else a fresh temp
+    directory) and publish that directory as ``entry``."""
+    tmp = staging
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
-        tmp = Path(
-            tempfile.mkdtemp(prefix=entry.name + ".tmp-", dir=entry.parent)
-        )
+        if tmp is None:
+            tmp = Path(tempfile.mkdtemp(
+                prefix=entry.name + ".tmp-", dir=entry.parent
+            ))
         snapshot.save_result(result, tmp)
         # Atomic publish: another process either sees the whole entry or
-        # none of it. If someone beat us to it, keep theirs.
+        # none of it. If someone beat us to it, keep theirs (the entry
+        # may already hold their etl.db).
         try:
             os.rename(tmp, entry)
             tmp = None
@@ -143,10 +157,11 @@ def get_result(
 
     ``checkpoint_every=N`` makes a cold build resumable: the engine
     saves its full run state every N days into a ``.ckpt`` sibling of
-    the cache entry, a later cold call resumes from it instead of
-    restarting at day 0 (resume is bit-identical to a fresh run), and
-    the checkpoint is deleted once the finished entry is published.
-    It is ignored on memo/disk hits and when persistence is disabled.
+    the cache entry, and a later cold call resumes from it instead of
+    restarting at day 0 (resume is bit-identical to a fresh run). The
+    final state is saved into the same directory, extending its chain
+    log, which is then published as the entry. It is ignored on
+    memo/disk hits and when persistence is disabled.
     """
     resolved = resolve_any(scenario, seed=seed)
     cached = _CACHE.get(resolved.digest)
@@ -171,15 +186,18 @@ def get_result(
                     seed=resolved.config.seed, digest=resolved.digest[:12],
                     entry=None if entry is None else entry.name,
                 )
+                ckpt = None
+                if checkpoint_every and entry is not None:
+                    ckpt = _checkpoint_dir(entry)
                 with obs.timer("cache.build_s") as timing:
-                    cached = _build_result(resolved, entry, checkpoint_every)
+                    cached = _build_result(resolved, ckpt, checkpoint_every)
                 obs.trace_event(
                     "cache.build.done", scenario=resolved.label,
                     seed=resolved.config.seed,
                     wall_s=round(timing.elapsed, 4),
                 )
                 if entry is not None:
-                    _save_to_disk(cached, entry)
+                    _save_to_disk(cached, entry, ckpt)
                     _discard_checkpoint(entry)
     _CACHE[resolved.digest] = cached
     return cached
@@ -196,22 +214,18 @@ def _discard_checkpoint(entry: Path) -> None:
 
 def _build_result(
     resolved: ResolvedScenario,
-    entry: Optional[Path],
+    ckpt: Optional[Path],
     checkpoint_every: Optional[int],
 ) -> SimulationResult:
-    """Cold-build a scenario, resuming a day-level checkpoint if one
-    is present (and discarding it when stale or corrupt)."""
-    from repro.simulation.state import WorldState
-
+    """Cold-build a scenario, checkpointing into ``ckpt`` when given and
+    resuming the checkpoint already there (discarding it when stale or
+    corrupt)."""
     config = resolved.config
-    ckpt: Optional[Path] = None
-    if checkpoint_every and entry is not None:
-        ckpt = _checkpoint_dir(entry)
     engine = None
     if ckpt is not None and (ckpt / "meta.json").exists():
         try:
             meta = WorldState.read_meta(ckpt)
-            if meta.get("config_digest") != snapshot.config_digest(config):
+            if meta.get("config_digest") != resolved.digest:
                 raise ReproError("checkpoint built from a different config")
             engine = SimulationEngine.resume(ckpt)
             obs.counter("cache.resume", scenario=resolved.label)
@@ -287,11 +301,11 @@ def get_store(
 ) -> EtlStore:
     """The ETL replica of a scenario's chain, materialised and current.
 
-    Lives at ``<cache entry>/etl.db`` next to the snapshot files; when
+    Lives at ``<cache entry>/etl.db`` next to the run files; when
     persistence is disabled the store is built in memory instead. The
     underlying ingest is incremental — repeat calls resume from the
     checkpoint — and a corrupt or schema-stale database is silently
-    discarded and re-ingested (with a warning), mirroring snapshot
+    discarded and re-ingested (with a warning), mirroring cache-entry
     self-healing.
     """
     resolved = resolve_any(scenario, seed=seed)

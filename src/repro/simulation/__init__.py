@@ -23,23 +23,13 @@ records how close the defaults land.
 """
 
 from repro.simulation.engine import SimulationEngine, SimulationResult
-from repro.simulation.scenario import (
-    ScenarioConfig,
-    million_hotspot_scenario,
-    paper_10x_scenario,
-    paper_scenario,
-    small_scenario,
-)
+from repro.simulation.scenario import ScenarioConfig
 from repro.simulation.scheduler import PhaseScheduler
 from repro.simulation.state import WorldState
 from repro.simulation.world import SimHotspot, World
 
 __all__ = [
     "ScenarioConfig",
-    "million_hotspot_scenario",
-    "paper_10x_scenario",
-    "paper_scenario",
-    "small_scenario",
     "World",
     "SimHotspot",
     "SimulationEngine",

@@ -8,11 +8,13 @@ is a :class:`~repro.simulation.phases.base.Phase` subsystem under
 deploys, transfers, moves, availability, the weekly index rebuild,
 Proof-of-Coverage, traffic, rewards, encashment, the mint, and the
 growth log. The engine owns only the run loop itself: bootstrap,
-day iteration, day-level checkpointing (``WorldState.save``), and the
-end-of-run peerbook assembly.
+day iteration and day-level checkpointing (``WorldState.save``).
 
 The result bundles the chain (what analyses read) with the world (ground
-truth analyses score against).
+truth analyses score against). It is assembled from the final state
+alone (:meth:`SimulationResult.from_state`, which also builds the
+end-of-run peerbook), so a saved final state reloads as the same result
+without running a day: a scenario-cache entry is that saved state.
 """
 
 from __future__ import annotations
@@ -51,11 +53,43 @@ class SimulationResult:
     console_owner: Address
     oui_owners: Dict[int, Address]
     spammer_owners: List[Address] = field(default_factory=list)
-    #: Cumulative wall-clock seconds per day-loop phase, filled by a cold
-    #: :meth:`SimulationEngine.run` (``None`` on snapshot reloads). Not
-    #: part of the snapshot payload, so recording it never perturbs the
-    #: scenario digest.
+    #: Cumulative wall-clock seconds per day-loop phase, filled by
+    #: :meth:`SimulationEngine.run` (``None`` on a load, which runs no
+    #: day). Never saved, so recording it never perturbs the scenario
+    #: digest.
     day_loop_timings: Optional[Dict[str, float]] = None
+    #: The final day-boundary state this result was assembled from: what
+    #: :func:`repro.experiments.snapshot.save_result` persists.
+    state: Optional[WorldState] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @classmethod
+    def from_state(
+        cls,
+        state: WorldState,
+        day_loop_timings: Optional[Dict[str, float]] = None,
+    ) -> "SimulationResult":
+        """The result of a finished run's final state (freshly run or
+        loaded); builds the peerbook and runs no day."""
+        if state.day != state.config.n_days:
+            raise SimulationError(
+                f"state is at day {state.day} of {state.config.n_days}; "
+                f"only a finished run has a result"
+            )
+        return cls(
+            config=state.config,
+            chain=state.chain,
+            world=state.world,
+            peerbook=_build_peerbook(state),
+            oracle=state.oracle,
+            growth_log=state.growth_log,
+            console_owner=state.console_owner,
+            oui_owners=state.oui_owners,
+            spammer_owners=list(state.spammers),
+            day_loop_timings=day_loop_timings,
+            state=state,
+        )
 
     @property
     def scale_factor(self) -> float:
@@ -197,7 +231,9 @@ class SimulationEngine:
             ):
                 self._checkpoint(checkpoint_dir)
 
-        peerbook = self._build_peerbook()
+        result = SimulationResult.from_state(
+            state, dict(self.scheduler.timings)
+        )
         wall_s = perf_counter() - run_started
         obs.counter("engine.runs")
         obs.counter("engine.days", state.config.n_days)
@@ -213,18 +249,7 @@ class SimulationEngine:
                 for name, seconds in self.scheduler.timings.items()
             },
         )
-        return SimulationResult(
-            config=state.config,
-            chain=state.chain,
-            world=state.world,
-            peerbook=peerbook,
-            oracle=state.oracle,
-            growth_log=state.growth_log,
-            console_owner=state.console_owner,
-            oui_owners=state.oui_owners,
-            spammer_owners=list(state.spammers),
-            day_loop_timings=dict(self.scheduler.timings),
-        )
+        return result
 
     def _checkpoint(self, directory: Union[str, Path]) -> None:
         started = perf_counter()
@@ -232,35 +257,39 @@ class SimulationEngine:
         obs.counter("engine.checkpoints")
         obs.observe("engine.checkpoint_save", perf_counter() - started)
 
-    # ------------------------------------------------------------------ p2p --
 
-    def _build_peerbook(self) -> Peerbook:
-        state = self.state
-        rng = state.hub.stream("relay")
-        peerbook = Peerbook()
-        publics: List[Address] = []
-        for hotspot in state.world.hotspots.values():
-            if not hotspot.online or hotspot.backhaul is None:
-                continue
-            if hotspot.backhaul.has_public_ip:
-                peerbook.add_direct(hotspot.gateway, hotspot.backhaul.ip)
-                publics.append(hotspot.gateway)
-        if not publics:
-            return peerbook
-        # Selection is geography-blind (the Fig. 11 result) but not
-        # perfectly uniform: some relays are far more discoverable
-        # (long-lived, well-connected), which produces the heavy tail of
-        # Fig. 10 — one relay carrying dozens of peers.
-        weights = rng.pareto(1.7, size=len(publics)) + 0.10
-        weights = weights / weights.sum()
-        for hotspot in state.world.hotspots.values():
-            if not hotspot.online or hotspot.backhaul is None:
-                continue
-            if hotspot.backhaul.has_public_ip:
-                continue
-            relay = publics[int(rng.choice(len(publics), p=weights))]
-            peerbook.add_relayed(hotspot.gateway, relay)
-        for hotspot in state.world.hotspots.values():
-            if not hotspot.online:
-                peerbook.add_empty(hotspot.gateway)
+def _build_peerbook(state: WorldState) -> Peerbook:
+    """The end-of-run peerbook, a function of the final state alone.
+
+    Its relay draws come from a fresh hub's ``"relay"`` stream: the day
+    loop never draws that stream, so the draws equal the run hub's,
+    and a reloaded final state rebuilds the same peerbook.
+    """
+    rng = RngHub(state.config.seed).stream("relay")
+    peerbook = Peerbook()
+    publics: List[Address] = []
+    for hotspot in state.world.hotspots.values():
+        if not hotspot.online or hotspot.backhaul is None:
+            continue
+        if hotspot.backhaul.has_public_ip:
+            peerbook.add_direct(hotspot.gateway, hotspot.backhaul.ip)
+            publics.append(hotspot.gateway)
+    if not publics:
         return peerbook
+    # Selection is geography-blind (the Fig. 11 result) but not
+    # perfectly uniform: some relays are far more discoverable
+    # (long-lived, well-connected), which produces the heavy tail of
+    # Fig. 10 — one relay carrying dozens of peers.
+    weights = rng.pareto(1.7, size=len(publics)) + 0.10
+    weights = weights / weights.sum()
+    for hotspot in state.world.hotspots.values():
+        if not hotspot.online or hotspot.backhaul is None:
+            continue
+        if hotspot.backhaul.has_public_ip:
+            continue
+        relay = publics[int(rng.choice(len(publics), p=weights))]
+        peerbook.add_relayed(hotspot.gateway, relay)
+    for hotspot in state.world.hotspots.values():
+        if not hotspot.online:
+            peerbook.add_empty(hotspot.gateway)
+    return peerbook

@@ -1,7 +1,7 @@
 """Scenario configuration: every knob of the generative model.
 
-The default (:func:`paper_scenario`) is a 1/10-scale replica of the
-network the paper measured (≈ 4,400 hotspots by late May 2021 instead of
+The default (``ScenarioConfig()``, the registry's ``paper`` scenario)
+is a 1/10-scale replica of the network the paper measured (≈ 4,400 hotspots by late May 2021 instead of
 44,000) with Proof-of-Coverage thinned relative to the real chain's
 ~3 challenges/hotspot/day. Both scale factors are recorded here so the
 analyses can report descaled figures next to raw ones.
@@ -16,10 +16,6 @@ from repro.errors import SimulationError
 
 __all__ = [
     "ScenarioConfig",
-    "million_hotspot_scenario",
-    "paper_10x_scenario",
-    "paper_scenario",
-    "small_scenario",
     "validate_config",
 ]
 
@@ -314,68 +310,3 @@ def validate_config(config: "ScenarioConfig", *, strict: bool = False) -> None:
                 f"gossip_cliques members for {city!r} must be at least "
                 f"1, got {members!r}"
             )
-
-
-def paper_scenario(seed: int = 2021) -> ScenarioConfig:
-    """The default 1/10-scale replica of the paper's study period.
-
-    Resolved through the declarative registry (the knobs live in
-    ``repro/scenarios/builtin/paper.json``); this builder — like its
-    three siblings — is a thin compatibility wrapper over
-    :func:`repro.scenarios.resolve`.
-    """
-    from repro.scenarios import resolve
-
-    return resolve("paper", seed=seed).config
-
-
-def paper_10x_scenario(seed: int = 2021) -> ScenarioConfig:
-    """The full-scale tier: 44,000 hotspots — the network the paper
-    actually measured, at 1:1 (scale factor 1.0, so descaled figures
-    equal raw ones).
-
-    PoC is thinned further than the default tier (0.02 vs 0.05
-    challenges/hotspot/day; ``poc_thinning_factor`` records the ratio
-    the analyses descale by) because challenge cost grows with local
-    density and the 10x fleet is 10x denser everywhere — this keeps an
-    end-to-end run in minutes on one core while the fleet, ownership,
-    traffic and move machinery all run at true scale. Archetype fleets
-    (mining pools, commercial deployments, cliques) scale to their
-    real-network sizes from §4.3 — see
-    ``repro/scenarios/builtin/paper-10x.json``.
-    """
-    from repro.scenarios import resolve
-
-    return resolve("paper-10x", seed=seed).config
-
-
-def million_hotspot_scenario(seed: int = 2021) -> ScenarioConfig:
-    """The 100× tier: 1,000,000 hotspots — the "millions of users"
-    scale the network grew toward after the study window (ROADMAP north
-    star), ~23× the fleet the paper measured.
-
-    Everything structural runs at true scale — adoption batches,
-    ownership archetypes (mining pools, commercial fleets and cliques
-    scale with the fleet), moves, resale, backhaul diversity — while
-    per-hotspot event *rates* are thinned hard (0.001 challenges/
-    hotspot/day; ``poc_thinning_factor`` records the ratio) so the
-    per-day transaction volume stays tractable. The chain this tier
-    produces is orders of magnitude too large to hold resident: it is
-    only feasible because the engine's append-to-disk chain log bounds
-    chain RSS. Capped-day runs (``stop_after_day``, ``--stop-after``
-    on the CLI) are the intended smoke vehicle; the fleet reaches full size late in the
-    adoption schedule. Knobs:
-    ``repro/scenarios/builtin/million-hotspot.json``.
-    """
-    from repro.scenarios import resolve
-
-    return resolve("million-hotspot", seed=seed).config
-
-
-def small_scenario(seed: int = 7) -> ScenarioConfig:
-    """A fast scenario for tests: ~700 hotspots over 180 compressed
-    days, with enough §7 cheats for the forensics to have statistical
-    teeth. Knobs: ``repro/scenarios/builtin/small.json``."""
-    from repro.scenarios import resolve
-
-    return resolve("small", seed=seed).config

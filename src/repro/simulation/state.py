@@ -11,26 +11,31 @@ Because the state is explicit it is also *serializable*:
 ``WorldState.save(dir)`` writes a day-boundary checkpoint and
 ``WorldState.load(dir)`` reconstructs a state that continues the run
 **bit-identically** — the pinned scenario digests assert resumed ≡
-fresh. The checkpoint shares its chain format and loader with
-:mod:`repro.experiments.snapshot` (a framed ``chain.log`` written by
-:func:`~repro.chain.serialize.write_chain_log` and streamed back by
-:func:`~repro.chain.serialize.load_chain_log`, world reconstructed
-against the deterministic city/ISP universe rather than pickled) and
-adds what a *mid-run* state needs beyond a finished result:
+fresh. This is the one persisted-run format: a mid-run checkpoint and
+a scenario-cache entry (a finished run's final checkpoint, written by
+:func:`repro.experiments.snapshot.save_result`) are the same three
+files:
 
-* exact RNG stream states (``bit_generator.state`` per named stream —
-  a few ints; restoring them realigns every stream with the draws the
-  interrupted run already consumed),
-* the pending move/transfer queues and per-hotspot uptime draws,
-* each hotspot's ``index_location`` so the weekly-rebuilt spatial index
-  is restored *stale*, exactly as the interrupted run last saw it,
-* owner-model linkage (organic order, the whale) and planner flags.
+* ``chain.log`` — the framed chain log written by
+  :func:`~repro.chain.serialize.write_chain_log` and streamed back by
+  :func:`~repro.chain.serialize.load_chain_log`;
+* ``state.json`` — the world, reconstructed against the deterministic
+  city/ISP universe rather than pickled, plus exact RNG stream states
+  (``bit_generator.state`` per named stream), the pending move/transfer
+  queues and per-hotspot uptime draws, each hotspot's
+  ``index_location`` (so the weekly-rebuilt spatial index is restored
+  *stale*, exactly as the run last saw it), and owner-model linkage
+  (organic order, the whale) and planner flags;
+* ``meta.json`` — schema, seed, day, the config's
+  :func:`~repro.scenarios.spec.spec_digest`, the chain log's extent and
+  the SHA-256 of ``state.json``.
 
 Checkpoints are only taken at day boundaries, where the engine holds no
 half-applied state: the day's batch has been minted, every state channel
 is closed, and ``EpochActivity`` is per-day. Integrity is guarded by
 SHA-256 digests in ``meta.json`` (written last): a torn or corrupted
-checkpoint fails loudly instead of resuming into silent divergence.
+file fails the load loudly instead of resuming, or warm-loading, into
+silent divergence.
 """
 
 from __future__ import annotations
@@ -62,10 +67,11 @@ from repro.economics.oracle import PriceOracle
 from repro.economics.rewards import EpochActivity
 from repro.errors import ChainError, SimulationError
 from repro.geo.geodesy import LatLon
-from repro.geo.hexgrid import HexGrid
+from repro.p2p.backhaul import BackhaulAssignment
 from repro.poc.challenge import PocParticipant
-from repro.poc.cheats import GossipClique
+from repro.poc.cheats import CheatStrategy, GossipClique, RssiLiar, SilentMover
 from repro.poc.validity import WitnessValidityChecker
+from repro.radio.propagation import Environment
 from repro.rng import RngHub
 from repro.simulation.growth import build_adoption_schedule
 from repro.simulation.moves import MovePlanner, PlannedMove
@@ -73,7 +79,7 @@ from repro.simulation.owners import OwnerModel
 from repro.simulation.resale import PlannedTransfer, ResalePlanner
 from repro.simulation.scenario import ScenarioConfig
 from repro.simulation.traffic import TrafficModel
-from repro.simulation.world import SimHotspot, World
+from repro.simulation.world import SimHotspot, SimOwner, World
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -82,27 +88,21 @@ __all__ = [
     "WorldState",
 ]
 
-#: Bump when the checkpoint layout changes incompatibly. Independent of
-#: the snapshot ``SCHEMA_VERSION``: checkpoints are a superset format
-#: with their own compatibility story (finished-result snapshots remain
-#: byte-identical across this refactor, so the snapshot version stays).
+#: Bump when the checkpoint layout changes incompatibly. It versions
+#: mid-run checkpoints and scenario-cache entries alike (the entry
+#: directory name carries it), since both are this one format.
 #:
-#: v2: per-hotspot uptime moved from the hotspot payloads into a
-#: columnar top-level ``fleet`` section, and the ``ferry_order_stale``
-#: flag dropped (ferry weights are a fleet column whose slot *is* the
-#: deployment position, so the order can no longer go stale).
+#: v3: the chain is a framed binary chain log (``chain.log``,
+#: :mod:`repro.chain.chainlog`) whose saves extend the previous
+#: checkpoint's file by raw frame copy; ``meta.json`` records
+#: ``chain_log_tail`` (the digest-chain state at the recorded extent) so
+#: a *different process* can keep extending the log after one prefix
+#: verification.
 #:
-#: v3: the chain is stored as a framed binary chain log (``chain.log``,
-#: :mod:`repro.chain.chainlog`) instead of a JSONL dump. Frame payloads
-#: are the exact JSONL lines of v2, so the information content is
-#: identical, but saves extend the log by raw frame copy from the run's
-#: own log (no re-serialization of spilled blocks) and loads stream
-#: frame-by-frame into a bounded-RSS replay instead of reading the
-#: whole dump into memory twice (bytes + decoded str). ``meta.json``
-#: additionally records ``chain_log_tail`` (the digest-chain state at
-#: the recorded extent) so a *different process* can keep extending the
-#: log incrementally after one prefix verification.
-CHECKPOINT_SCHEMA_VERSION = 3
+#: v4: a scenario-cache entry is a finished run's final checkpoint,
+#: replacing the separate result-snapshot layout, and ``meta.json`` no
+#: longer restates that layout's version.
+CHECKPOINT_SCHEMA_VERSION = 4
 
 _CHAIN_FILE = "chain.log"
 _STATE_FILE = "state.json"
@@ -324,12 +324,183 @@ def _sha256_file(path: Path) -> str:
     return _sha256_prefix(path)[0]
 
 
+#: ScenarioConfig fields declared as tuples (JSON round-trips them as
+#: lists, so they need re-tupling on load).
+_TUPLE_FIELDS = ("mining_pools", "commercial_fleets", "gossip_cliques")
+
+
+def _config_from_dict(payload: Dict[str, Any]) -> ScenarioConfig:
+    """The saved config, unvalidated: a checkpoint may hold a config
+    that strict spec validation refuses (a day-capped test run)."""
+    fields = dict(payload)
+    for name in _TUPLE_FIELDS:
+        if name in fields:
+            fields[name] = tuple(tuple(item) for item in fields[name])
+    return ScenarioConfig(**fields)
+
+
+def _latlon_out(point: Optional[LatLon]) -> Optional[List[float]]:
+    if point is None:
+        return None
+    return [point.lat, point.lon]
+
+
+def _latlon_in(value: Optional[List[float]]) -> Optional[LatLon]:
+    if value is None:
+        return None
+    return LatLon(float(value[0]), float(value[1]))
+
+
+def _cheat_out(cheat: Optional[CheatStrategy]) -> Optional[Dict[str, Any]]:
+    if cheat is None:
+        return None
+    if isinstance(cheat, GossipClique):
+        return {"type": "gossip_clique", "clique_id": cheat.clique_id}
+    if isinstance(cheat, RssiLiar):
+        return {
+            "type": "rssi_liar",
+            "inflation_db": cheat.inflation_db,
+            "absurd_probability": cheat.absurd_probability,
+            "absurd_value_dbm": cheat.absurd_value_dbm,
+        }
+    if isinstance(cheat, SilentMover):
+        return {
+            "type": "silent_mover",
+            "moved_from_token": cheat.moved_from_token,
+            "moved_to_description": cheat.moved_to_description,
+        }
+    raise SimulationError(f"unknown cheat strategy: {type(cheat).__name__}")
+
+
+def _cheat_in(
+    payload: Optional[Dict[str, Any]],
+    cliques: Dict[int, GossipClique],
+) -> Optional[CheatStrategy]:
+    if payload is None:
+        return None
+    kind = payload.get("type")
+    if kind == "gossip_clique":
+        return cliques[int(payload["clique_id"])]
+    if kind == "rssi_liar":
+        return RssiLiar(
+            inflation_db=float(payload["inflation_db"]),
+            absurd_probability=float(payload["absurd_probability"]),
+            absurd_value_dbm=float(payload["absurd_value_dbm"]),
+        )
+    if kind == "silent_mover":
+        return SilentMover(
+            moved_from_token=payload.get("moved_from_token", ""),
+            moved_to_description=payload.get("moved_to_description", ""),
+        )
+    raise SimulationError(f"unknown cheat strategy in checkpoint: {kind!r}")
+
+
+def hotspot_payload(hotspot: SimHotspot) -> Dict[str, Any]:
+    """One hotspot's saved dict (also part of the canonical result text
+    :func:`repro.experiments.snapshot.result_digest` hashes)."""
+    backhaul = hotspot.backhaul
+    return {
+        "gateway": hotspot.gateway,
+        "owner": hotspot.owner,
+        "city": [hotspot.city.name, hotspot.city.country],
+        "actual": _latlon_out(hotspot.actual_location),
+        "asserted": _latlon_out(hotspot.asserted_location),
+        "environment": hotspot.environment.name,
+        "gain": hotspot.antenna_gain_dbi,
+        "backhaul": (
+            None
+            if backhaul is None
+            else [backhaul.isp.asn, backhaul.ip, backhaul.behind_nat]
+        ),
+        "is_validator": hotspot.is_validator,
+        "online": hotspot.online,
+        "added_day": hotspot.added_day,
+        "added_block": hotspot.added_block,
+        "ferries_data": hotspot.ferries_data,
+        "assert_nonce": hotspot.assert_nonce,
+        "move_days": hotspot.move_days,
+        "transfer_days": hotspot.transfer_days,
+        "cheat": _cheat_out(hotspot.cheat),
+    }
+
+
+def hotspot_from_payload(
+    payload: Dict[str, Any],
+    city_by_key: Dict[tuple, Any],
+    isps,
+    cliques: Dict[int, GossipClique],
+) -> SimHotspot:
+    """Rebuild one hotspot against the regenerated city/ISP universe."""
+    backhaul = payload["backhaul"]
+    city_key = (payload["city"][0], payload["city"][1])
+    return SimHotspot(
+        gateway=payload["gateway"],
+        owner=payload["owner"],
+        city=city_by_key[city_key],
+        actual_location=_latlon_in(payload["actual"]),
+        asserted_location=_latlon_in(payload["asserted"]),
+        environment=Environment[payload["environment"]],
+        antenna_gain_dbi=float(payload["gain"]),
+        backhaul=(
+            None
+            if backhaul is None
+            else BackhaulAssignment(
+                isp=isps.isp(int(backhaul[0])),
+                ip=backhaul[1],
+                behind_nat=bool(backhaul[2]),
+            )
+        ),
+        is_validator=bool(payload["is_validator"]),
+        online=bool(payload["online"]),
+        added_day=int(payload["added_day"]),
+        added_block=int(payload["added_block"]),
+        ferries_data=bool(payload["ferries_data"]),
+        assert_nonce=int(payload["assert_nonce"]),
+        move_days=[int(d) for d in payload["move_days"]],
+        transfer_days=[int(d) for d in payload["transfer_days"]],
+        cheat=_cheat_in(payload["cheat"], cliques),
+    )
+
+
+def owner_payload(owner: SimOwner) -> Dict[str, Any]:
+    """One owner's saved dict (also part of the canonical result text)."""
+    return {
+        "wallet": owner.wallet,
+        "archetype": owner.archetype,
+        "home_city": (
+            None
+            if owner.home_city is None
+            else [owner.home_city.name, owner.home_city.country]
+        ),
+        "hotspot_count": owner.hotspot_count,
+        "encashes": owner.encashes,
+        "runs_devices": owner.runs_devices,
+    }
+
+
+def owner_from_payload(
+    payload: Dict[str, Any], city_by_key: Dict[tuple, Any]
+) -> SimOwner:
+    """Rebuild one owner against the regenerated city universe."""
+    home = payload["home_city"]
+    return SimOwner(
+        wallet=payload["wallet"],
+        archetype=payload["archetype"],
+        home_city=(
+            None if home is None else city_by_key[(home[0], home[1])]
+        ),
+        hotspot_count=int(payload["hotspot_count"]),
+        encashes=bool(payload["encashes"]),
+        runs_devices=bool(payload["runs_devices"]),
+    )
+
+
 @dataclass
 class WorldState:
     """All mutable state of one simulation run, phase-agnostic.
 
     Constructed by :meth:`create` (fresh run) or :meth:`load`
-    (checkpoint resume); mutated only by the
+    (checkpoint resume or warm cache load); mutated only by the
     :mod:`repro.simulation.phases` subsystems and the engine's
     bootstrap. Fields ending in ``_today``, plus ``batch`` and
     ``activity``, are day-transients reset by :meth:`begin_day` and
@@ -512,42 +683,6 @@ class WorldState:
         self.fleet.ferry_weight[slot] = 0.0 if base is None else base
         self.fleet.set_owner(slot, hotspot.owner)
 
-    # Back-compat views of the pre-columnar fleet fields: external code
-    # (and older tests) read these names; each is a live view into the
-    # columns.
-
-    @property
-    def fleet_hotspots(self) -> List[SimHotspot]:
-        return self.fleet.hotspots
-
-    @property
-    def fleet_participants(self) -> List[Optional[PocParticipant]]:
-        return self.fleet.participants
-
-    @property
-    def fleet_index(self) -> Dict[Address, int]:
-        return self.fleet.index
-
-    @property
-    def fleet_uptime(self) -> np.ndarray:
-        return self.fleet.uptime
-
-    @property
-    def fleet_in_us(self) -> np.ndarray:
-        return self.fleet.in_us
-
-    @property
-    def fleet_is_poc(self) -> np.ndarray:
-        return self.fleet.is_poc
-
-    @property
-    def fleet_online(self) -> np.ndarray:
-        return self.fleet.online
-
-    @property
-    def fleet_poc_online(self) -> np.ndarray:
-        return self.fleet.poc_online
-
     # -------------------------------------------------------------- save --
 
     def save(self, directory: Union[str, Path]) -> None:
@@ -577,9 +712,10 @@ class WorldState:
     def _write_into(
         self, directory: Path, previous: Optional[Path] = None
     ) -> None:
-        from repro.experiments import snapshot as snap
+        # At call time: repro.scenarios imports this package.
+        from repro.scenarios.spec import spec_digest
 
-        config_digest = snap.config_digest(self.config)
+        config_digest = spec_digest(self.config)
         chain_record, chain_tail = self._write_chain(
             directory / _CHAIN_FILE, previous, config_digest
         )
@@ -590,7 +726,7 @@ class WorldState:
         }
         hotspots = []
         for hotspot in self.world.hotspots.values():
-            payload = snap.hotspot_payload(hotspot)
+            payload = hotspot_payload(hotspot)
             # null ⇒ indexed under its live position (the common case);
             # coordinates ⇒ the index is stale for this hotspot (moved
             # since the last weekly rebuild).
@@ -617,7 +753,7 @@ class WorldState:
             ],
             "hotspots": hotspots,
             "owners": [
-                snap.owner_payload(owner)
+                owner_payload(owner)
                 for owner in self.world.owners.values()
             ],
             "organic_owners": [o.wallet for o in self.owners._organic],
@@ -667,7 +803,6 @@ class WorldState:
 
         meta = {
             "schema": CHECKPOINT_SCHEMA_VERSION,
-            "snapshot_schema": snap.SCHEMA_VERSION,
             "seed": self.config.seed,
             "day": self.day,
             "config_digest": config_digest,
@@ -808,23 +943,13 @@ class WorldState:
                 incompatible, or fails its integrity digests (torn or
                 corrupted files).
         """
-        from repro.experiments import snapshot as snap
-
         directory = Path(directory)
         meta = cls.read_meta(directory)
         schema = meta.get("schema")
         if schema != CHECKPOINT_SCHEMA_VERSION:
-            if isinstance(schema, int) and schema < CHECKPOINT_SCHEMA_VERSION:
-                hint = (
-                    "it predates the framed chain-log layout; re-run the "
-                    "simulation to produce a fresh checkpoint"
-                )
-            else:
-                hint = "it was written by a newer build"
             raise SimulationError(
                 f"unsupported checkpoint schema {schema!r} in {directory} "
-                f"(this build reads schema {CHECKPOINT_SCHEMA_VERSION}): "
-                f"{hint}"
+                f"(this build reads schema {CHECKPOINT_SCHEMA_VERSION})"
             )
         chain_path = directory / _CHAIN_FILE
         if not chain_path.exists():
@@ -847,7 +972,7 @@ class WorldState:
                 f"unreadable checkpoint state: {exc}"
             ) from exc
 
-        config = snap._config_from_dict(payload["config"])
+        config = _config_from_dict(payload["config"])
         state = cls.create(config)
         state.day = int(payload["day"])
 
@@ -881,10 +1006,8 @@ class WorldState:
         # (insertion order is semantic: consensus sampling indexes it).
         world.owners = {}
         world.owner_wallets = []
-        for owner_payload in payload["owners"]:
-            world.register_owner(
-                snap.owner_from_payload(owner_payload, city_by_key)
-            )
+        for saved_owner in payload["owners"]:
+            world.register_owner(owner_from_payload(saved_owner, city_by_key))
 
         # Re-link the owner model to the restored objects by wallet; the
         # archetype wallets themselves are deterministic recreations.
@@ -929,14 +1052,14 @@ class WorldState:
                 f"corrupt checkpoint: fleet uptime column does not match "
                 f"the hotspot payloads in {directory}"
             )
-        for hotspot_payload, uptime in zip(
+        for saved_hotspot, uptime in zip(
             payload["hotspots"], uptime_column
         ):
-            hotspot = snap.hotspot_from_payload(
-                hotspot_payload, city_by_key, world.isps,
+            hotspot = hotspot_from_payload(
+                saved_hotspot, city_by_key, world.isps,
                 state.clique_registry,
             )
-            index_loc = hotspot_payload["index_loc"]
+            index_loc = saved_hotspot["index_loc"]
             if index_loc is None:
                 hotspot.index_location = hotspot.actual_location
             else:

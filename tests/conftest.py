@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from repro.rng import RngHub
-from repro.simulation import SimulationEngine, small_scenario
+from repro.scenarios import resolve
+from repro.simulation import SimulationEngine
 
 
 @pytest.fixture(scope="session")
 def small_result():
     """One fully simulated small scenario, shared across tests."""
-    return SimulationEngine(small_scenario(seed=7)).run()
+    return SimulationEngine(resolve("small", seed=7).config).run()
 
 
 @pytest.fixture()

@@ -36,7 +36,8 @@ from repro import obs
 from repro.experiments import s8_1
 from repro.experiments.registry import EXPERIMENTS
 from repro.parallel import run_farm
-from repro.simulation import SimulationEngine, paper_scenario, small_scenario
+from repro.scenarios import resolve
+from repro.simulation import SimulationEngine
 from repro.simulation.phases.online import update_online
 from repro.simulation.phases.traffic import ferry_weights
 from repro.simulation.state import WorldState
@@ -77,7 +78,7 @@ def _timed(fn) -> float:
 @pytest.fixture(scope="module")
 def small_state():
     """A fully run ``small`` WorldState: fleet arrays and maps filled."""
-    engine = SimulationEngine(small_scenario(seed=2021))
+    engine = SimulationEngine(resolve("small", seed=2021).config)
     engine.run()
     return engine.state
 
@@ -148,7 +149,7 @@ def test_ferry_weights_beat_reference(small_state):
 
 def test_obs_overhead():
     def build():
-        SimulationEngine(small_scenario(seed=2021)).run()
+        SimulationEngine(resolve("small", seed=2021).config).run()
 
     build()  # warm-up
     # Interleave the modes and keep each mode's best round: run-to-run
@@ -178,7 +179,7 @@ def test_checkpoint_save_overhead(tmp_path, monkeypatch):
         save_times.append(_timed(lambda: original_save(self, directory)))
 
     monkeypatch.setattr(WorldState, "save", timed_save)
-    result = SimulationEngine(paper_scenario(seed=2021)).run(
+    result = SimulationEngine(resolve("paper", seed=2021).config).run(
         checkpoint_every=30, checkpoint_dir=tmp_path / "ckpt"
     )
     day_loop_s = sum(result.day_loop_timings.values())

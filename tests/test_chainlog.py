@@ -11,10 +11,10 @@ The contracts under test are the ones the bounded-RSS chain rests on:
 * **Codec round-trip.** ``encode_frame`` → ``scan_frames`` returns the
   exact payload bytes, heights, and a verified digest chain, for
   arbitrary payloads.
-* **Torn tails.** A partial or digest-mangled final frame (crash
-  mid-append) is detected and rejected, or cleanly truncated with
-  ``recover=True`` — never silently skipped. Corruption *before* the
-  tail always raises, recover or not.
+* **Torn tails.** ``scan_frames``, the one reader of chain-log files,
+  rejects a partial final frame (crash mid-append), a frame crossing
+  the recorded extent, corruption anywhere and a bad magic — never
+  silently skipping a torn tail.
 * **Chain-log files.** ``write_chain_log`` returns the extent record
   ``load_chain_log`` needs, and continuing a file after a recorded
   extent writes the bytes a full write would.
@@ -152,12 +152,13 @@ class TestFrameCodec:
         log = ChainLog()
         for height, payload in enumerate(payloads):
             log.append(height, payload)
+        tail = seed_digest()
         for index, payload in enumerate(payloads):
+            frame, tail = encode_frame(index, payload, tail)
             assert log.payload(index) == payload
-            frame = log.frame_bytes(index)
-            assert frame[FRAME_HEADER_SIZE:] == payload
-            assert log.digest_at(index) == frame[12:20]
+            assert log.frame_bytes(index) == frame
         assert len(log) == len(payloads)
+        assert log.tail_digest == tail
         log.close()
 
     def test_spliced_frame_breaks_the_chain(self):
@@ -176,23 +177,29 @@ class TestFrameCodec:
 
 @pytest.fixture()
 def log_file(tmp_path):
-    """An on-disk log with three intact frames; returns (path, frames)."""
+    """A chain-log file with three intact frames; returns (path, payloads)."""
     path = tmp_path / "chain.log"
-    log = ChainLog(path)
     payloads = [b'{"height":%d}\n' % i for i in range(3)]
-    for height, payload in enumerate(payloads):
-        log.append(height, payload)
-    log.close()
+    tail = seed_digest()
+    with open(path, "wb") as handle:
+        handle.write(CHAINLOG_MAGIC)
+        for height, payload in enumerate(payloads):
+            frame, tail = encode_frame(height, payload, tail)
+            handle.write(frame)
     return path, payloads
+
+
+def _scan(path, limit_bytes=None):
+    """The payloads ``scan_frames`` reads from the file at ``path``."""
+    with open(path, "rb") as handle:
+        return [p for _, _, p, _ in scan_frames(handle, limit_bytes)]
 
 
 class TestTornTails:
     def test_clean_reopen(self, log_file):
         path, payloads = log_file
-        log = ChainLog.open(path)
-        assert len(log) == 3
-        assert [log.payload(i) for i in range(3)] == payloads
-        log.close()
+        assert _scan(path) == payloads
+        assert _scan(path, path.stat().st_size) == payloads
 
     @pytest.mark.parametrize("cut", [1, FRAME_HEADER_SIZE - 1,
                                      FRAME_HEADER_SIZE + 2])
@@ -201,31 +208,11 @@ class TestTornTails:
         size = path.stat().st_size
         with open(path, "r+b") as handle:
             handle.truncate(size - cut)
-        with pytest.raises(ChainLogError, match="torn frame"):
-            ChainLog.open(path)
-
-    def test_torn_final_frame_recovers_to_last_intact(self, log_file):
-        path, payloads = log_file
-        size = path.stat().st_size
-        with open(path, "r+b") as handle:
-            handle.truncate(size - 5)
-        log = ChainLog.open(path, recover=True)
-        assert len(log) == 2
-        assert [log.payload(i) for i in range(2)] == payloads[:2]
-        assert path.stat().st_size == log.size  # file truncated too
-        log.close()
-
-    def test_mangled_final_digest_is_a_recoverable_tear(self, log_file):
-        path, payloads = log_file
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF  # last payload byte no longer matches digest
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ChainLogError, match="torn frame"):
-            ChainLog.open(path)
-        log = ChainLog.open(path, recover=True)
-        assert len(log) == 2
-        assert [log.payload(i) for i in range(2)] == payloads[:2]
-        log.close()
+        # Read to the end, or to the extent a meta recorded before the
+        # tear: either way the torn frame raises, it is never dropped.
+        for limit in (None, size):
+            with pytest.raises(ChainLogError, match="torn frame"):
+                _scan(path, limit)
 
     def test_mid_file_corruption_always_raises(self, log_file):
         path, _ = log_file
@@ -234,16 +221,20 @@ class TestTornTails:
         # still look intact, so this is damage, not a torn append.
         blob[len(CHAINLOG_MAGIC) + FRAME_HEADER_SIZE] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(ChainLogError, match="digest chain broken"):
-            ChainLog.open(path)
-        with pytest.raises(ChainLogError, match="digest chain broken"):
-            ChainLog.open(path, recover=True)
+        for limit in (None, len(blob)):
+            with pytest.raises(ChainLogError, match="digest chain broken"):
+                _scan(path, limit)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "not-a-log"
         path.write_bytes(b"GARBAGE!" + os.urandom(64))
         with pytest.raises(ChainLogError, match="bad magic"):
-            ChainLog.open(path)
+            _scan(path)
+        with pytest.raises(ChainLogError, match="bad magic"):
+            load_chain_log(path, {
+                "chain_blocks": 1, "chain_bytes": 72,
+                "chain_sha256": "0" * 64,
+            })
 
     def test_scan_rejects_frame_crossing_recorded_extent(self, log_file):
         path, _ = log_file

@@ -2,10 +2,11 @@
 
 The contract is the strongest one available: a run interrupted at any
 day boundary and resumed from its checkpoint must produce *byte
-identical* scenario output (same chain.jsonl, same snapshot bytes, same
-``result_digest``) as the uninterrupted run — which the pinned digests
-in ``test_engine_hotpath.py`` tie all the way back to the
-pre-refactor engine.
+identical* scenario output (same chain.jsonl, same ``result_digest``) as
+the uninterrupted run — which the pinned digests in
+``test_engine_hotpath.py`` tie all the way back to the pre-refactor
+engine. A scenario-cache entry is the finished run's final checkpoint,
+so resuming one runs no day and reproduces the same result.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.experiments.snapshot import result_digest
-from repro.simulation import SimulationEngine, small_scenario
+from repro.scenarios import resolve
+from repro.simulation import SimulationEngine
 from repro.simulation.state import CHECKPOINT_SCHEMA_VERSION, WorldState
 
 from tests.test_engine_hotpath import SMALL_SEED7_DIGEST, _trimmed_config
@@ -44,7 +46,7 @@ class TestResumeEqualsFresh:
     def test_small_scenario_resume_matches_pinned_digest(self, tmp_path):
         """Resume reproduces the digest pinned before the refactor."""
         ckpt = tmp_path / "ckpt"
-        SimulationEngine(small_scenario(seed=7)).run(
+        SimulationEngine(resolve("small", seed=7).config).run(
             stop_after_day=40, checkpoint_dir=ckpt
         )
         result = SimulationEngine.resume(ckpt).run()
@@ -88,16 +90,29 @@ class TestResumeEqualsFresh:
         "(the CI resume-e2e job does)",
     )
     def test_paper_scenario_resume_matches_pinned_digest(self, tmp_path):
-        from repro.simulation import paper_scenario
-
         from tests.test_engine_hotpath import PAPER_SEED2021_DIGEST
 
         ckpt = tmp_path / "ckpt"
-        SimulationEngine(paper_scenario(seed=2021)).run(
+        SimulationEngine(resolve("paper", seed=2021).config).run(
             stop_after_day=180, checkpoint_dir=ckpt
         )
         result = SimulationEngine.resume(ckpt).run()
         assert result_digest(result) == PAPER_SEED2021_DIGEST
+
+    def test_finished_entry_resumes_as_a_no_op(self, tmp_path):
+        """A cache entry is the run's final checkpoint: resuming it runs
+        no day, gives the pinned result and writes nothing into it."""
+        from repro.experiments.snapshot import save_result
+
+        entry = tmp_path / "entry"
+        save_result(
+            SimulationEngine(resolve("small", seed=7).config).run(), entry
+        )
+        before = {p.name: p.read_bytes() for p in entry.iterdir()}
+        engine = SimulationEngine.resume(entry)
+        assert engine.state.day == engine.config.n_days
+        assert result_digest(engine.run()) == SMALL_SEED7_DIGEST
+        assert {p.name: p.read_bytes() for p in entry.iterdir()} == before
 
 
 class TestCorruptCheckpoints:
@@ -124,43 +139,23 @@ class TestCorruptCheckpoints:
         with pytest.raises(SimulationError, match="corrupt checkpoint"):
             WorldState.load(checkpoint)
 
-    def test_schema_mismatch_is_rejected(self, checkpoint):
+    @pytest.mark.parametrize(
+        "schema", [1, 2, CHECKPOINT_SCHEMA_VERSION + 1],
+        ids=["v1", "v2", "newer"],
+    )
+    def test_schema_mismatch_is_rejected(self, checkpoint, schema):
+        """Any other schema fails on its meta, with the one message that
+        names both versions — not a missing-file or array-shape error
+        from deep inside the restore path."""
         path = checkpoint / "meta.json"
         meta = json.loads(path.read_text())
-        meta["schema"] = CHECKPOINT_SCHEMA_VERSION + 1
+        meta["schema"] = schema
         path.write_text(json.dumps(meta))
-        with pytest.raises(SimulationError, match="newer build"):
-            WorldState.load(checkpoint)
-
-    def test_old_schema_is_rejected_with_clear_message(self, checkpoint):
-        """A v1 checkpoint (pre-columnar fleet) must fail with a
-        message naming the schema gap and the remedy — not a pickle or
-        array-shape error from deep inside the restore path."""
-        path = checkpoint / "meta.json"
-        meta = json.loads(path.read_text())
-        meta["schema"] = 1
-        path.write_text(json.dumps(meta))
-        with pytest.raises(SimulationError, match="predates"):
-            WorldState.load(checkpoint)
-        with pytest.raises(SimulationError, match="schema"):
-            WorldState.load(checkpoint)
-
-    def test_v2_chain_jsonl_checkpoint_is_rejected(self, checkpoint):
-        """A v2 checkpoint (JSONL chain, pre-framed-log) fails with a
-        message naming the layout gap and the remedy — not a missing
-        chain.log file error. Together with
-        ``test_schema_mismatch_is_rejected`` (a v4 checkpoint on this
-        build → "newer build") this pins the v2→v3 boundary from both
-        directions."""
-        (checkpoint / "chain.log").rename(checkpoint / "chain.jsonl")
-        meta_path = checkpoint / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["schema"] = 2
-        meta.pop("chain_log_tail", None)
-        meta_path.write_text(json.dumps(meta))
-        with pytest.raises(SimulationError, match="predates"):
-            WorldState.load(checkpoint)
-        with pytest.raises(SimulationError, match="framed chain-log"):
+        with pytest.raises(
+            SimulationError,
+            match=f"unsupported checkpoint schema {schema} .*"
+            f"reads schema {CHECKPOINT_SCHEMA_VERSION}",
+        ):
             WorldState.load(checkpoint)
 
     def test_missing_fleet_section_is_rejected(self, checkpoint):
@@ -185,6 +180,12 @@ class TestCorruptCheckpoints:
             SimulationError, match="fleet uptime column"
         ):
             WorldState.load(checkpoint)
+
+    def test_mid_run_checkpoint_is_not_a_result(self, checkpoint):
+        from repro.experiments.snapshot import load_result
+
+        with pytest.raises(SimulationError, match="only a finished run"):
+            load_result(checkpoint)
 
     def test_missing_meta_is_rejected(self, checkpoint):
         (checkpoint / "meta.json").unlink()

@@ -28,7 +28,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.snapshot import result_digest
-from repro.simulation import SimulationEngine, small_scenario
+from repro.scenarios import resolve
+from repro.simulation import SimulationEngine
 from repro.simulation.phases import OnlinePhase, PoCPhase, TrafficPhase
 from repro.simulation.phases.online import update_online
 from repro.simulation.phases.poc import candidates_for
@@ -68,7 +69,7 @@ MILLION_STOPPED300_CHAIN_SHA = (
 
 
 def _trimmed_config(seed: int = 123):
-    config = small_scenario(seed=seed)
+    config = resolve("small", seed=seed).config
     # Determinism and equivalence show up in any prefix; trim for speed.
     return dataclasses.replace(
         config, n_days=60, target_hotspots=200, dc_payments_live_day=20,
@@ -82,7 +83,7 @@ class TestPinnedDigests:
         assert result_digest(small_result) == SMALL_SEED7_DIGEST
 
     def test_small_seed2021_unchanged(self):
-        result = SimulationEngine(small_scenario(seed=2021)).run()
+        result = SimulationEngine(resolve("small", seed=2021).config).run()
         assert result_digest(result) == SMALL_SEED2021_DIGEST
 
     @pytest.mark.skipif(
@@ -91,9 +92,7 @@ class TestPinnedDigests:
         "(the CI parallel-e2e job does)",
     )
     def test_paper_seed2021_unchanged(self):
-        from repro.simulation import paper_scenario
-
-        result = SimulationEngine(paper_scenario(seed=2021)).run()
+        result = SimulationEngine(resolve("paper", seed=2021).config).run()
         assert result_digest(result) == PAPER_SEED2021_DIGEST
 
     @pytest.mark.skipif(
@@ -105,10 +104,9 @@ class TestPinnedDigests:
         """The scale tier's first 120 days, digest-pinned, with the
         columnar layout's memory claim asserted as a hard ceiling."""
         from repro import obs
-        from repro.simulation import paper_10x_scenario
 
         config = dataclasses.replace(
-            paper_10x_scenario(seed=2021), n_days=120
+            resolve("paper-10x", seed=2021).config, n_days=120
         )
         result = SimulationEngine(config).run()
         assert result_digest(result) == PAPER10X_CAPPED120_DIGEST
@@ -133,9 +131,8 @@ class TestPinnedDigests:
 
         from repro import obs
         from repro.chain.serialize import dump_chain
-        from repro.simulation import million_hotspot_scenario
 
-        engine = SimulationEngine(million_hotspot_scenario(seed=2021))
+        engine = SimulationEngine(resolve("million-hotspot", seed=2021).config)
         out = engine.run(
             stop_after_day=300, checkpoint_dir=tmp_path / "ck"
         )
@@ -156,9 +153,7 @@ class TestPinnedDigests:
         reason="full 10x-scale build (~5min); set REPRO_SCALE_DIGEST_FULL=1",
     )
     def test_paper10x_seed2021_unchanged(self):
-        from repro.simulation import paper_10x_scenario
-
-        result = SimulationEngine(paper_10x_scenario(seed=2021)).run()
+        result = SimulationEngine(resolve("paper-10x", seed=2021).config).run()
         assert result_digest(result) == PAPER10X_SEED2021_DIGEST
 
 
@@ -332,8 +327,19 @@ class TestProfileTimings:
         assert timings == engine.phase_timings
 
     def test_timings_stay_out_of_the_snapshot(self, tmp_path):
+        from repro import obs
         from repro.experiments.snapshot import load_result, save_result
+
+        def engine_counters():
+            return {
+                name: value
+                for name, value in obs.snapshot()["counters"].items()
+                if name.startswith("engine.")
+            }
 
         result = SimulationEngine(_trimmed_config()).run()
         save_result(result, tmp_path)
+        before = engine_counters()
+        # A load is not a run: no day timings and no engine.* metric.
         assert load_result(tmp_path).day_loop_timings is None
+        assert engine_counters() == before

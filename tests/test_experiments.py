@@ -21,7 +21,7 @@ FAST_EXPERIMENTS = [
 ]
 
 #: Field/coverage experiments (seconds each on the small scenario),
-#: with their ``reports_digest`` on ``small_scenario(seed=7)``. The
+#: with their ``reports_digest`` on ``resolve("small", seed=7)``. The
 #: digests pin the field data plane byte for byte: a change to what the
 #: field experiments keep while they run must leave them unchanged.
 HEAVY_EXPERIMENTS = {

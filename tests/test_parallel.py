@@ -33,7 +33,8 @@ from repro.experiments.registry import (
 )
 from repro.parallel import longest_first, run_farm, run_sweep, task_cost
 from repro.parallel.locks import build_lock
-from repro.simulation import small_scenario
+from repro.scenarios import resolve
+from repro.simulation.state import CHECKPOINT_SCHEMA_VERSION
 
 #: A fast cross-section: chain-walking, RNG-drawing (fig12), and the
 #: tie-break-sensitive resale analysis (fig07). The full suite runs in
@@ -44,8 +45,6 @@ FARM_IDS = ["fig02", "fig07", "fig12", "fig13", "s7_1", "table1"]
 @pytest.fixture()
 def seeded_cache(monkeypatch, tmp_path, small_result):
     """A fresh cache dir with the small/seed-7 result memoised."""
-    from repro.scenarios import resolve
-
     monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path))
     monkeypatch.setattr(
         context, "_CACHE", {resolve("small").digest: small_result}
@@ -341,10 +340,8 @@ class TestEnsureSnapshot:
         entry = context.ensure_snapshot("small", 7)
         assert entry is not None
         assert (entry / "meta.json").exists()
-        digest = context.snapshot.config_digest(small_scenario(seed=7))[:12]
-        assert entry.name == (
-            f"scn-seed7-{digest}-v{context.snapshot.SCHEMA_VERSION}"
-        )
+        digest = resolve("small", seed=7).digest[:12]
+        assert entry.name == f"scn-seed7-{digest}-v{CHECKPOINT_SCHEMA_VERSION}"
 
     def test_unknown_scenario_raises(self):
         from repro.errors import ScenarioSpecError

@@ -1,13 +1,16 @@
-"""Persistent scenario cache: snapshot round-trip and get_result wiring.
+"""Persistent scenario cache: entry round-trip and get_result wiring.
 
 The headline guarantee: a scenario saved to disk and reloaded in another
-process produces *bit-identical* analysis outputs. These tests exercise
-the full save → load → analyse path on the small scenario (the paper
-scenario follows the identical code path, just bigger).
+process produces *bit-identical* analysis outputs. A cache entry is the
+run's final checkpoint, so the reloaded result equals the cold one in
+everything it carries, the stale spatial index included. These tests
+exercise the full save → load → analyse path on the small scenario (the
+paper scenario follows the identical code path, just bigger).
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 
@@ -15,14 +18,10 @@ import pytest
 
 import repro.experiments.context as context
 from repro.experiments import fig12, fig13
-from repro.experiments.snapshot import (
-    SCHEMA_VERSION,
-    config_digest,
-    load_result,
-    save_result,
-)
+from repro.experiments.snapshot import load_result, save_result
 from repro.poc.cheats import GossipClique
-from repro.simulation import small_scenario
+from repro.scenarios import resolve, spec_digest
+from repro.simulation.state import CHECKPOINT_SCHEMA_VERSION
 
 
 def _report_payload(report):
@@ -55,6 +54,9 @@ class TestSnapshotRoundTrip:
             assert loaded.environment is original.environment
             assert loaded.online == original.online
             assert type(loaded.cheat) is type(original.cheat)
+            # A cold run ends with some hotspots indexed where they stood
+            # at the last weekly rebuild; the warm load keeps them there.
+            assert loaded.index_location == original.index_location
         assert list(roundtripped.world.owners) == list(
             small_result.world.owners
         )
@@ -77,11 +79,14 @@ class TestSnapshotRoundTrip:
 
     def test_oracle_extends_identically(self, small_result, roundtripped):
         # The restored walk must continue exactly where the original
-        # would: the snapshot fast-forwards the oracle's RNG stream.
-        day = len(small_result.oracle._prices) + 5
+        # would: the entry records the oracle's RNG stream state. The
+        # original is extended on a copy: small_result is shared, and a
+        # longer walk would change its digest for every later test.
+        original = copy.deepcopy(small_result.oracle)
+        day = len(original._prices) + 5
         assert roundtripped.oracle.price_on_day(
             day
-        ) == small_result.oracle.price_on_day(day)
+        ) == original.price_on_day(day)
 
     def test_growth_log_and_owner_maps(self, small_result, roundtripped):
         assert roundtripped.growth_log == small_result.growth_log
@@ -105,9 +110,9 @@ class TestSnapshotRoundTrip:
 
 class TestCacheWiring:
     def test_config_digest_stable_and_sensitive(self):
-        a = small_scenario(seed=7)
-        assert config_digest(a) == config_digest(small_scenario(seed=7))
-        assert config_digest(a) != config_digest(small_scenario(seed=8))
+        a = resolve("small", seed=7).config
+        assert spec_digest(a) == spec_digest(resolve("small", seed=7).config)
+        assert spec_digest(a) != spec_digest(resolve("small", seed=8).config)
 
     def test_off_switch(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCENARIO_CACHE", "off")
@@ -134,8 +139,10 @@ class TestCacheWiring:
         # The cold build leaves the entry plus its build-lock sidecar.
         entries = [p for p in tmp_path.iterdir() if p.is_dir()]
         assert len(entries) == 1
-        digest = config_digest(small_scenario(seed=7))[:12]
-        assert entries[0].name == f"scn-seed7-{digest}-v{SCHEMA_VERSION}"
+        digest = resolve("small", seed=7).digest[:12]
+        assert entries[0].name == (
+            f"scn-seed7-{digest}-v{CHECKPOINT_SCHEMA_VERSION}"
+        )
 
         # A "fresh process": empty in-memory cache, simulation forbidden.
         monkeypatch.setattr(context, "_CACHE", {})
@@ -152,8 +159,8 @@ class TestCacheWiring:
     ):
         monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path))
         monkeypatch.setattr(context, "_CACHE", {})
-        digest = config_digest(small_scenario(seed=7))[:12]
-        entry = tmp_path / f"scn-seed7-{digest}-v{SCHEMA_VERSION}"
+        digest = resolve("small", seed=7).digest[:12]
+        entry = tmp_path / f"scn-seed7-{digest}-v{CHECKPOINT_SCHEMA_VERSION}"
         entry.mkdir()
         (entry / "meta.json").write_text("{ not json")
         with pytest.warns(RuntimeWarning, match="unreadable"):
@@ -161,7 +168,47 @@ class TestCacheWiring:
         assert result.chain.height > 0
         # The corrupt entry was replaced by a valid one.
         meta = json.loads((entry / "meta.json").read_text())
-        assert meta["schema"] == SCHEMA_VERSION
+        assert meta["schema"] == CHECKPOINT_SCHEMA_VERSION
+
+    def test_checkpointed_build_publishes_its_checkpoint(
+        self, monkeypatch, tmp_path
+    ):
+        """A resumable cold build saves its final state into its own
+        ``.ckpt`` directory, extending the periodic checkpoint's chain
+        log, and publishes that directory as the entry."""
+        from repro.experiments.snapshot import result_digest
+        from repro.scenarios import ResolvedScenario
+        from repro.simulation import SimulationEngine
+        from repro.simulation import state as state_module
+
+        from tests.test_engine_hotpath import _trimmed_config
+
+        config = _trimmed_config(seed=13)
+        resolved = ResolvedScenario(
+            label="trimmed", source="<test>", config=config,
+            digest=spec_digest(config),
+        )
+        fresh = result_digest(SimulationEngine(config).run())
+        monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path))
+        monkeypatch.setattr(context, "_CACHE", {})
+        extended = []
+        real_write = state_module.write_chain_log
+
+        def spy(chain, handle, sha, after=None):
+            extended.append(after is not None)
+            return real_write(chain, handle, sha, after)
+
+        monkeypatch.setattr(state_module, "write_chain_log", spy)
+        result = context.get_result(resolved, checkpoint_every=20)
+        # Periodic saves at days 20 and 40, then the final one at 60.
+        assert extended == [False, True, True]
+        entry = context._entry_dir(resolved)
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
+            entry.name
+        ]
+        assert json.loads((entry / "meta.json").read_text())["day"] == 60
+        assert result_digest(result) == fresh
+        assert result_digest(load_result(entry)) == fresh
 
 
 class TestEntryIntegrity:
@@ -171,10 +218,7 @@ class TestEntryIntegrity:
     def entry(self, monkeypatch, tmp_path, small_result):
         monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path))
         monkeypatch.setattr(context, "_CACHE", {})
-        entry = tmp_path / (
-            f"scn-seed7-{config_digest(small_scenario(seed=7))[:12]}"
-            f"-v{SCHEMA_VERSION}"
-        )
+        entry = context._entry_dir(resolve("small", seed=7))
         save_result(small_result, entry)
         return entry
 
@@ -203,8 +247,19 @@ class TestEntryIntegrity:
         meta["chain_sha256"] = "0" * 64
         path.write_text(json.dumps(meta))
 
+    def _move_a_hotspot(self, entry):
+        # Still valid JSON and a world that loads: one digit of the
+        # first hotspot's latitude changes (37.8° N -> 77.8° N). Only
+        # the recorded digest can tell.
+        path = entry / "state.json"
+        text = path.read_text()
+        at = text.index('"actual":[') + len('"actual":[')
+        assert text[at] == "3"
+        path.write_text(text[:at] + "7" + text[at + 1:])
+
     @pytest.mark.parametrize("damage", [
         "_truncate_last_frame", "_flip_payload_byte", "_wrong_sha",
+        "_move_a_hotspot",
     ])
     def test_damaged_entry_is_rebuilt(self, entry, small_result, damage):
         from repro.experiments.snapshot import result_digest
@@ -247,8 +302,6 @@ class TestStoreWiring:
     @pytest.fixture()
     def cache_entry(self, monkeypatch, tmp_path, small_result):
         """A populated cache entry for the small scenario, fresh memos."""
-        from repro.scenarios import resolve
-
         monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path))
         resolved = resolve("small")
         monkeypatch.setattr(
@@ -260,10 +313,12 @@ class TestStoreWiring:
         return entry
 
     def test_meta_records_etl_schema(self, cache_entry):
+        # The entry's etl.db stamps its own schema (etl_meta), checked
+        # on every open; the run's meta.json does not restate it.
         from repro.etl.schema import SCHEMA_VERSION as ETL_SCHEMA_VERSION
 
-        meta = json.loads((cache_entry / "meta.json").read_text())
-        assert meta["etl_schema"] == ETL_SCHEMA_VERSION
+        store = context.get_store("small", seed=7)
+        assert store.get_meta("schema_version") == str(ETL_SCHEMA_VERSION)
 
     def test_materialises_db_inside_the_entry(self, cache_entry, small_result):
         from pathlib import Path
@@ -313,8 +368,6 @@ class TestStoreWiring:
         assert healed.checkpoint_height == small_result.chain.height
 
     def test_cache_off_builds_in_memory(self, monkeypatch, small_result):
-        from repro.scenarios import resolve
-
         monkeypatch.setenv("REPRO_SCENARIO_CACHE", "off")
         monkeypatch.setattr(
             context, "_CACHE", {resolve("small").digest: small_result}

@@ -23,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 
 import repro.experiments.context as context
 from repro.errors import ScenarioSpecError, SimulationError
-from repro.experiments.snapshot import config_digest
 from repro.scenarios import (
     FIELD_GROUPS,
     apply_overrides,
@@ -34,12 +33,6 @@ from repro.scenarios import (
     scenario_names,
     spec_digest,
     with_seed,
-)
-from repro.simulation import (
-    million_hotspot_scenario,
-    paper_10x_scenario,
-    paper_scenario,
-    small_scenario,
 )
 from repro.simulation.scenario import ScenarioConfig, validate_config
 
@@ -68,18 +61,17 @@ class TestBuiltins:
     def test_pinned_digests(self, name):
         assert resolve(name).digest == BUILTIN_DIGESTS[name]
 
-    def test_builders_delegate_to_the_spec_files(self):
-        assert small_scenario(seed=7) == resolve("small").config
-        assert paper_scenario(seed=2021) == resolve("paper").config
-        assert paper_10x_scenario() == resolve("paper-10x").config
-        assert million_hotspot_scenario() == resolve("million-hotspot").config
-
-    def test_digest_is_the_snapshot_config_digest(self):
-        # One definition of scenario identity: checkpoints stamped with
-        # config_digest stay resumable under spec-digest cache keys.
-        for name in scenario_names():
-            resolved = resolve(name)
-            assert resolved.digest == config_digest(resolved.config)
+    def test_digest_is_the_snapshot_config_digest(
+        self, monkeypatch, tmp_path, small_result
+    ):
+        # One definition of scenario identity: the config digest a
+        # cache entry's meta records is the spec digest keying it.
+        monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path))
+        resolved = resolve("small")
+        monkeypatch.setattr(context, "_CACHE", {resolved.digest: small_result})
+        entry = context.ensure_snapshot(resolved)
+        meta = json.loads((entry / "meta.json").read_text())
+        assert meta["config_digest"] == resolved.digest
 
     def test_seed_override(self):
         assert resolve("small").config.seed == 7  # the spec's own seed
@@ -120,7 +112,7 @@ class TestSpecFiles:
         path.write_text(json.dumps({"target_hotspots": 8800}))
         resolved = resolve(path)
         assert resolved.config.target_hotspots == 8800
-        base = paper_scenario()
+        base = resolve("paper").config
         assert resolved.config.n_days == base.n_days
         assert resolved.config.mining_pools == base.mining_pools
 

@@ -7,21 +7,22 @@ from repro.errors import SimulationError
 from repro.simulation.growth import build_adoption_schedule
 from repro.simulation.moves import MovePlanner, sample_move_gap_days
 from repro.simulation.resale import ResalePlanner
-from repro.simulation.scenario import ScenarioConfig, paper_scenario, small_scenario
+from repro.scenarios import resolve
+from repro.simulation.scenario import ScenarioConfig
 from repro.simulation.traffic import TrafficModel
 
 
 @pytest.fixture()
 def config() -> ScenarioConfig:
-    return small_scenario(seed=3)
+    return resolve("small", seed=3).config
 
 
 class TestScenario:
     def test_paper_scale_factor(self):
-        assert paper_scenario().scale_factor == pytest.approx(0.1)
+        assert resolve("paper").config.scale_factor == pytest.approx(0.1)
 
     def test_thinning_factor(self):
-        config = paper_scenario()
+        config = resolve("paper").config
         assert config.poc_thinning_factor == pytest.approx(
             3.0 / config.challenges_per_hotspot_day
         )
@@ -77,20 +78,20 @@ class TestMoves:
     def test_most_hotspots_never_move(self, rng):
         # Use the full-length study window: short windows truncate the
         # geometric move schedule (as they would in reality).
-        planner = MovePlanner(paper_scenario())
+        planner = MovePlanner(resolve("paper").config)
         mover_count = sum(
             1 for _ in range(3000)
             if planner.plan(0, rng, initial_null=False)
         )
         assert mover_count / 3000 == pytest.approx(
-            1.0 - paper_scenario().never_move_fraction, abs=0.04
+            1.0 - resolve("paper").config.never_move_fraction, abs=0.04
         )
 
     def test_mover_tail_matches_configured_geometric(self, rng):
         # The generative tail is a geometric in extra_move_probability
         # (deliberately fatter than Fig. 2's steady state, to compensate
         # for right-censoring by the study window — see ScenarioConfig).
-        config = paper_scenario()
+        config = resolve("paper").config
         q = config.extra_move_probability
         planner = MovePlanner(config)
         mover_counts = []

@@ -12,12 +12,13 @@ from repro.chain.transactions import (
     TransferHotspot,
 )
 from repro.poc.cheats import GossipClique, RssiLiar, SilentMover
-from repro.simulation import SimulationEngine, small_scenario
+from repro.scenarios import resolve
+from repro.simulation import SimulationEngine
 
 
 class TestDeterminism:
     def test_same_seed_same_chain(self):
-        config = small_scenario(seed=123)
+        config = resolve("small", seed=123).config
         # Trim for speed: determinism shows up in any prefix.
         import dataclasses
 
