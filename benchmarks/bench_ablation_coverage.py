@@ -8,7 +8,6 @@ looser cutoffs always report more coverage, so the *choice* of 300 m and
 
 import pytest
 
-from repro.chain.transactions import PocReceipts
 from repro.core.coverage import DiskModel, HullModel, build_witness_geometry
 from repro.geo.hexgrid import HexCell
 from repro.geo.landmass import CONTIGUOUS_US
@@ -20,15 +19,14 @@ def _locate(token):
     return None if point.is_null_island() else point
 
 
-def _sweep(result):
+def _sweep(result, store):
     rng = RngHub(99).stream("ablation")
     hotspots = [
         h.asserted_location for h in result.world.online_hotspots()
         if h.asserted_location is not None
         and CONTIGUOUS_US.contains(h.asserted_location)
     ]
-    receipts = [t for _, t in result.chain.iter_transactions(PocReceipts)]
-    geometries = build_witness_geometry(receipts, _locate)
+    geometries = build_witness_geometry(store.valid_witness_receipts(), _locate)
 
     disk_fracs = {
         radius: DiskModel(hotspots, radius_km=radius)
@@ -43,9 +41,9 @@ def _sweep(result):
     return disk_fracs, hull_fracs
 
 
-def test_bench_ablation_coverage(benchmark, result):
+def test_bench_ablation_coverage(benchmark, result, store):
     disk_fracs, hull_fracs = benchmark.pedantic(
-        _sweep, args=(result,), rounds=1, iterations=1
+        _sweep, args=(result, store), rounds=1, iterations=1
     )
     # Disk coverage is monotone in radius and roughly quadratic.
     assert disk_fracs[0.15] < disk_fracs[0.3] < disk_fracs[0.6]

@@ -1,49 +1,48 @@
 """Ablation: witness-validity heuristics on/off (§7.2 design choice).
 
-Re-judges every witness report on the chain under three checkers —
+Re-judges every witness report on the chain (read from its ETL
+replica) under three checkers —
 default, RSSI-heuristics disabled, and strict — quantifying how much
 work the RSSI rules actually do (and that informed forgeries slip
 through all of them, the paper's takeaway).
 """
 
-from repro.chain.transactions import PocReceipts
 from repro.geo.hexgrid import HexCell
 from repro.poc.validity import WitnessValidityChecker
 from repro.radio.lora import US915
 
 
-def _judge(result, checker):
+def _judge(store, checker):
     """(accepted, total) over every witness report on the chain."""
     accepted = 0
     total = 0
-    for _, receipt in result.chain.iter_transactions(PocReceipts):
-        challengee_cell = HexCell.from_token(receipt.challengee_location_token)
-        challengee = challengee_cell.center()
-        for report in receipt.witnesses:
-            witness_cell = HexCell.from_token(report.reported_location_token)
-            verdict = checker.check(
-                challengee_location=challengee,
-                witness_location=witness_cell.center(),
-                witness_cell=witness_cell,
-                rssi_dbm=report.rssi_dbm,
-                freq_mhz=report.frequency_mhz,
-                channel_index=US915.channel_index(report.frequency_mhz),
-            )
-            accepted += verdict.is_valid
-            total += 1
+    for challengee_token, witness_token, rssi, frequency in (
+        store.witness_report_rows()
+    ):
+        witness_cell = HexCell.from_token(witness_token)
+        verdict = checker.check(
+            challengee_location=HexCell.from_token(challengee_token).center(),
+            witness_location=witness_cell.center(),
+            witness_cell=witness_cell,
+            rssi_dbm=rssi,
+            freq_mhz=frequency,
+            channel_index=US915.channel_index(frequency),
+        )
+        accepted += verdict.is_valid
+        total += 1
     return accepted, total
 
 
-def test_bench_ablation_validity(benchmark, result):
+def test_bench_ablation_validity(benchmark, store):
     default_checker = WitnessValidityChecker()
     no_rssi = WitnessValidityChecker(
         rssi_margin_db=1e9, rssi_floor_dbm=-1e12
     )
     strict = WitnessValidityChecker(rssi_margin_db=6.0)
 
-    accepted_default, total = benchmark(_judge, result, default_checker)
-    accepted_no_rssi, _ = _judge(result, no_rssi)
-    accepted_strict, _ = _judge(result, strict)
+    accepted_default, total = benchmark(_judge, store, default_checker)
+    accepted_no_rssi, _ = _judge(store, no_rssi)
+    accepted_strict, _ = _judge(store, strict)
 
     # Disabling the RSSI rules accepts strictly more reports (including
     # the billion-dBm absurdities); a strict margin rejects more honest

@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.experiments.context import get_result
+from repro.experiments.context import get_result, result_store
 
 
 def pytest_configure(config):
@@ -30,3 +30,9 @@ def result():
     """The shared simulation result all benches analyse."""
     scenario = os.environ.get("REPRO_BENCH_SCENARIO", "small")
     return get_result(scenario, seed=2021)
+
+
+@pytest.fixture(scope="session")
+def store(result):
+    """The ETL replica of ``result``'s chain, which the analyses read."""
+    return result_store(result)

@@ -12,7 +12,7 @@ Run with::
     python examples/cheat_detection.py
 """
 
-from repro import SimulationEngine
+from repro import SimulationEngine, result_store
 from repro.core.analysis.incentives import (
     cheater_rewards,
     find_rssi_anomalies,
@@ -24,6 +24,7 @@ from repro.scenarios import resolve
 
 def main() -> None:
     result = SimulationEngine(resolve("small", seed=97).config).run()
+    store = result_store(result)  # the chain's ETL replica
     world = result.world
 
     truth = {"silent_mover": set(), "rssi_liar": set(), "gossip": set()}
@@ -38,7 +39,7 @@ def main() -> None:
           {k: len(v) for k, v in truth.items()}, "\n")
 
     # --- Silent movers (§7.1): impossible witness geometry -------------
-    findings = find_silent_movers(result.chain)
+    findings = find_silent_movers(store)
     flagged = {f.gateway for f in findings}
     hits = flagged & truth["silent_mover"]
     print(f"silent-mover detector: flagged {len(flagged)}, "
@@ -53,7 +54,7 @@ def main() -> None:
               f"{'still rewarded!' if finding.still_rewarded else 'unrewarded'})")
 
     # --- RSSI liars (§7.2): impossible power levels ----------------------
-    anomalies = find_rssi_anomalies(result.chain)
+    anomalies = find_rssi_anomalies(store)
     print(f"\nimpossible-RSSI reports: {len(anomalies)}")
     if anomalies:
         top = anomalies[0]
@@ -64,7 +65,7 @@ def main() -> None:
     # --- Did cheating pay? ------------------------------------------------
     cheat_gateways = sorted(truth["silent_mover"] | truth["gossip"])
     if cheat_gateways:
-        rewards = cheater_rewards(result.chain, cheat_gateways)
+        rewards = cheater_rewards(store, cheat_gateways)
         total = sum(rewards.values())
         paid = sum(1 for v in rewards.values() if v > 0)
         print(f"\ncheater earnings: {paid}/{len(cheat_gateways)} cheats "

@@ -14,8 +14,7 @@ Run with::
 
 import numpy as np
 
-from repro import SimulationEngine
-from repro.chain.transactions import PocReceipts
+from repro import SimulationEngine, result_store
 from repro.core.coverage import (
     DiskModel,
     ExplorerDotMap,
@@ -47,8 +46,9 @@ def main() -> None:
             continue
         (us_online if hotspot.online else us_offline).append(loc)
 
-    receipts = [t for _, t in result.chain.iter_transactions(PocReceipts)]
-    geometries = build_witness_geometry(receipts, locate)
+    geometries = build_witness_geometry(
+        result_store(result).valid_witness_receipts(), locate
+    )
 
     dots = ExplorerDotMap(us_online, us_offline)
     print(f"explorer view: {dots.n_online} green dots, {dots.n_offline} red "

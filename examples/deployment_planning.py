@@ -19,8 +19,7 @@ Run with::
 
 import numpy as np
 
-from repro import SimulationEngine
-from repro.chain.transactions import PocReceipts
+from repro import SimulationEngine, result_store
 from repro.core.coverage import DiskModel, HullModel, RevisedModel, build_witness_geometry
 from repro.field.counter_app import CounterAppExperiment
 from repro.core.analysis.empirical import hotspot_field_near
@@ -50,8 +49,9 @@ def main() -> None:
         point = HexCell.from_token(token).center()
         return None if point.is_null_island() else point
 
-    receipts = [t for _, t in result.chain.iter_transactions(PocReceipts)]
-    geometries = build_witness_geometry(receipts, locate)
+    geometries = build_witness_geometry(
+        result_store(result).valid_witness_receipts(), locate
+    )
     hotspot_locations = [
         h.asserted_location for h in result.world.online_hotspots()
         if h.asserted_location is not None

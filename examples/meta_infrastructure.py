@@ -13,7 +13,7 @@ Run with::
     python examples/meta_infrastructure.py
 """
 
-from repro import SimulationEngine
+from repro import SimulationEngine, result_store
 from repro.core.analysis.meta import isp_ranking, tos_exposure
 from repro.core.analysis.outage import isp_outage_impact, worst_city_outages
 from repro.core.analysis.rewards import (
@@ -63,9 +63,10 @@ def main() -> None:
           "lose their circuit relay too")
 
     # --- why handlers keep deploying anyway ---------------------------------
-    earnings = hotspot_earnings(result.chain)
-    payback = payback_analysis(result.chain, hnt_price_usd=15.0)
-    ratio = speculation_ratio(result.chain)
+    store = result_store(result)  # the chain's ETL replica
+    earnings = hotspot_earnings(store)
+    payback = payback_analysis(store, hnt_price_usd=15.0)
+    ratio = speculation_ratio(store)
     print(f"\neconomics: median lifetime earnings "
           f"{earnings.median_hnt:.1f} HNT/hotspot; at $15/HNT the median "
           f"payback is {payback.median_payback_days:.0f} days "
@@ -74,7 +75,7 @@ def main() -> None:
           "'more hotspot activity than user activity' (§5)")
 
     # --- drill into one hotspot, explorer-style -----------------------------
-    explorer = Explorer(result.chain)
+    explorer = Explorer.from_store(store)
     gateway = max(
         world.hotspots,
         key=lambda g: explorer.hotspot(g).packets_ferried,

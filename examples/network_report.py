@@ -14,7 +14,7 @@ Run with::
 
 import sys
 
-from repro import SimulationEngine
+from repro import SimulationEngine, result_store
 from repro.core.analysis.chainstats import chain_stats
 from repro.core.analysis.growth import growth_curves, snapshot
 from repro.core.analysis.meta import isp_ranking, tos_exposure
@@ -33,16 +33,16 @@ def main() -> None:
         config = resolve("small", seed=3).config
     print(f"building {'paper' if use_paper else 'small'} scenario...")
     result = SimulationEngine(config).run()
-    chain = result.chain
+    store = result_store(result)
     scale = config.scale_factor
 
     print("\n=== THE PEOPLE'S NETWORK — STATE OF THE NETWORK ===\n")
 
-    census = chain_stats(chain, config.poc_thinning_factor)
+    census = chain_stats(store, config.poc_thinning_factor)
     print(f"chain: {census.total_transactions:,} txns, "
           f"{census.poc_share_descaled:.1%} PoC (paper 99.2%)")
 
-    curves = growth_curves(chain, result.growth_log)
+    curves = growth_curves(store, result.growth_log)
     final = snapshot(curves, len(curves.days) - 1)
     print(f"fleet: {final.connected:,} connected / {final.online:,} online "
           f"(≈{final.connected / scale:,.0f} / {final.online / scale:,.0f} "
@@ -50,17 +50,17 @@ def main() -> None:
     print(f"  US {final.online_us:,} vs international "
           f"{final.online_international:,}")
 
-    owners = ownership_stats(chain)
+    owners = ownership_stats(store)
     print(f"owners: {owners.n_owners:,}; "
           f"{owners.at_most_three_fraction:.1%} own ≤3 (paper 83.7%); "
           f"largest fleet {owners.max_owned}")
 
-    resale = resale_stats(chain)
+    resale = resale_stats(store)
     print(f"resale: {resale.total_transfers} transfers, "
           f"{resale.zero_dc_fraction:.1%} settled off-chain (paper 95.8%)")
 
-    share = channel_share(chain)
-    series = traffic_series(chain)
+    share = channel_share(store)
+    series = traffic_series(store)
     print(f"traffic: {series.final_packets_per_second():.1f} pkt/s aggregate "
           f"(paper ~14); Console holds {share.console_share:.1%} of channels "
           "(paper 81.2%)")

@@ -20,11 +20,12 @@ The library has three layers:
 
 Quickstart::
 
-    from repro import SimulationEngine, run_experiment
+    from repro import SimulationEngine, result_store, run_experiment
     from repro.scenarios import resolve
 
     result = SimulationEngine(resolve("small").config).run()
     report = run_experiment("fig02", result)
+    store = result_store(result)  # the ETL replica the analyses read
 """
 
 from repro._exports import lazy_exports
@@ -47,5 +48,6 @@ __all__, __getattr__ = lazy_exports(__name__, {
     "repro.experiments.registry": [
         "EXPERIMENTS", "run_experiment", "format_report",
     ],
+    "repro.experiments.context": ["result_store"],
 })
 __all__.insert(0, "__version__")

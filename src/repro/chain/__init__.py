@@ -6,8 +6,9 @@ schema the paper analyses, a validating ledger state machine, 60-second
 blocks, wallets, and the state-channel machinery behind payment-for-data.
 
 The simulation layer (:mod:`repro.simulation`) *writes* this chain; the
-analysis layer (:mod:`repro.core`) *reads* it — mirroring how the authors
-read the DeWi ETL replica of the live chain.
+ETL (:mod:`repro.etl`) follows it into the replica the analysis layer
+(:mod:`repro.core`) *reads* — mirroring how the authors read the DeWi
+ETL replica of the live chain.
 """
 
 from repro._exports import lazy_exports

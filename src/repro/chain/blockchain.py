@@ -1,8 +1,9 @@
 """The blockchain: an append-only chain of blocks over a validating ledger.
 
-Provides the iteration and filtering interface the analyses consume —
-"most of our analysis stems from an examination of the history of all
-transactions on the blockchain" (§3).
+"Most of our analysis stems from an examination of the history of all
+transactions on the blockchain" (§3). The analyses read that history
+from the chain's ETL replica (:mod:`repro.etl`), which ingests the dump
+records :meth:`BlockSequence.iter_record_texts` yields.
 
 The chain is stored **sparsely**: the real network mints a block every
 ~60 s whether or not anyone transacted, but empty blocks carry no
@@ -14,20 +15,11 @@ Residency is a second, orthogonal axis: ``chain.blocks`` is a
 :class:`BlockSequence` whose finalized prefix may be **spilled** to an
 append-to-disk :class:`~repro.chain.chainlog.ChainLog` (frame *i* holds
 block position *i*'s exact dump bytes). Spilled blocks materialise
-lazily as view objects on access, through a small LRU, so analyses
-read the same ``Block`` values whether or not the object graph is
-resident — only the peak RSS differs. The ETL reads the dump records
-themselves (:meth:`BlockSequence.iter_record_texts`). A chain loaded
-from a framed log file (checkpoint resume, warm scenario-cache load)
-is log-backed from the start: only its tip is resident.
-
-Typed reads go through a **per-kind position index**: for every
-concrete transaction class the chain holds an ``array`` of the block
-positions that contain one. Every append path fills it (mint and the
-framed-log load), so it never goes stale, and
-:meth:`Blockchain.iter_transactions` visits only the blocks holding the
-requested kind. A spilled block outside the LRU is then decoded entry by
-entry — only the matching transactions are built, never a ``Block``.
+lazily as view objects on access, through a small LRU, so readers see
+the same ``Block`` values whether or not the object graph is resident —
+only the peak RSS differs. A chain loaded from a framed log file
+(checkpoint resume, warm scenario-cache load) is log-backed from the
+start: only its tip is resident.
 """
 
 from __future__ import annotations
@@ -38,9 +30,7 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from typing import (
     Callable,
-    Collection,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -55,7 +45,7 @@ from repro import units
 from repro.chain.block import Block
 from repro.chain.chainlog import BLOCK_CACHE_SLOTS, ChainLog, encode_frame
 from repro.chain.ledger import Ledger
-from repro.chain.transactions import _KIND_BY_TYPE, Transaction
+from repro.chain.transactions import Transaction
 from repro.chain.varmap import ChainVars, DEFAULT_VARS
 from repro.errors import ChainError
 
@@ -195,36 +185,6 @@ class BlockSequence:
             self._cache.popitem(last=False)
         return block
 
-    def transactions_at(
-        self,
-        position: int,
-        kinds: Tuple[type, ...],
-        kind_names: Collection[str],
-    ) -> List[Transaction]:
-        """The transactions of block ``position`` that are instances of
-        ``kinds``, in block order.
-
-        A resident or LRU-cached block is filtered in place. A spilled
-        one is parsed from its frame and only the entries whose
-        ``type`` is in ``kind_names`` (the dump names of ``kinds``) are
-        decoded; no :class:`Block` is built and the LRU is untouched.
-        """
-        block = self._slots[position]
-        if block is None:
-            block = self._cache.get(position)
-        if block is not None:
-            return [t for t in block.transactions if isinstance(t, kinds)]
-        if self._log is None or position >= self._spilled:
-            raise ChainError(f"block at position {position} unavailable")
-        from repro.chain.serialize import transaction_from_dict
-
-        record = json.loads(self._log.payload(position))
-        return [
-            transaction_from_dict(entry)
-            for entry in record.get("transactions", [])
-            if entry.get("type") in kind_names
-        ]
-
     # -- serialization support --------------------------------------------
 
     def iter_record_texts(self, start: int = 0) -> Iterator[str]:
@@ -282,9 +242,6 @@ class Blockchain:
         #: Height of the block at each position, ascending (positions
         #: are stable: the chain is append-only), for bisecting.
         self._heights = array("Q", [0])
-        #: Concrete transaction class -> ascending positions of the
-        #: blocks holding at least one (the per-kind index).
-        self._kind_positions: Dict[type, array] = {}
 
     # -- chain growth ------------------------------------------------------
 
@@ -345,29 +302,16 @@ class Blockchain:
             prev_hash=self.tip.hash,
             transactions=tuple(applied),
         )
-        self._index(block.height, block.transactions)
+        self._heights.append(block.height)
         self.blocks.append(block)
         self._pending = []
         return block
 
-    def _append_spilled(
-        self, height: int, transactions: Iterable[Transaction]
-    ) -> None:
+    def _append_spilled(self, height: int) -> None:
         """Register a new tip whose bytes are already in the attached
         log (a framed-log load byte-copies the frame first)."""
-        self._index(height, transactions)
-        self.blocks.append_spilled()
-
-    def _index(
-        self, height: int, transactions: Iterable[Transaction]
-    ) -> None:
-        position = len(self.blocks)
         self._heights.append(height)
-        for cls in {type(txn) for txn in transactions}:
-            positions = self._kind_positions.get(cls)
-            if positions is None:
-                positions = self._kind_positions[cls] = array("I")
-            positions.append(position)
+        self.blocks.append_spilled()
 
     def drop_pending(self) -> List[Transaction]:
         """Discard and return staged transactions (test/debug helper)."""
@@ -418,42 +362,29 @@ class Blockchain:
     ) -> Iterator[Tuple[int, Transaction]]:
         """Yield ``(height, txn)`` pairs in chain order, filtered.
 
+        A plain scan over :attr:`blocks`: every block in the window is
+        visited (and a spilled one decoded). Analyses read the ETL
+        replica instead.
+
         Args:
             kind: restrict to instances of one transaction class or a
                 tuple of them (``isinstance`` semantics); ``None`` means
-                every transaction. Only the blocks the per-kind index
-                lists are visited.
+                every transaction.
             start_height: inclusive lower bound.
             end_height: inclusive upper bound (default: the tip).
             predicate: extra filter applied after the kind filter.
         """
+        kinds = Transaction if kind is None else kind
         stop = self.height if end_height is None else end_height
         low = bisect_left(self._heights, start_height)
         high = bisect_right(self._heights, stop)
-        if kind is None:
-            kinds: Tuple[type, ...] = (Transaction,)
-        else:
-            kinds = kind if isinstance(kind, tuple) else (kind,)
-        classes = [
-            cls for cls in self._kind_positions if issubclass(cls, kinds)
-        ]
-        names = {_KIND_BY_TYPE.get(cls) for cls in classes} - {None}
-        runs = []
-        for cls in classes:
-            positions = self._kind_positions[cls]
-            runs.append(positions[
-                bisect_left(positions, low):bisect_left(positions, high)
-            ])
-        selected = runs[0] if len(runs) == 1 else sorted(set().union(*runs))
-        for position in selected:
-            height = self._heights[position]
-            for txn in self.blocks.transactions_at(position, kinds, names):
-                if predicate is None or predicate(txn):
-                    yield height, txn
-
-    def transactions_of_kind(self, kind: Type[T]) -> List[Tuple[int, T]]:
-        """All ``(height, txn)`` of one class, materialised."""
-        return [(h, t) for h, t in self.iter_transactions(kind)]  # type: ignore[misc]
+        for position in range(low, high):
+            block = self.blocks[position]
+            for txn in block.transactions:
+                if isinstance(txn, kinds) and (
+                    predicate is None or predicate(txn)
+                ):
+                    yield block.height, txn
 
     def count_transactions(self) -> Dict[str, int]:
         """Total applied transactions by kind (from the ledger's tally)."""
@@ -463,10 +394,6 @@ class Blockchain:
     def total_transactions(self) -> int:
         """Total applied transactions of any kind."""
         return sum(self.ledger.txn_counts.values())
-
-    def time_of(self, height: int) -> int:
-        """Nominal Unix timestamp of ``height``."""
-        return units.block_to_unix_time(height)
 
     def __len__(self) -> int:
         """Number of materialised (non-empty + genesis) blocks."""

@@ -399,7 +399,7 @@ def load_chain_log(
                 for txn in block.transactions:
                     chain.ledger.apply(txn, height)
                 log.append_frame(frame, digest)
-                chain._append_spilled(height, block.transactions)
+                chain._append_spilled(height)
         if read != size or sha.hexdigest() != sha256:
             raise ChainError(
                 f"chain log digest mismatch ({sha.hexdigest()[:12]}… != "

@@ -6,7 +6,7 @@ through the HIP-15 300 m disk model, witness convex hulls, the 25 km
 cutoff refinement, and the final radial + RSSI revision.
 
 :mod:`repro.core.analysis` packages every Section 3–8 measurement as a
-documented function over chain/p2p/field data.
+documented function over the chain's ETL replica and p2p/field data.
 """
 
 from repro._exports import lazy_exports

@@ -1,5 +1,8 @@
 """Every Section 3–8 measurement, as documented functions.
 
+Chain history and ledger state come from the ETL replica
+(:class:`repro.etl.store.EtlStore`), as the paper's came from the DeWi
+ETL; p2p, world and field analyses take their ground-truth objects.
 One module per paper theme:
 
 * :mod:`~repro.core.analysis.chainstats` — §3 whole-chain statistics.

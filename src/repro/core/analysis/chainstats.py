@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.chain.blockchain import Blockchain
+from repro import units
 from repro.errors import AnalysisError
+from repro.etl.store import EtlStore
 
 __all__ = ["ChainStats", "chain_stats"]
 
@@ -35,17 +36,17 @@ class ChainStats:
 
 
 def chain_stats(
-    chain: Blockchain, poc_thinning_factor: Optional[float] = None
+    store: EtlStore, poc_thinning_factor: Optional[float] = None
 ) -> ChainStats:
     """Census the chain's transactions.
 
     Args:
-        chain: the blockchain to census.
+        store: the ETL replica of the chain to census.
         poc_thinning_factor: how many real challenges each simulated one
             represents; when given, a descaled PoC share is computed as
             ``poc·f / (poc·f + non_poc)``.
     """
-    counts = chain.count_transactions()
+    counts = store.transaction_counts()
     total = sum(counts.values())
     if total == 0:
         raise AnalysisError("chain has no transactions to census")
@@ -64,6 +65,6 @@ def chain_stats(
         poc_transactions=poc,
         poc_share=poc / total,
         poc_share_descaled=descaled,
-        first_block_time=chain.time_of(0),
-        tip_height=chain.height,
+        first_block_time=units.block_to_unix_time(0),
+        tip_height=store.checkpoint_height,
     )

@@ -3,7 +3,8 @@
 The Helium Explorer aggregates hotspots into coarse H3 cells — the
 paper's Figure 16 links a res-8 hex page
 (``explorer.helium.com/hotspots/hex/8829a41a95fffff``). These analyses
-provide the same aggregation over the simulated chain: counts per cell,
+provide the same aggregation over the ETL replica's folded ``hotspots``
+state: counts per cell,
 the densest deployments, the HIP-15 density disincentive in action
 (how many hotspots sit within 300 m of another), and a spatial
 concentration index.
@@ -16,8 +17,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.chain.blockchain import Blockchain
 from repro.errors import AnalysisError
+from repro.etl.store import EtlStore
 from repro.geo.geodesy import LatLon
 from repro.geo.hexgrid import HexCell
 from repro.geo.spatialindex import SpatialIndex
@@ -51,12 +52,12 @@ class DensityStats:
         return self.total_hotspots / self.occupied_cells
 
 
-def _located_hotspots(chain: Blockchain) -> List[Tuple[str, LatLon]]:
+def _located_hotspots(store: EtlStore) -> List[Tuple[str, LatLon]]:
     out = []
-    for gateway, record in chain.ledger.hotspots.items():
-        if record.location_token is None:
+    for gateway, _, token in store.hotspot_rows():
+        if token is None:
             continue
-        location = HexCell.from_token(record.location_token).center()
+        location = HexCell.from_token(token).center()
         if location.is_null_island():
             continue
         out.append((gateway, location))
@@ -66,7 +67,7 @@ def _located_hotspots(chain: Blockchain) -> List[Tuple[str, LatLon]]:
 
 
 def hex_density(
-    chain: Blockchain,
+    store: EtlStore,
     resolution: int = EXPLORER_HEX_RESOLUTION,
     top_n: int = 10,
 ) -> DensityStats:
@@ -74,7 +75,7 @@ def hex_density(
     from repro.geo.hexgrid import HexGrid
 
     counts: Dict[str, int] = {}
-    located = _located_hotspots(chain)
+    located = _located_hotspots(store)
     for _, location in located:
         token = HexGrid.encode_cell(location, resolution).token
         counts[token] = counts.get(token, 0) + 1
@@ -112,12 +113,12 @@ class CrowdingStats:
 
 
 def crowding_stats(
-    chain: Blockchain,
+    store: EtlStore,
     exclusion_km: float = 0.3,
     witness_range_km: float = 15.0,
 ) -> CrowdingStats:
     """Count HIP-15-crowded and witness-isolated hotspots."""
-    located = _located_hotspots(chain)
+    located = _located_hotspots(store)
     index: SpatialIndex[str] = SpatialIndex(cell_deg=0.25)
     for gateway, location in located:
         index.insert(location, gateway)
@@ -146,7 +147,7 @@ def crowding_stats(
 
 
 def spatial_gini(
-    chain: Blockchain, resolution: int = EXPLORER_HEX_RESOLUTION
+    store: EtlStore, resolution: int = EXPLORER_HEX_RESOLUTION
 ) -> float:
     """Gini coefficient of hotspots over occupied hex cells.
 
@@ -158,7 +159,7 @@ def spatial_gini(
     from repro.geo.hexgrid import HexGrid
 
     counts: Dict[str, int] = {}
-    for _, location in _located_hotspots(chain):
+    for _, location in _located_hotspots(store):
         token = HexGrid.encode_cell(location, resolution).token
         counts[token] = counts.get(token, 0) + 1
     values = np.sort(np.array(list(counts.values()), dtype=float))

@@ -1,8 +1,9 @@
 """Adoption-curve analyses (§4.2, Figure 5).
 
-Two sources are combined, as in the paper: the chain gives *connected*
-counts (every add_gateway ever); the p2p/world side gives *online*
-counts ("fully synced and participating in PoC challenges").
+Two sources are combined, as in the paper: the chain (its ETL replica)
+gives *connected* counts (every add_gateway ever); the p2p/world side
+gives *online* counts ("fully synced and participating in PoC
+challenges").
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro import units
-from repro.chain.blockchain import Blockchain
-from repro.chain.transactions import AddGateway
 from repro.errors import AnalysisError
+from repro.etl.store import EtlStore
 
 __all__ = ["GrowthCurves", "growth_curves", "snapshot"]
 
@@ -43,18 +43,18 @@ class GrowthCurves:
 
 
 def growth_curves(
-    chain: Blockchain,
+    store: EtlStore,
     growth_log: Optional[Sequence] = None,
 ) -> GrowthCurves:
     """Build Figure 5's series from the chain (+ optional world log).
 
     Args:
-        chain: source of add_gateway timing.
+        store: the ETL replica, source of add_gateway timing.
         growth_log: optional engine :class:`GrowthLogRow` sequence for
             the online/US split; without it, online columns are zeros.
     """
     adds_by_day: dict = {}
-    for height, _ in chain.iter_transactions(AddGateway):
+    for height in store.transaction_heights("add_gateway"):
         day = height // units.BLOCKS_PER_DAY
         adds_by_day[day] = adds_by_day.get(day, 0) + 1
     if not adds_by_day:

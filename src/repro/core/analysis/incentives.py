@@ -1,25 +1,24 @@
 """Incentive case-study analyses (§7): silent movers and lying witnesses.
 
-Both detectors run on chain data only — the exact procedure the paper
-used to find "Joyful Pink Skunk" (asserted in Pennsylvania, witnessing in
-New York) and witnesses claiming RSSIs "as high as 1,041,313,293 dBm".
+Both detectors run on chain data only, read from the ETL replica — the
+exact procedure the paper used to find "Joyful Pink Skunk" (asserted in
+Pennsylvania, witnessing in New York) and witnesses claiming RSSIs "as
+high as 1,041,313,293 dBm".
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List
 
-from repro.chain.blockchain import Blockchain
+from repro import units
 from repro.chain.crypto import Address
 from repro.chain.naming import hotspot_name
-from repro.chain.transactions import (
-    AssertLocation,
-    PocReceipts,
-    Rewards,
-    RewardType,
-)
+from repro.chain.transactions import RewardType
 from repro.errors import AnalysisError
+from repro.etl.store import EtlStore
 from repro.geo.geodesy import LatLon
 from repro.geo.hexgrid import HexCell
 from repro.radio.lora import MAX_EIRP_DBM_US
@@ -48,7 +47,7 @@ class SilentMoverFinding:
 
 
 def find_silent_movers(
-    chain: Blockchain,
+    store: EtlStore,
     impossible_km: float = 300.0,
     min_events: int = 3,
 ) -> List[SilentMoverFinding]:
@@ -61,33 +60,48 @@ def find_silent_movers(
     ``impossible_km`` from where they claim to be (no LoRa link reaches
     that far): silent movers, never-honest asserts (the Striped Yellow
     Bird pattern), and location-impossible collusion.
+
+    The replay merges the assert rows and the valid witness rows by
+    ``(height, seq)``; an assert and a receipt are separate
+    transactions, so their keys never collide.
     """
+    centres: Dict[str, LatLon] = {}
+
+    def centre(token: str) -> LatLon:
+        location = centres.get(token)
+        if location is None:
+            location = centres[token] = HexCell.from_token(token).center()
+        return location
+
     asserted: Dict[Address, LatLon] = {}
     events: Dict[Address, List[LatLon]] = {}
-    for _, txn in chain.iter_transactions((AssertLocation, PocReceipts)):
-        if isinstance(txn, AssertLocation):
-            asserted[txn.gateway] = HexCell.from_token(txn.location_token).center()
+    replay = heapq.merge(
+        ((height, seq, True, gateway, token)
+         for height, seq, gateway, token, _ in store.assert_rows()),
+        ((height, seq, False, witness, token)
+         for height, seq, witness, token in store.valid_witness_rows()),
+        key=itemgetter(0, 1),
+    )
+    for _, _, is_assert, gateway, token in replay:
+        if is_assert:
+            asserted[gateway] = centre(token)
             continue
-        receipt = txn
-        challengee_loc = HexCell.from_token(
-            receipt.challengee_location_token
-        ).center()
-        for report in receipt.witnesses:
-            if not report.is_valid:
-                continue
-            witness_loc = asserted.get(report.witness)
-            if witness_loc is None or witness_loc.is_null_island():
-                continue
-            if witness_loc.distance_km(challengee_loc) > impossible_km:
-                events.setdefault(report.witness, []).append(challengee_loc)
+        witness_loc = asserted.get(gateway)
+        if witness_loc is None or witness_loc.is_null_island():
+            continue
+        challengee_loc = centre(token)
+        if witness_loc.distance_km(challengee_loc) > impossible_km:
+            events.setdefault(gateway, []).append(challengee_loc)
     # Final asserted locations for reporting.
     asserted = {
-        gateway: HexCell.from_token(record.location_token).center()
-        for gateway, record in chain.ledger.hotspots.items()
-        if record.location_token is not None
+        gateway: HexCell.from_token(token).center()
+        for gateway, _, token in store.hotspot_rows()
+        if token is not None
     }
 
-    rewarded = _rewarded_gateways(chain)
+    rewarded = store.rewarded_gateways(
+        (RewardType.POC_WITNESS.value, RewardType.POC_CHALLENGEE.value)
+    )
     findings: List[SilentMoverFinding] = []
     for gateway, challengee_locs in events.items():
         if len(challengee_locs) < min_events:
@@ -121,52 +135,34 @@ class RssiAnomaly:
 
 
 def find_rssi_anomalies(
-    chain: Blockchain, eirp_bound_dbm: float = MAX_EIRP_DBM_US
+    store: EtlStore, eirp_bound_dbm: float = MAX_EIRP_DBM_US
 ) -> List[RssiAnomaly]:
     """Witness reports above the legal EIRP bound (impossible RSSI).
 
     "FCC regulations limit transmitters to +36 dBm EIRP. Yet some
     witnesses claim an RSSI as high as 1,041,313,293 dBm."
     """
-    anomalies: List[RssiAnomaly] = []
-    for _, receipt in chain.iter_transactions(PocReceipts):
-        for report in receipt.witnesses:
-            if report.rssi_dbm > eirp_bound_dbm:
-                anomalies.append(RssiAnomaly(
-                    witness=report.witness,
-                    name=hotspot_name(report.witness),
-                    rssi_dbm=report.rssi_dbm,
-                    challengee=receipt.challengee,
-                    passed_validity=report.is_valid,
-                ))
+    anomalies = [
+        RssiAnomaly(
+            witness=witness,
+            name=hotspot_name(witness),
+            rssi_dbm=rssi,
+            challengee=challengee,
+            passed_validity=valid,
+        )
+        for witness, rssi, challengee, valid in store.rssi_anomaly_rows(
+            eirp_bound_dbm
+        )
+    ]
     anomalies.sort(key=lambda a: -a.rssi_dbm)
     return anomalies
 
 
-def _rewarded_gateways(chain: Blockchain) -> set:
-    """Gateways that ever earned PoC witness/challengee rewards."""
-    rewarded = set()
-    for _, txn in chain.iter_transactions(Rewards):
-        for share in txn.shares:
-            if share.gateway is not None and share.reward_type in (
-                RewardType.POC_WITNESS, RewardType.POC_CHALLENGEE
-            ):
-                rewarded.add(share.gateway)
-    return rewarded
-
-
 def cheater_rewards(
-    chain: Blockchain, gateways: List[Address]
+    store: EtlStore, gateways: List[Address]
 ) -> Dict[Address, float]:
     """Total HNT earned by specific gateways (are cheats profitable?)."""
     if not gateways:
         raise AnalysisError("no gateways given")
-    wanted = set(gateways)
-    totals: Dict[Address, int] = {g: 0 for g in gateways}
-    for _, txn in chain.iter_transactions(Rewards):
-        for share in txn.shares:
-            if share.gateway in wanted:
-                totals[share.gateway] += share.amount_bones
-    from repro import units
-
-    return {g: units.bones_to_hnt(b) for g, b in totals.items()}
+    totals = store.rewards_by_gateway()
+    return {g: units.bones_to_hnt(totals.get(g, 0)) for g in gateways}

@@ -1,7 +1,7 @@
 """Location-change analyses (§4.1; Figures 2, 3, 4).
 
-All results come from scanning assert_location transactions on the
-chain, exactly as the paper scans the DeWi replica. A hotspot's *moves*
+All results come from scanning the assert_location transactions of the
+ETL replica, as the paper scans the DeWi replica. A hotspot's *moves*
 are its asserts after the first (the initial assert publishes, it does
 not move).
 """
@@ -13,10 +13,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.chain.blockchain import Blockchain
 from repro.chain.crypto import Address
-from repro.chain.transactions import AssertLocation
 from repro.errors import AnalysisError
+from repro.etl.store import EtlStore
 from repro.geo.geodesy import LatLon
 from repro.geo.hexgrid import HexCell
 
@@ -68,30 +67,30 @@ class MoveStats:
     movers_more_than_five_fraction: float = 0.0
 
 
-def collect_move_records(chain: Blockchain) -> List[MoveRecord]:
+def collect_move_records(store: EtlStore) -> List[MoveRecord]:
     """All relocations, in chain order."""
     last_seen: Dict[Address, Tuple[LatLon, int]] = {}
     records: List[MoveRecord] = []
-    for height, txn in chain.iter_transactions(AssertLocation):
-        location = HexCell.from_token(txn.location_token).center()
-        previous = last_seen.get(txn.gateway)
+    for height, _, gateway, token, _ in store.assert_rows():
+        location = HexCell.from_token(token).center()
+        previous = last_seen.get(gateway)
         if previous is not None:
             records.append(MoveRecord(
-                gateway=txn.gateway,
+                gateway=gateway,
                 from_location=previous[0],
                 to_location=location,
                 block=height,
                 prev_block=previous[1],
             ))
-        last_seen[txn.gateway] = (location, height)
+        last_seen[gateway] = (location, height)
     return records
 
 
-def move_stats(chain: Blockchain) -> MoveStats:
+def move_stats(store: EtlStore) -> MoveStats:
     """Figure 2: the distribution of location changes per hotspot."""
     move_counts: Dict[Address, int] = {}
-    for _, txn in chain.iter_transactions(AssertLocation):
-        move_counts[txn.gateway] = move_counts.get(txn.gateway, 0) + 1
+    for _, _, gateway, _, _ in store.assert_rows():
+        move_counts[gateway] = move_counts.get(gateway, 0) + 1
     if not move_counts:
         raise AnalysisError("no assert_location transactions on chain")
     # nonce 1 = initial assert; moves = asserts - 1.
@@ -188,19 +187,19 @@ class NullIslandStats:
         return self.first_time_null_asserts / self.total_null_asserts
 
 
-def null_island_stats(chain: Blockchain) -> NullIslandStats:
+def null_island_stats(store: EtlStore) -> NullIslandStats:
     """Count (0, 0) location assertions and who stayed there."""
     total = 0
     first_time = 0
     relocations = 0
     current: Dict[Address, bool] = {}
-    for _, txn in chain.iter_transactions(AssertLocation):
-        location = HexCell.from_token(txn.location_token).center()
+    for _, _, gateway, token, nonce in store.assert_rows():
+        location = HexCell.from_token(token).center()
         at_null = location.is_null_island()
-        current[txn.gateway] = at_null
+        current[gateway] = at_null
         if at_null:
             total += 1
-            if txn.nonce == 1:
+            if nonce == 1:
                 first_time += 1
             else:
                 relocations += 1

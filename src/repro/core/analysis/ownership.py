@@ -4,7 +4,8 @@
 receives the rewards earned by the hotspot." The distribution, the owner
 classes (HNT-accumulating application operators vs frequently-encashing
 mining pools), and the geography of big fleets all come from joining
-current ledger state against chain history.
+current ledger state against chain history, both read from the ETL
+replica's ``hotspots``, ``wallets`` and ``packet_summaries`` tables.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.chain.blockchain import Blockchain
+from repro import units
 from repro.chain.crypto import Address
-from repro.chain.transactions import StateChannelClose
 from repro.errors import AnalysisError
+from repro.etl.store import EtlStore
 from repro.geo.geodesy import LatLon
 from repro.geo.hexgrid import HexCell
 
@@ -43,9 +44,9 @@ class OwnershipStats:
     max_owned: int
 
 
-def ownership_stats(chain: Blockchain) -> OwnershipStats:
+def ownership_stats(store: EtlStore) -> OwnershipStats:
     """The owner-size distribution from current ledger state."""
-    counts = chain.ledger.owner_counts()
+    counts = store.owner_counts()
     if not counts:
         raise AnalysisError("no hotspots on chain")
     histogram: Dict[int, int] = {}
@@ -81,7 +82,7 @@ class OwnerProfile:
 
 
 def classify_owners(
-    chain: Blockchain,
+    store: EtlStore,
     min_fleet: int = 3,
     application_hnt_threshold: float = 50.0,
 ) -> List[OwnerProfile]:
@@ -93,33 +94,23 @@ def classify_owners(
     profit-seeking owners "frequently encash their HNT" and take no part
     in data transactions. Thresholds scale with simulation emission.
     """
-    counts = chain.ledger.owner_counts()
-    ferried: Dict[Address, int] = {}
-    hotspot_owner = {
-        gw: record.owner for gw, record in chain.ledger.hotspots.items()
-    }
-    for _, txn in chain.iter_transactions(StateChannelClose):
-        for summary in txn.summaries:
-            owner = hotspot_owner.get(summary.hotspot)
-            if owner is not None:
-                ferried[owner] = ferried.get(owner, 0) + summary.num_packets
+    counts = store.owner_counts()
+    ferried = store.packets_by_owner()
+    balances = store.wallet_hnt_bones()
     profiles: List[OwnerProfile] = []
     for owner, fleet in counts.items():
+        bones = balances.get(owner)
+        balance = units.bones_to_hnt(bones) if bones is not None else 0.0
         if fleet < min_fleet:
             inferred = "individual"
+        elif ferried.get(owner, 0) > 0 and balance >= application_hnt_threshold:
+            inferred = "application"
         else:
-            packets = ferried.get(owner, 0)
-            wallet = chain.ledger.wallets.get(owner)
-            balance = wallet.hnt if wallet is not None else 0.0
-            if packets > 0 and balance >= application_hnt_threshold:
-                inferred = "application"
-            else:
-                inferred = "mining"
-        wallet = chain.ledger.wallets.get(owner)
+            inferred = "mining"
         profiles.append(OwnerProfile(
             owner=owner,
             hotspots=fleet,
-            hnt_balance=wallet.hnt if wallet is not None else 0.0,
+            hnt_balance=balance,
             data_packets_ferried=ferried.get(owner, 0),
             inferred_class=inferred,
         ))
@@ -128,16 +119,16 @@ def classify_owners(
 
 
 def owner_fleet_map(
-    chain: Blockchain, owner: Address
+    store: EtlStore, owner: Address
 ) -> List[Tuple[Address, Optional[LatLon]]]:
     """Figure 6: the locations of one owner's fleet."""
-    fleet = chain.ledger.hotspots_of(owner)
+    fleet = store.fleet_rows(owner)
     if not fleet:
         raise AnalysisError(f"owner {owner} has no hotspots")
     out: List[Tuple[Address, Optional[LatLon]]] = []
-    for record in fleet:
+    for gateway, token in fleet:
         location = None
-        if record.location_token is not None:
-            location = HexCell.from_token(record.location_token).center()
-        out.append((record.gateway, location))
+        if token is not None:
+            location = HexCell.from_token(token).center()
+        out.append((gateway, location))
     return out

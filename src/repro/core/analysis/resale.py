@@ -1,34 +1,15 @@
-"""Resale-market analyses (§4.3.3, Figure 7).
-
-Every public function accepts either a live :class:`Blockchain` or an
-:class:`repro.etl.store.EtlStore`; both backends produce identical
-numbers (asserted by parity tests).
-"""
+"""Resale-market analyses (§4.3.3, Figure 7), over the ETL replica's
+``transfers`` table."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro import units
-from repro.chain.blockchain import Blockchain
 from repro.chain.crypto import Address
-from repro.chain.transactions import TransferHotspot
 from repro.errors import AnalysisError
-
-#: Either analysis backend: the in-memory chain or the ETL store.
-ChainSource = Union[Blockchain, "EtlStore"]  # noqa: F821 - duck-typed
-
-
-def _transfer_rows(
-    chain: ChainSource,
-) -> Iterator[Tuple[int, Address, Address, Address, int]]:
-    """``(height, gateway, seller, buyer, amount_dc)`` in chain order."""
-    if isinstance(chain, Blockchain):
-        for height, txn in chain.iter_transactions(TransferHotspot):
-            yield height, txn.gateway, txn.seller, txn.buyer, txn.amount_dc
-    else:
-        yield from chain.transfer_rows()
+from repro.etl.store import EtlStore
 
 __all__ = ["ResaleStats", "resale_stats", "transfers_over_time", "top_traders"]
 
@@ -45,12 +26,12 @@ class ResaleStats:
     zero_dc_fraction: float
 
 
-def resale_stats(chain: ChainSource) -> ResaleStats:
+def resale_stats(store: EtlStore) -> ResaleStats:
     """Transfer counts, repeat-transfer distribution, 0-DC share."""
     per_hotspot: Dict[Address, int] = {}
     zero_dc = 0
     total = 0
-    for _, gateway, _, _, amount_dc in _transfer_rows(chain):
+    for _, gateway, _, _, amount_dc in store.transfer_rows():
         per_hotspot[gateway] = per_hotspot.get(gateway, 0) + 1
         total += 1
         if amount_dc == 0:
@@ -61,11 +42,7 @@ def resale_stats(chain: ChainSource) -> ResaleStats:
     for count in per_hotspot.values():
         histogram[count] = histogram.get(count, 0) + 1
     transferred = len(per_hotspot)
-    fleet = (
-        chain.ledger.hotspot_count
-        if isinstance(chain, Blockchain)
-        else chain.hotspot_count
-    )
+    fleet = store.hotspot_count
     return ResaleStats(
         total_transfers=total,
         hotspots_transferred=transferred,
@@ -79,11 +56,11 @@ def resale_stats(chain: ChainSource) -> ResaleStats:
 
 
 def transfers_over_time(
-    chain: ChainSource, bucket_days: int = 30
+    store: EtlStore, bucket_days: int = 30
 ) -> List[Tuple[int, int]]:
     """Figure 7c: (bucket start day, transfer count) time series."""
     buckets: Dict[int, int] = {}
-    for height, _, _, _, _ in _transfer_rows(chain):
+    for height, _, _, _, _ in store.transfer_rows():
         day = height // units.BLOCKS_PER_DAY
         bucket = (day // bucket_days) * bucket_days
         buckets[bucket] = buckets.get(bucket, 0) + 1
@@ -104,11 +81,11 @@ class TraderActivity:
         return self.bought + self.sold
 
 
-def top_traders(chain: ChainSource, top_n: int = 200) -> List[TraderActivity]:
+def top_traders(store: EtlStore, top_n: int = 200) -> List[TraderActivity]:
     """Figure 7b: the most active transfer participants."""
     bought: Dict[Address, int] = {}
     sold: Dict[Address, int] = {}
-    for _, _, seller, buyer, _ in _transfer_rows(chain):
+    for _, _, seller, buyer, _ in store.transfer_rows():
         bought[buyer] = bought.get(buyer, 0) + 1
         sold[seller] = sold.get(seller, 0) + 1
     # Sorted so equal-total traders rank deterministically (the later

@@ -5,28 +5,22 @@ we do not view the current valuation of the HNT token as sustainable if
 the paying user base does not grow as well." These analyses quantify
 both halves: per-hotspot earnings over time, the payback distribution at
 prevailing prices, and the speculative ratio (coverage rewards vs data
-revenue) behind the sustainability worry.
-
-Every public function accepts either a live :class:`Blockchain` or an
-:class:`repro.etl.store.EtlStore`; both backends produce identical
-numbers (asserted by parity tests).
+revenue) behind the sustainability worry. They read the ETL replica's
+``rewards`` table and its folded ``hotspots`` state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
 import numpy as np
 
 from repro import units
-from repro.chain.blockchain import Blockchain
 from repro.chain.crypto import Address
-from repro.chain.transactions import Rewards, RewardType
+from repro.chain.transactions import RewardType
 from repro.errors import AnalysisError
-
-#: Either analysis backend: the in-memory chain or the ETL store.
-ChainSource = Union[Blockchain, "EtlStore"]  # noqa: F821 - duck-typed
+from repro.etl.store import EtlStore
 
 __all__ = [
     "EarningsStats",
@@ -49,23 +43,10 @@ class EarningsStats:
     by_reward_type_hnt: Dict[str, float]
 
 
-def hotspot_earnings(chain: ChainSource) -> EarningsStats:
+def hotspot_earnings(store: EtlStore) -> EarningsStats:
     """Lifetime earnings per hotspot, plus the split by reward class."""
-    if isinstance(chain, Blockchain):
-        per_gateway: Dict[Address, int] = {}
-        by_type: Dict[str, int] = {}
-        for _, txn in chain.iter_transactions(Rewards):
-            for share in txn.shares:
-                by_type[share.reward_type.value] = (
-                    by_type.get(share.reward_type.value, 0) + share.amount_bones
-                )
-                if share.gateway is not None:
-                    per_gateway[share.gateway] = (
-                        per_gateway.get(share.gateway, 0) + share.amount_bones
-                    )
-    else:
-        per_gateway = chain.rewards_by_gateway()
-        by_type = chain.rewards_by_type()
+    per_gateway = store.rewards_by_gateway()
+    by_type = store.rewards_by_type()
     if not per_gateway:
         raise AnalysisError("no gateway rewards on chain")
     values = np.sort(np.array(
@@ -96,43 +77,25 @@ class PaybackStats:
 
 
 def payback_analysis(
-    chain: ChainSource,
+    store: EtlStore,
     hnt_price_usd: float,
     hotspot_cost_usd: float = 400.0,
-    scale_factor: Optional[float] = None,
 ) -> PaybackStats:
     """Time-to-payback per hotspot at a given HNT price.
 
-    Walks reward transactions in chain order, accumulating USD value per
+    Walks reward shares in chain order, accumulating USD value per
     gateway, and records the block at which each crosses the hardware
-    cost. ``scale_factor`` descales per-hotspot earnings for scaled-down
-    simulations (emission scales with the fleet, so per-hotspot earnings
-    are scale-invariant already; pass None normally).
+    cost.
     """
     if hnt_price_usd <= 0 or hotspot_cost_usd <= 0:
         raise AnalysisError("price and cost must be positive")
-    if isinstance(chain, Blockchain):
-        added_block: Dict[Address, int] = {
-            g: r.added_block for g, r in chain.ledger.hotspots.items()
-        }
-        share_rows = (
-            (height, share.gateway, share.amount_bones)
-            for height, txn in chain.iter_transactions(Rewards)
-            for share in txn.shares
-        )
-    else:
-        added_block = chain.gateway_added_blocks()
-        share_rows = (
-            (height, gateway, amount)
-            for height, _, gateway, amount, _ in chain.reward_share_rows()
-        )
+    added_block = store.gateway_added_blocks()
     cumulative: Dict[Address, float] = {}
     payback_block: Dict[Address, int] = {}
-    factor = 1.0 if not scale_factor else 1.0
-    for height, gateway, amount_bones in share_rows:
+    for height, _, gateway, amount_bones, _ in store.reward_share_rows():
         if gateway is None:
             continue
-        value = units.bones_to_hnt(amount_bones) * hnt_price_usd * factor
+        value = units.bones_to_hnt(amount_bones) * hnt_price_usd
         total = cumulative.get(gateway, 0.0) + value
         cumulative[gateway] = total
         if total >= hotspot_cost_usd and gateway not in payback_block:
@@ -170,26 +133,16 @@ _COVERAGE_TYPES = (
 )
 
 
-def speculation_ratio(chain: ChainSource) -> float:
+def speculation_ratio(store: EtlStore) -> float:
     """Coverage-reward HNT per data-transfer HNT (the §5 imbalance).
 
     A large ratio is the paper's "more hotspot activity than user
     activity": the network pays far more for *being there* than for
     *carrying data*.
     """
-    coverage = 0
-    data = 0
-    if isinstance(chain, Blockchain):
-        for _, txn in chain.iter_transactions(Rewards):
-            for share in txn.shares:
-                if share.reward_type in _COVERAGE_TYPES:
-                    coverage += share.amount_bones
-                elif share.reward_type is RewardType.DATA_TRANSFER:
-                    data += share.amount_bones
-    else:
-        by_type = chain.rewards_by_type()
-        coverage = sum(by_type.get(t.value, 0) for t in _COVERAGE_TYPES)
-        data = by_type.get(RewardType.DATA_TRANSFER.value, 0)
+    by_type = store.rewards_by_type()
+    coverage = sum(by_type.get(t.value, 0) for t in _COVERAGE_TYPES)
+    data = by_type.get(RewardType.DATA_TRANSFER.value, 0)
     if data == 0:
         raise AnalysisError("no data-transfer rewards on chain")
     return coverage / data

@@ -1,4 +1,5 @@
-"""Data-transfer analyses (§5, Figure 8)."""
+"""Data-transfer analyses (§5, Figure 8), over the state-channel
+transactions of the ETL replica."""
 
 from __future__ import annotations
 
@@ -6,9 +7,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import units
-from repro.chain.blockchain import Blockchain
-from repro.chain.transactions import StateChannelClose, StateChannelOpen
 from repro.errors import AnalysisError
+from repro.etl.store import EtlStore
 
 __all__ = [
     "ChannelShareStats",
@@ -32,17 +32,16 @@ class ChannelShareStats:
     ouis_seen: Tuple[int, ...]
 
 
-def channel_share(chain: Blockchain) -> ChannelShareStats:
+def channel_share(store: EtlStore) -> ChannelShareStats:
     """Console (OUI 1/2) share of state-channel open/close traffic."""
     total = 0
     console = 0
     ouis = set()
-    for kind in (StateChannelOpen, StateChannelClose):
-        for _, txn in chain.iter_transactions(kind):
-            total += 1
-            ouis.add(txn.oui)
-            if txn.oui in _CONSOLE_OUIS:
-                console += 1
+    for oui in store.channel_ouis():
+        total += 1
+        ouis.add(oui)
+        if oui in _CONSOLE_OUIS:
+            console += 1
     if total == 0:
         raise AnalysisError("no state-channel transactions on chain")
     return ChannelShareStats(
@@ -53,14 +52,9 @@ def channel_share(chain: Blockchain) -> ChannelShareStats:
     )
 
 
-def packets_by_close(
-    chain: Blockchain,
-) -> List[Tuple[int, int, int]]:
+def packets_by_close(store: EtlStore) -> List[Tuple[int, int, int]]:
     """Figure 8's raw series: (block, oui, packets) per closing."""
-    rows = []
-    for height, txn in chain.iter_transactions(StateChannelClose):
-        rows.append((height, txn.oui, txn.total_packets))
-    return rows
+    return list(store.channel_close_rows())
 
 
 @dataclass(frozen=True)
@@ -86,14 +80,14 @@ class TrafficSeries:
         return per_day / 86_400.0
 
 
-def traffic_series(chain: Blockchain) -> TrafficSeries:
+def traffic_series(store: EtlStore) -> TrafficSeries:
     """Daily packet totals from state-channel closings."""
     console: Dict[int, int] = {}
     third: Dict[int, int] = {}
-    for height, txn in chain.iter_transactions(StateChannelClose):
+    for height, oui, packets in store.channel_close_rows():
         day = height // units.BLOCKS_PER_DAY
-        bucket = console if txn.oui in _CONSOLE_OUIS else third
-        bucket[day] = bucket.get(day, 0) + txn.total_packets
+        bucket = console if oui in _CONSOLE_OUIS else third
+        bucket[day] = bucket.get(day, 0) + packets
     if not console and not third:
         raise AnalysisError("no state-channel closings on chain")
     horizon = max(list(console) + list(third))

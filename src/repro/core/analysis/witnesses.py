@@ -1,26 +1,18 @@
 """Witness-distribution analyses (§8.2.1; Figures 13 and 14).
 
-Every public function accepts either a live :class:`Blockchain` or an
-:class:`repro.etl.store.EtlStore` — the persisted ETL replica — and
-produces identical numbers from both (asserted by parity tests). The
-store path reads precomputed distance/validity columns via indexed SQL
-instead of re-deriving hex-cell geometry per receipt.
+Every function reads the ETL replica (:class:`repro.etl.store.EtlStore`)
+and its precomputed distance and validity columns, via indexed SQL.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.chain.blockchain import Blockchain
-from repro.chain.transactions import PocReceipts
 from repro.errors import AnalysisError
-from repro.geo.hexgrid import HexCell
-
-#: Either analysis backend: the in-memory chain or the ETL store.
-ChainSource = Union[Blockchain, "EtlStore"]  # noqa: F821 - duck-typed
+from repro.etl.store import EtlStore
 
 __all__ = [
     "WitnessDistanceStats",
@@ -46,30 +38,12 @@ class WitnessDistanceStats:
 
 
 def witness_distance_cdf(
-    chain: ChainSource,
+    store: EtlStore,
     start_height: int = 0,
     end_height: Optional[int] = None,
 ) -> WitnessDistanceStats:
     """Distance CDF of all valid witnesses over a block window."""
-    if isinstance(chain, Blockchain):
-        distances: List[float] = []
-        for _, receipt in chain.iter_transactions(
-            PocReceipts, start_height=start_height, end_height=end_height
-        ):
-            challengee = HexCell.from_token(
-                receipt.challengee_location_token
-            ).center()
-            for report in receipt.witnesses:
-                if not report.is_valid:
-                    continue
-                witness = HexCell.from_token(
-                    report.reported_location_token
-                ).center()
-                if witness.is_null_island() or challengee.is_null_island():
-                    continue
-                distances.append(challengee.distance_km(witness))
-    else:
-        distances = chain.witness_distances(start_height, end_height)
+    distances = store.witness_distances(start_height, end_height)
     if not distances:
         raise AnalysisError("no valid witnesses in the requested window")
     array = np.sort(np.array(distances))
@@ -94,7 +68,7 @@ class WitnessRssiStats:
 
 
 def witness_rssi_cdf(
-    chain: ChainSource,
+    store: EtlStore,
     start_height: int = 0,
     end_height: Optional[int] = None,
     valid_only: bool = True,
@@ -105,17 +79,7 @@ def witness_rssi_cdf(
     2021-05-22) of PoC receipts; pass the matching block bounds to
     reproduce that slice.
     """
-    if isinstance(chain, Blockchain):
-        rssis: List[float] = []
-        for _, receipt in chain.iter_transactions(
-            PocReceipts, start_height=start_height, end_height=end_height
-        ):
-            for report in receipt.witnesses:
-                if valid_only and not report.is_valid:
-                    continue
-                rssis.append(report.rssi_dbm)
-    else:
-        rssis = chain.witness_rssis(start_height, end_height, valid_only)
+    rssis = store.witness_rssis(start_height, end_height, valid_only)
     if not rssis:
         raise AnalysisError("no witness reports in the requested window")
     array = np.sort(np.array(rssis))
@@ -138,18 +102,13 @@ class WitnessCountStats:
     max_witnesses: int
 
 
-def witnesses_per_challenge(chain: ChainSource) -> WitnessCountStats:
+def witnesses_per_challenge(store: EtlStore) -> WitnessCountStats:
     """Distribution of valid-witness counts across challenges.
 
     The zero-witness fraction is the §2.3 sparse-deployment population:
     hotspots that "can only earn PoC rewards for challenge construction".
     """
-    if isinstance(chain, Blockchain):
-        counts: List[int] = []
-        for _, receipt in chain.iter_transactions(PocReceipts):
-            counts.append(len(receipt.valid_witnesses))
-    else:
-        counts = chain.receipt_valid_witness_counts()
+    counts = store.receipt_valid_witness_counts()
     if not counts:
         raise AnalysisError("no PoC receipts on chain")
     histogram: dict = {}
@@ -165,19 +124,9 @@ def witnesses_per_challenge(chain: ChainSource) -> WitnessCountStats:
     )
 
 
-def validity_breakdown(chain: ChainSource) -> dict:
+def validity_breakdown(store: EtlStore) -> dict:
     """Counts of witness reports by validity outcome/reason."""
-    if isinstance(chain, Blockchain):
-        breakdown = {"valid": 0}
-        for _, receipt in chain.iter_transactions(PocReceipts):
-            for report in receipt.witnesses:
-                if report.is_valid:
-                    breakdown["valid"] += 1
-                else:
-                    reason = report.invalid_reason or "unspecified"
-                    breakdown[reason] = breakdown.get(reason, 0) + 1
-    else:
-        breakdown = chain.witness_validity_breakdown()
+    breakdown = store.witness_validity_breakdown()
     if sum(breakdown.values()) == 0:
         raise AnalysisError("no witness reports on chain")
     return breakdown

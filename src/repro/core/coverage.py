@@ -73,14 +73,18 @@ class WitnessGeometry:
 
 
 def build_witness_geometry(
-    receipts: Iterable,
+    receipts: Iterable[Tuple[str, Sequence[Tuple[str, float]]]],
     locate,
     max_witness_km: Optional[float] = None,
 ) -> List[WitnessGeometry]:
     """Convert PoC receipts into witness geometries.
 
     Args:
-        receipts: :class:`~repro.chain.transactions.PocReceipts` objects.
+        receipts: ``(challengee location token, [(witness location
+            token, RSSI dBm), …])`` per receipt, its chain-valid witness
+            reports only, as
+            :meth:`~repro.etl.store.EtlStore.valid_witness_receipts`
+            yields them.
         locate: callable mapping a hex token to :class:`LatLon` (usually
             ``HexCell.from_token(...).center()``; injected so analyses can
             substitute historical ledgers).
@@ -89,21 +93,19 @@ def build_witness_geometry(
             refinement).
     """
     geometries: List[WitnessGeometry] = []
-    for receipt in receipts:
-        challengee = locate(receipt.challengee_location_token)
+    for challengee_token, reports in receipts:
+        challengee = locate(challengee_token)
         if challengee is None:
             continue
         witnesses: List[Tuple[LatLon, float, float]] = []
-        for report in receipt.witnesses:
-            if not report.is_valid:
-                continue
-            location = locate(report.reported_location_token)
+        for witness_token, rssi_dbm in reports:
+            location = locate(witness_token)
             if location is None:
                 continue
             distance = challengee.distance_km(location)
             if max_witness_km is not None and distance > max_witness_km:
                 continue
-            witnesses.append((location, distance, report.rssi_dbm))
+            witnesses.append((location, distance, rssi_dbm))
         geometries.append(WitnessGeometry(
             challengee=challengee, witnesses=tuple(witnesses)
         ))
@@ -555,26 +557,6 @@ class CoverageModel:
             by_tag[tag] = by_tag.get(tag, 0.0) + contribution
         return total, by_tag
 
-    def union_area_km2_reference(
-        self, rng: np.random.Generator, samples_per_shape: int = 24
-    ) -> Tuple[float, Dict[str, float]]:
-        """Scalar reference for :meth:`union_area_km2` (property tests,
-        benchmark baseline). Consumes the RNG stream identically."""
-        total = 0.0
-        by_tag: Dict[str, float] = {}
-        for i, shape in enumerate(self.shapes):
-            credited = 0
-            for _ in range(samples_per_shape):
-                point = shape.sample(rng)
-                owner = self.first_covering(point)
-                if owner is None or owner == i:
-                    credited += 1
-            contribution = shape.area_km2() * credited / samples_per_shape
-            total += contribution
-            tag = self.tags[i]
-            by_tag[tag] = by_tag.get(tag, 0.0) + contribution
-        return total, by_tag
-
     def landmass_fraction(
         self,
         landmass: Landmass,
@@ -649,44 +631,6 @@ class CoverageModel:
             breakdown_km2=by_tag,
         )
 
-    def landmass_fraction_reference(
-        self,
-        landmass: Landmass,
-        rng: np.random.Generator,
-        samples_per_shape: int = 24,
-        scale_factor: Optional[float] = None,
-    ) -> CoverageEstimate:
-        """Scalar reference for :meth:`landmass_fraction` (property
-        tests, benchmark baseline). Consumes the RNG stream identically."""
-        total = 0.0
-        by_tag: Dict[str, float] = {}
-        for i, shape in enumerate(self.shapes):
-            if not landmass.contains(shape.centroid):
-                continue
-            credited = 0
-            for _ in range(samples_per_shape):
-                point = shape.sample(rng)
-                if not landmass.contains(point):
-                    continue
-                owner = self.first_covering(point)
-                if owner is None or owner == i:
-                    credited += 1
-            contribution = shape.area_km2() * credited / samples_per_shape
-            total += contribution
-            tag = self.tags[i]
-            by_tag[tag] = by_tag.get(tag, 0.0) + contribution
-        fraction = total / landmass.area_km2
-        descaled = None
-        if scale_factor is not None and scale_factor > 0:
-            descaled = min(fraction / scale_factor, 1.0)
-        return CoverageEstimate(
-            model=self.name,
-            n_shapes=len(self.shapes),
-            union_area_km2=total,
-            landmass_fraction=fraction,
-            descaled_fraction=descaled,
-            breakdown_km2=by_tag,
-        )
 
 
 @dataclass(frozen=True)

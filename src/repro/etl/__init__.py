@@ -9,8 +9,8 @@ the reproduction:
   folded state tables, indexed views);
 * :mod:`repro.etl.ingest` — the incremental, checkpointed,
   idempotent chain follower;
-* :mod:`repro.etl.store` — :class:`EtlStore`, the query layer the
-  explorer and analyses run against as a drop-in backend;
+* :mod:`repro.etl.store` — :class:`EtlStore`, the query layer every
+  analysis, experiment and the explorer read chain data through;
 * :mod:`repro.etl.server` — the JSON documents the explorer API serves
   (hotspot, owner and witness-event renderers);
 * :mod:`repro.etl.cli` — ``python -m repro.etl`` (ingest/query).

@@ -317,8 +317,8 @@ def _sync_ledger_state(store: EtlStore, chain: Blockchain) -> None:
     """Refresh the folded state tables from the chain's ledger.
 
     Wholesale delete + insert in ledger iteration order: rowid then
-    preserves insertion order, which the explorer's name index and
-    fleet listings rely on for parity with the in-memory dicts.
+    preserves insertion order, which the explorer's name index, fleet
+    listings and owner order rely on to match the ledger's dicts.
     """
     execute = store.connection.execute
     execute("DELETE FROM hotspots")

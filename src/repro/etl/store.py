@@ -4,12 +4,14 @@ Opens (or creates) the SQLite database declared in
 :mod:`repro.etl.schema` and exposes the query surface three consumers
 share:
 
-* :class:`repro.core.explorer.Explorer` uses the ``query_*_page``
-  methods as a drop-in backend (identical page objects, SQL underneath);
-* the analysis modules (:mod:`repro.core.analysis.witnesses`,
-  ``rewards``, ``resale``) call the row iterators, which yield exactly
-  the tuples their chain-walking twins derive — parity is asserted by
-  property tests;
+* :class:`repro.core.explorer.Explorer` renders its pages from the
+  ``query_*_page`` methods;
+* every analysis in :mod:`repro.core.analysis` and every experiment
+  reads chain history and ledger state through the row readers below,
+  which yield rows in chain order, ``(height, seq, …)``, so an analysis
+  folds them exactly as a walk over the chain would. Kinds without a
+  typed table (``assert_location``, the state-channel pair) are read
+  from ``transactions.payload`` through the ``idx_txn_kind`` index;
 * the HTTP tier (:mod:`repro.serve`) serves the same pages, rendered
   by :mod:`repro.etl.server`, plus the coverage-dot view as JSON.
 
@@ -22,11 +24,14 @@ other or behind the ingest writer.
 
 from __future__ import annotations
 
+import json
 import sqlite3
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any, Collection, Dict, Iterator, List, Optional, Set, Tuple, Union,
+)
 from urllib.parse import quote
 
 from repro import units
@@ -309,8 +314,8 @@ class EtlStore:
         ``direction="witnessing"`` lists challenges this hotspot heard
         (counterparty is the challengee); ``"witnessed_by"`` lists
         reports about this hotspot's own beacons (counterparty is the
-        witness). Events come back oldest-first, like the in-memory
-        explorer's bounded recent lists.
+        witness). Events come back oldest-first: the newest ``limit``
+        of them, in chain order.
         """
         if direction == "witnessing":
             where, counterparty = "witness", "challengee"
@@ -403,8 +408,8 @@ class EtlStore:
     def gateway_by_name(self, name: str) -> Optional[Address]:
         """The gateway address for a three-word name (case-insensitive).
 
-        Unlike the in-memory explorer's name index (built once per
-        handle), this reads the live table — a hotspot added by an
+        Unlike the explorer's name index (built once per handle), this
+        reads the live table — a hotspot added by an
         ingest that ran after the handle opened is still found.
         """
         row = self.connection.execute(
@@ -444,9 +449,87 @@ class EtlStore:
             dots.append((token, center.lat, center.lon, int(count)))
         return dots
 
-    # -- analysis row iterators --------------------------------------------
-    # Each yields exactly what the chain-walking analysis derives, in the
-    # same (height, seq, …) order, so the numeric results are identical.
+    # -- analysis reads ------------------------------------------------------
+    # Row readers yield in chain order, (height, seq, …), so an analysis
+    # folds them exactly as a walk over the chain's blocks would.
+
+    def transaction_counts(self) -> Dict[str, int]:
+        """Transactions per kind over the whole chain."""
+        rows = self.connection.execute(
+            "SELECT kind, COUNT(*) FROM transactions GROUP BY kind"
+        ).fetchall()
+        return {kind: int(count) for kind, count in rows}
+
+    def transaction_heights(self, kind: str) -> List[int]:
+        """The height of every transaction of ``kind``, in chain order."""
+        rows = self.connection.execute(
+            "SELECT height FROM transactions WHERE kind=? ORDER BY height, seq",
+            (kind,),
+        ).fetchall()
+        return [int(r[0]) for r in rows]
+
+    def _payloads(self, kind: str) -> Iterator[Tuple[int, int, Dict[str, Any]]]:
+        """``(height, seq, decoded payload)`` per transaction of ``kind``."""
+        cursor = self.connection.execute(
+            "SELECT height, seq, payload FROM transactions WHERE kind=? "
+            "ORDER BY height, seq",
+            (kind,),
+        )
+        for height, seq, payload in cursor:
+            yield int(height), int(seq), json.loads(payload)
+
+    def assert_rows(self) -> Iterator[Tuple[int, int, Address, str, int]]:
+        """``(height, seq, gateway, location_token, nonce)`` per assert."""
+        for height, seq, txn in self._payloads("assert_location"):
+            yield height, seq, txn["gateway"], txn["location_token"], txn["nonce"]
+
+    def channel_ouis(self) -> List[int]:
+        """The OUI of every state-channel open, then of every close."""
+        return [
+            txn["oui"]
+            for kind in ("state_channel_open", "state_channel_close")
+            for _, _, txn in self._payloads(kind)
+        ]
+
+    def channel_close_rows(self) -> Iterator[Tuple[int, int, int]]:
+        """``(height, oui, packets)`` per state-channel close, packets
+        summed over its summaries (0 for a close without any)."""
+        for height, _, txn in self._payloads("state_channel_close"):
+            yield height, txn["oui"], sum(
+                summary["num_packets"] for summary in txn["summaries"]
+            )
+
+    def owner_counts(self) -> Dict[Address, int]:
+        """Hotspots per owner, owners in order of their first hotspot."""
+        rows = self.connection.execute(
+            "SELECT owner, COUNT(*) FROM hotspots GROUP BY owner "
+            "ORDER BY MIN(rowid)"
+        ).fetchall()
+        return {owner: int(count) for owner, count in rows}
+
+    def fleet_rows(self, owner: Address) -> List[Tuple[Address, Optional[str]]]:
+        """``(gateway, location_token)`` of one owner's hotspots."""
+        return self.connection.execute(
+            "SELECT gateway, location_token FROM hotspots WHERE owner=? "
+            "ORDER BY rowid",
+            (owner,),
+        ).fetchall()
+
+    def wallet_hnt_bones(self) -> Dict[Address, int]:
+        """Current HNT balance of every wallet, in bones."""
+        rows = self.connection.execute(
+            "SELECT address, hnt_bones FROM wallets"
+        ).fetchall()
+        return {address: int(bones) for address, bones in rows}
+
+    def packets_by_owner(self) -> Dict[Address, int]:
+        """Packets ferried per current owner, over every state-channel
+        summary of the owner's hotspots."""
+        rows = self.connection.execute(
+            "SELECT h.owner, SUM(p.num_packets) FROM packet_summaries p "
+            "JOIN hotspots h ON h.gateway = p.hotspot GROUP BY h.owner"
+        ).fetchall()
+        return {owner: int(packets) for owner, packets in rows}
 
     def _window(
         self, start_height: int, end_height: Optional[int]
@@ -509,6 +592,82 @@ class EtlStore:
                 breakdown[reason] = breakdown.get(reason, 0) + int(count)
         return breakdown
 
+    def witness_report_rows(self) -> Iterator[Tuple[str, str, float, float]]:
+        """``(challengee_location_token, witness_location_token, rssi_dbm,
+        frequency_mhz)`` per witness report, valid or not."""
+        cursor = self.connection.execute(
+            "SELECT challengee_location, witness_location, rssi_dbm, "
+            "frequency_mhz FROM witnesses ORDER BY height, seq, witness_seq"
+        )
+        for challengee, witness, rssi, frequency in cursor:
+            yield challengee, witness, float(rssi), float(frequency)
+
+    def valid_witness_rows(self) -> Iterator[Tuple[int, int, Address, str]]:
+        """``(height, seq, witness, challengee_location_token)`` per valid
+        witness report."""
+        cursor = self.connection.execute(
+            "SELECT height, seq, witness, challengee_location FROM witnesses "
+            "WHERE is_valid=1 ORDER BY height, seq, witness_seq"
+        )
+        for height, seq, witness, token in cursor:
+            yield int(height), int(seq), witness, token
+
+    def valid_witness_receipts(
+        self,
+    ) -> Iterator[Tuple[str, List[Tuple[str, float]]]]:
+        """``(challengee_location_token, [(witness_location_token,
+        rssi_dbm), …])`` per PoC receipt, its valid reports only (a
+        receipt without any yields an empty list)."""
+        cursor = self.connection.execute(
+            "SELECT r.height, r.seq, r.challengee_location_token, "
+            "w.witness_location, w.rssi_dbm FROM poc_receipts r "
+            "LEFT JOIN witnesses w ON w.height = r.height AND w.seq = r.seq "
+            "AND w.is_valid = 1 ORDER BY r.height, r.seq, w.witness_seq"
+        )
+        key = None
+        token = None
+        reports: List[Tuple[str, float]] = []
+        for height, seq, challengee, witness, rssi in cursor:
+            if (height, seq) != key:
+                if key is not None:
+                    yield token, reports
+                key, token, reports = (height, seq), challengee, []
+            if witness is not None:
+                reports.append((witness, float(rssi)))
+        if key is not None:
+            yield token, reports
+
+    def rssi_anomaly_rows(
+        self, bound_dbm: float
+    ) -> List[Tuple[Address, float, Address, bool]]:
+        """``(witness, rssi_dbm, challengee, is_valid)`` per witness report
+        claiming more than ``bound_dbm``."""
+        rows = self.connection.execute(
+            "SELECT witness, rssi_dbm, challengee, is_valid FROM witnesses "
+            "WHERE rssi_dbm > ? ORDER BY height, seq, witness_seq",
+            (bound_dbm,),
+        ).fetchall()
+        return [
+            (witness, float(rssi), challengee, bool(valid))
+            for witness, rssi, challengee, valid in rows
+        ]
+
+    def witness_counts_among(
+        self, members: Collection[Address]
+    ) -> Tuple[int, int]:
+        """``(reports, valid reports)`` where both the challengee and the
+        witness are in ``members``."""
+        members = sorted(members)
+        if not members:
+            return 0, 0
+        marks = ",".join("?" * len(members))
+        total, valid = self.connection.execute(
+            "SELECT COUNT(*), COALESCE(SUM(is_valid), 0) FROM witnesses "
+            f"WHERE challengee IN ({marks}) AND witness IN ({marks})",
+            (*members, *members),
+        ).fetchone()
+        return int(total), int(valid)
+
     def reward_share_rows(
         self,
     ) -> Iterator[Tuple[int, Address, Optional[Address], int, str]]:
@@ -534,6 +693,17 @@ class EtlStore:
             "GROUP BY reward_type"
         ).fetchall()
         return {reward_type: int(total) for reward_type, total in rows}
+
+    def rewarded_gateways(self, reward_types: Collection[str]) -> Set[Address]:
+        """Gateways that earned at least one share of ``reward_types``."""
+        types = sorted(reward_types)
+        marks = ",".join("?" * len(types))
+        rows = self.connection.execute(
+            "SELECT DISTINCT gateway FROM rewards "
+            f"WHERE gateway IS NOT NULL AND reward_type IN ({marks})",
+            types,
+        ).fetchall()
+        return {r[0] for r in rows}
 
     def gateway_added_blocks(self) -> Dict[Address, int]:
         """Block at which each hotspot was added (ledger insertion order)."""

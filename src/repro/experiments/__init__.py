@@ -1,10 +1,12 @@
 """Reproduction entry points: one module per paper table/figure.
 
-Each module exposes ``run(result) -> ExperimentReport`` taking a
-:class:`~repro.simulation.engine.SimulationResult`. The registry maps
-experiment ids (``fig02`` ... ``table1`` ...) to these functions;
-``python -m repro.experiments`` runs them all and prints a comparison
-against the paper's reported values.
+Each module exposes ``run(result, store) -> ExperimentReport`` taking a
+:class:`~repro.simulation.engine.SimulationResult` (ground truth) and
+its ETL replica (:class:`~repro.etl.store.EtlStore`, chain history and
+ledger state). The registry maps experiment ids (``fig02`` ...
+``table1`` ...) to these functions; ``python -m repro.experiments``
+runs them all and prints a comparison against the paper's reported
+values.
 """
 
 from repro.experiments.registry import (
@@ -14,7 +16,7 @@ from repro.experiments.registry import (
     format_report,
     run_experiment,
 )
-from repro.experiments.context import get_result
+from repro.experiments.context import get_result, result_store
 
 __all__ = [
     "EXPERIMENTS",
@@ -23,4 +25,5 @@ __all__ = [
     "run_experiment",
     "format_report",
     "get_result",
+    "result_store",
 ]

@@ -32,7 +32,12 @@ the entry once the final state is saved into it.
 first call ingests the cached chain, later calls resume from the
 store's checkpoint (a no-op when the chain hasn't grown). A corrupt or
 schema-stale database self-heals exactly like a bad cache entry —
-warn, discard, re-ingest — and never crashes the caller.
+warn, discard, re-ingest — and never crashes the caller. The replica
+is the only source of chain history and ledger state for the analyses:
+``result_store`` hands :func:`~repro.experiments.registry.run_experiment`
+the store kept for a result's spec digest, ingested from that very
+result's chain when it is first asked for. ``get_result`` alone never
+ingests.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from repro.errors import EtlError, ReproError
 from repro.etl.ingest import ingest_chain
 from repro.etl.store import EtlStore
 from repro.experiments import snapshot
-from repro.scenarios import ResolvedScenario, resolve_any
+from repro.scenarios import ResolvedScenario, resolve_any, spec_digest
 from repro.simulation import SimulationEngine, SimulationResult, WorldState
 from repro.simulation.state import CHECKPOINT_SCHEMA_VERSION
 
@@ -58,6 +63,8 @@ __all__ = [
     "ensure_snapshot",
     "get_result",
     "get_store",
+    "open_replica",
+    "result_store",
     "scenario_cache_dir",
 ]
 
@@ -82,14 +89,11 @@ def scenario_cache_dir() -> Optional[Path]:
     return base / "repro-scenarios"
 
 
-def _entry_dir(resolved: ResolvedScenario) -> Optional[Path]:
+def _entry_dir(seed: int, digest: str) -> Optional[Path]:
     root = scenario_cache_dir()
     if root is None:
         return None
-    return root / (
-        f"scn-seed{resolved.config.seed}-{resolved.digest[:12]}"
-        f"-v{CHECKPOINT_SCHEMA_VERSION}"
-    )
+    return root / f"scn-seed{seed}-{digest[:12]}-v{CHECKPOINT_SCHEMA_VERSION}"
 
 
 def _load_from_disk(entry: Path) -> Optional[SimulationResult]:
@@ -168,7 +172,7 @@ def get_result(
     if cached is not None:
         obs.counter("cache.memo_hit", scenario=resolved.label)
         return cached
-    entry = _entry_dir(resolved)
+    entry = _entry_dir(resolved.config.seed, resolved.digest)
     if entry is not None:
         cached = _timed_load(entry, resolved)
     if cached is None:
@@ -276,16 +280,18 @@ def ensure_snapshot(
     *,
     checkpoint_every: Optional[int] = None,
 ) -> Optional[Path]:
-    """Materialise the on-disk cache entry and return its directory.
+    """Materialise the on-disk cache entry, its ETL replica included,
+    and return its directory.
 
     Parallel workers rehydrate from this path instead of receiving the
-    result over IPC. Returns ``None`` when persistence is disabled (the
-    farm then falls back to per-worker :func:`get_result` builds).
-    ``checkpoint_every`` makes a cold build resumable — see
+    result over IPC, and open its ``etl.db`` read-only
+    (:func:`open_replica`). Returns ``None`` when persistence is
+    disabled (the farm then falls back to per-worker :func:`get_result`
+    builds). ``checkpoint_every`` makes a cold build resumable — see
     :func:`get_result`.
     """
     resolved = resolve_any(scenario, seed=seed)
-    entry = _entry_dir(resolved)
+    entry = _entry_dir(resolved.config.seed, resolved.digest)
     if entry is None:
         return None
     result = get_result(resolved, checkpoint_every=checkpoint_every)
@@ -293,7 +299,12 @@ def ensure_snapshot(
         # The result was memoised before this cache dir existed (or an
         # earlier persist failed); publish it now so workers can load it.
         _save_to_disk(result, entry)
-    return entry if (entry / "meta.json").exists() else None
+    if not (entry / "meta.json").exists():
+        return None
+    # Ingest now (a no-op on a current store) and close the writer: no
+    # SQLite handle of ours should cross the fork into a worker.
+    _materialise_store(result, entry / snapshot.ETL_DB_FILE).close()
+    return entry
 
 
 def get_store(
@@ -308,17 +319,47 @@ def get_store(
     discarded and re-ingested (with a warning), mirroring cache-entry
     self-healing.
     """
-    resolved = resolve_any(scenario, seed=seed)
-    store = _STORES.get(resolved.digest)
+    return result_store(get_result(scenario, seed))
+
+
+def result_store(result: SimulationResult) -> EtlStore:
+    """The store :func:`get_store` keeps for ``result``'s spec digest.
+
+    The first call for a digest ingests ``result``'s own chain, into its
+    cache entry's ``etl.db`` when the entry exists and in memory
+    otherwise, so no second build or load happens.
+    """
+    digest = spec_digest(result.config)
+    store = _STORES.get(digest)
     if store is None:
-        result = get_result(resolved)
-        entry = _entry_dir(resolved)
+        entry = _entry_dir(result.config.seed, digest)
         path = None
         if entry is not None and (entry / "meta.json").exists():
             path = entry / snapshot.ETL_DB_FILE
-        store = _materialise_store(result, path)
-        _STORES[resolved.digest] = store
+        store = _STORES[digest] = _materialise_store(result, path)
     return store
+
+
+def open_replica(entry: Union[str, Path], digest: str) -> None:
+    """Serve this process's analyses of ``digest`` from the entry's
+    ``etl.db``, read-only.
+
+    Farm workers call this: the parent ingested the store before the
+    fan-out (:func:`ensure_snapshot`), and even a no-op ingest rewrites
+    the folded state tables in a write transaction, so a worker never
+    opens a writer. When the file cannot be opened it warns, and the
+    worker's first analysis ingests its own result in memory instead
+    (:func:`result_store`).
+    """
+    path = Path(entry) / snapshot.ETL_DB_FILE
+    try:
+        _STORES[digest] = EtlStore(path, create=False, read_only=True)
+    except EtlError as exc:
+        warnings.warn(
+            f"could not open ETL replica {path}: {exc}", RuntimeWarning,
+            stacklevel=2,
+        )
+        _STORES.pop(digest, None)
 
 
 def _materialise_store(

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from repro.core.analysis.moves import move_stats
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.simulation.engine import SimulationResult
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Figure 2: the moves-per-hotspot histogram and its summary stats.
 
     The paper's caption figures are internally inconsistent as printed
@@ -15,7 +16,7 @@ def run(result: SimulationResult) -> ExperimentReport:
     we report the monotone reading: the unconditional never-move share,
     plus the ≤2 / >5 tail shares *conditional on having moved*.
     """
-    stats = move_stats(result.chain)
+    stats = move_stats(store)
     report = ExperimentReport(
         experiment_id="fig02",
         title="Location changes per hotspot (Fig. 2)",

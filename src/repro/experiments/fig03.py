@@ -10,16 +10,17 @@ from repro.core.analysis.moves import (
     move_distance_cdf,
     null_island_stats,
 )
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.simulation.engine import SimulationResult
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Figure 3: bimodal move distances, export flows, (0,0) artifacts."""
-    records = collect_move_records(result.chain)
+    records = collect_move_records(store)
     distances = move_distance_cdf(records)
     long = long_moves(records, threshold_km=500.0)
-    null = null_island_stats(result.chain)
+    null = null_island_stats(store)
 
     us_departures = 0
     for record in long:

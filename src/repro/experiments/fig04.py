@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 from repro.core.analysis.moves import collect_move_records, move_interval_blocks
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.simulation.engine import SimulationResult
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Figure 4: 17.9 % of relocations within a day, 35.8 % within a
     week, 63.2 % within a month."""
-    records = collect_move_records(result.chain)
+    records = collect_move_records(store)
     stats = move_interval_blocks(records)
     report = ExperimentReport(
         experiment_id="fig04",

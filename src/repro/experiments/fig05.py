@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from repro.core.analysis.growth import growth_curves, snapshot
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.simulation.engine import SimulationResult
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Figure 5 + §4.2 snapshots, descaled to the real fleet size."""
-    curves = growth_curves(result.chain, result.growth_log)
+    curves = growth_curves(store, result.growth_log)
     config = result.config
     scale = config.scale_factor
     final = snapshot(curves, len(curves.days) - 1)

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from repro.core.analysis.ownership import classify_owners, owner_fleet_map
 from repro.errors import AnalysisError
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.simulation.engine import SimulationResult
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Identify the owner classes the paper's §4.3 case studies describe.
 
     Commercial operators (Careband/nowi-like): multi-hotspot fleets that
@@ -16,7 +17,7 @@ def run(result: SimulationResult) -> ExperimentReport:
     geographically spread fleets with no data activity and drained
     wallets (they encash).
     """
-    profiles = classify_owners(result.chain)
+    profiles = classify_owners(store)
     big = [p for p in profiles if p.hotspots >= 3]
     if not big:
         raise AnalysisError("no multi-hotspot owners to profile")
@@ -36,7 +37,7 @@ def run(result: SimulationResult) -> ExperimentReport:
     ]
     if mining:
         example = max(mining, key=lambda p: p.hotspots)
-        fleet = owner_fleet_map(result.chain, example.owner)
+        fleet = owner_fleet_map(store, example.owner)
         located = [loc for _, loc in fleet if loc is not None]
         spread_km = 0.0
         if len(located) >= 2:

@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 from repro.core.analysis.resale import resale_stats, top_traders, transfers_over_time
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.simulation.engine import SimulationResult
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Figure 7 panels a–c plus §4.3.3 headline shares."""
-    stats = resale_stats(result.chain)
-    timeline = transfers_over_time(result.chain)
-    traders = top_traders(result.chain, top_n=200)
+    stats = resale_stats(store)
+    timeline = transfers_over_time(store)
+    traders = top_traders(store, top_n=200)
 
     report = ExperimentReport(
         experiment_id="fig07",

@@ -8,14 +8,15 @@ from repro.core.analysis.traffic import (
     spam_episode,
     traffic_series,
 )
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.simulation.engine import SimulationResult
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Figure 8's series plus the Console share and the HIP 10 spike."""
-    share = channel_share(result.chain)
-    series = traffic_series(result.chain)
+    share = channel_share(store)
+    series = traffic_series(store)
     spike = spam_episode(series)
     config = result.config
 
@@ -37,7 +38,7 @@ def run(result: SimulationResult) -> ExperimentReport:
             note="HIP 10 landed on day "
                  f"{config.hip10_day}; spam decays after"),
     ]
-    report.series["packets_by_close"] = packets_by_close(result.chain)
+    report.series["packets_by_close"] = packets_by_close(store)
     report.series["daily_console"] = list(series.console_packets)
     report.series["daily_third_party"] = list(series.third_party_packets)
     report.notes.append(

@@ -7,11 +7,12 @@ from repro.core.analysis.meta import (
     city_asn_diversity,
     cloud_hosted_peers,
 )
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.simulation.engine import SimulationResult
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Figure 9's heavy-headed ASN distribution and the 1-ASN cities."""
     distribution = asn_distribution(result.peerbook, result.world.isps)
     clouds = cloud_hosted_peers(result.peerbook, result.world.isps)

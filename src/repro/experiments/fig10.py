@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from repro.core.analysis.relays import relay_load_histogram, relay_stats
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.simulation.engine import SimulationResult
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Figure 10: peers per relay; §6.2: 55.48 % of the network relayed."""
     stats = relay_stats(result.peerbook)
     histogram = relay_load_histogram(result.peerbook)

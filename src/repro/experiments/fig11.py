@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from repro.core.analysis.relays import relay_distances
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.rng import RngHub
 from repro.simulation.engine import SimulationResult
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Figure 11: the random-selection verification experiment."""
     locations = {
         gateway: hotspot.asserted_location

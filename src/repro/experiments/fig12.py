@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.chain.transactions import PocReceipts
 from repro.core.coverage import (
     DiskModel,
     ExplorerDotMap,
@@ -10,6 +9,7 @@ from repro.core.coverage import (
     RevisedModel,
     build_witness_geometry,
 )
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.geo.hexgrid import HexCell
 from repro.geo.landmass import CONTIGUOUS_US
@@ -22,7 +22,7 @@ def _locate(token: str):
     return None if location.is_null_island() else location
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Figure 12a–e: dot map → 300 m disks → hulls → 25 km → revised.
 
     Landmass fractions scale with fleet size; the descaled column
@@ -45,9 +45,7 @@ def run(result: SimulationResult) -> ExperimentReport:
         )
     dots = ExplorerDotMap(us_online, us_offline)
 
-    geometries = build_witness_geometry(
-        (t for _, t in result.chain.iter_transactions(PocReceipts)), _locate
-    )
+    geometries = build_witness_geometry(store.valid_witness_receipts(), _locate)
 
     disk = DiskModel(us_online).landmass_fraction(
         landmass, rng, scale_factor=scale

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from repro.core.analysis.witnesses import witness_distance_cdf
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.simulation.engine import SimulationResult
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Figure 13: the distance distribution that motivates the 25 km cutoff."""
-    stats = witness_distance_cdf(result.chain)
+    stats = witness_distance_cdf(store)
     report = ExperimentReport(
         experiment_id="fig13",
         title="Valid-witness distance CDF (Fig. 13)",

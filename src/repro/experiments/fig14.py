@@ -4,21 +4,22 @@ from __future__ import annotations
 
 from repro import units
 from repro.core.analysis.witnesses import witness_rssi_cdf
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.radio.propagation import fspl_range_growth_m
 from repro.simulation.engine import SimulationResult
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Figure 14 over the paper's four-day window, plus the +20 m claim.
 
     The paper computes the CDF over receipts from 2021-05-18 to
     2021-05-22, i.e. the last four days of the study window; we take the
     matching final-four-days block slice.
     """
-    end = result.chain.height
+    end = store.checkpoint_height
     start = max(0, end - 4 * units.BLOCKS_PER_DAY)
-    stats = witness_rssi_cdf(result.chain, start_height=start, end_height=end)
+    stats = witness_rssi_cdf(store, start_height=start, end_height=end)
     growth_m = fspl_range_growth_m(stats.median_dbm)
 
     report = ExperimentReport(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.core.analysis.empirical import run_walk
 from repro.errors import AnalysisError
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.radio.propagation import Environment
 from repro.rng import RngHub
@@ -28,7 +29,7 @@ def _walk_sites(result: SimulationResult):
     return urban_site, suburban_site
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Urban and suburban walks, with PRR, ACK tables and HIP-15 scoring."""
     hub = RngHub(result.config.seed)
     urban_site, suburban_site = _walk_sites(result)

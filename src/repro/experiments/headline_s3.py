@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 from repro.core.analysis.chainstats import chain_stats
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.simulation.engine import SimulationResult
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """§3: 99.2 % of all transactions are Proof of Coverage."""
     stats = chain_stats(
-        result.chain, poc_thinning_factor=result.config.poc_thinning_factor
+        store, poc_thinning_factor=result.config.poc_thinning_factor
     )
     report = ExperimentReport(
         experiment_id="headline_s3",

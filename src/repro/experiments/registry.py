@@ -1,4 +1,12 @@
-"""Experiment registry and the paper-vs-measured report format."""
+"""Experiment registry and the paper-vs-measured report format.
+
+Every experiment module exposes ``run(result, store)``: ground truth
+(world, peerbook, config, growth log) comes from the
+:class:`~repro.simulation.engine.SimulationResult`, and chain history
+and ledger state from its ETL replica, the
+:class:`~repro.etl.store.EtlStore` that :func:`run_experiment` hands
+over.
+"""
 
 from __future__ import annotations
 
@@ -53,7 +61,7 @@ class ExperimentReport:
     notes: List[str] = field(default_factory=list)
 
 
-#: experiment id → module path (module must expose ``run``).
+#: experiment id → module path (module must expose ``run(result, store)``).
 _EXPERIMENT_MODULES: Dict[str, str] = {
     "headline_s3": "repro.experiments.headline_s3",
     "fig02": "repro.experiments.fig02",
@@ -110,8 +118,14 @@ EXPERIMENTS = _Registry()
 
 
 def run_experiment(experiment_id: str, result) -> ExperimentReport:
-    """Run one experiment against a simulation result."""
-    return EXPERIMENTS[experiment_id](result)
+    """Run one experiment against a simulation result and its ETL
+    replica: the store
+    :func:`~repro.experiments.context.result_store` keeps for the
+    result's spec digest."""
+    from repro.experiments.context import result_store
+
+    run = EXPERIMENTS[experiment_id]
+    return run(result, result_store(result))
 
 
 def format_report(report: ExperimentReport) -> str:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from repro.core.analysis.ownership import ownership_stats
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.simulation.engine import SimulationResult
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """§4.3 ownership distribution against the paper's percentages."""
-    stats = ownership_stats(result.chain)
+    stats = ownership_stats(store)
     report = ExperimentReport(
         experiment_id="s4_3",
         title="Hotspot ownership distribution (§4.3)",

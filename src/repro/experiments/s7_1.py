@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.core.analysis.incentives import find_silent_movers
 from repro.poc.cheats import GossipClique, SilentMover
 from repro.simulation.engine import SimulationResult
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Detect silent movers from chain data and score against ground truth.
 
     The detector is the paper's: find hotspots whose valid-witness events
@@ -16,7 +17,7 @@ def run(result: SimulationResult) -> ExperimentReport:
     (which hotspots the simulation actually made silent movers) gives us
     the precision/recall the paper could not compute.
     """
-    findings = find_silent_movers(result.chain)
+    findings = find_silent_movers(store)
     # Ground truth for "location-impossible witnessing": silent movers
     # plus gossip cliques (their fabricated witnessing is also
     # geographically impossible once a member relocates).

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 from repro.core.analysis.incentives import find_rssi_anomalies
 from repro.core.analysis.witnesses import validity_breakdown
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.poc.cheats import GossipClique, RssiLiar
 from repro.simulation.engine import SimulationResult
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Impossible RSSIs, heuristic evasion, and the gossip-clique yield."""
-    anomalies = find_rssi_anomalies(result.chain)
-    breakdown = validity_breakdown(result.chain)
+    anomalies = find_rssi_anomalies(store)
+    breakdown = validity_breakdown(store)
 
     liars = {
         gw for gw, h in result.world.hotspots.items()
@@ -24,17 +25,7 @@ def run(result: SimulationResult) -> ExperimentReport:
     }
     # How often forged clique reports passed validity (they always
     # should: they are crafted from the public bound).
-    clique_valid = 0
-    clique_total = 0
-    from repro.chain.transactions import PocReceipts
-
-    for _, receipt in result.chain.iter_transactions(PocReceipts):
-        if receipt.challengee not in clique_members:
-            continue
-        for witness in receipt.witnesses:
-            if witness.witness in clique_members:
-                clique_total += 1
-                clique_valid += 1 if witness.is_valid else 0
+    clique_total, clique_valid = store.witness_counts_among(clique_members)
 
     report = ExperimentReport(
         experiment_id="s7_2",

@@ -20,6 +20,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.analysis.empirical import StationaryReport, run_stationary
 from repro.errors import AnalysisError
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.geo.geodesy import LatLon
 from repro.radio.propagation import Environment
@@ -127,7 +128,7 @@ def merge_units(units: Dict[str, StationaryReport]) -> ExperimentReport:
     return report
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Both §8.1 runs: May (with firmware outages) and September, as
     the four units in ``UNITS`` order."""
     site = _dense_site(result)

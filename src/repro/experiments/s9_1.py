@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from repro.core.analysis.meta import tos_exposure
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.simulation.engine import SimulationResult
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """If Spectrum enforced residential-only ToS, how much would fall?"""
     us_peers = {
         gateway

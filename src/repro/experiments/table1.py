@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.core.analysis.meta import isp_ranking
+from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.simulation.engine import SimulationResult
 
@@ -15,7 +16,7 @@ PAPER_TABLE1 = {
 }
 
 
-def run(result: SimulationResult) -> ExperimentReport:
+def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     """Table 1: the ISP ranking from the annotation pipeline."""
     ranking = isp_ranking(result.peerbook, result.world.isps, top_n=15)
     scale = result.config.scale_factor

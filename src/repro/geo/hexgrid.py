@@ -39,8 +39,8 @@ __all__ = [
     "ResolutionInfo",
     "HexCell",
     "HexGrid",
-    "encode_cell_reference",
-    "pentagon_distorted_reference",
+    "encode_cell_uncached",
+    "pentagon_distorted_uncached",
 ]
 
 MIN_RESOLUTION: int = 0
@@ -302,13 +302,13 @@ class HexCell:
         return _pentagon_distorted(self)
 
 
-def pentagon_distorted_reference(cell: HexCell) -> bool:
-    """Uncached twin of :meth:`HexCell.is_pentagon_distorted`.
+def pentagon_distorted_uncached(cell: HexCell) -> bool:
+    """The icosahedron-vertex proximity test behind
+    :meth:`HexCell.is_pentagon_distorted`, recomputed on every call.
 
-    Recomputes the icosahedron-vertex proximity test every call, exactly
-    as the pre-memoisation implementation did — kept so the scalar
-    benchmark baselines pay the original cost and the property tests can
-    pin the memo to the ground truth.
+    The memo wraps this function; the scalar validity check
+    (:meth:`repro.poc.validity.WitnessValidityChecker.check`) calls it
+    directly, and the property tests pin the memo to it.
     """
     center = cell.center()
     threshold_km = max(5.0 * cell.edge_km, 1.0)
@@ -318,20 +318,20 @@ def pentagon_distorted_reference(cell: HexCell) -> bool:
     return False
 
 
-_pentagon_distorted = lru_cache(maxsize=65536)(pentagon_distorted_reference)
+_pentagon_distorted = lru_cache(maxsize=65536)(pentagon_distorted_uncached)
 
 
-def encode_cell_reference(
+def encode_cell_uncached(
     point: LatLon, resolution: int = HOTSPOT_RESOLUTION
 ) -> HexCell:
-    """Uncached twin of :meth:`HexGrid.encode_cell`.
+    """The axial-rounding math behind :meth:`HexGrid.encode_cell`,
+    recomputed on every call.
 
-    Runs the axial-rounding math on every call, as the pre-memoisation
-    implementation did. :class:`LatLon` and :class:`HexCell` are both
-    frozen value objects, so the public path can memoise point→cell —
-    the PoC engine encodes the same asserted locations on every
-    challenge — while this twin keeps the original cost for the scalar
-    benchmark baselines and pins the memo in the property tests.
+    :class:`LatLon` and :class:`HexCell` are both frozen value objects,
+    so the public path memoises point→cell over this function — the PoC
+    engine encodes the same asserted locations on every challenge. The
+    scalar twin of the challenge kernel in the test suite calls it
+    directly, to keep the original cost as a benchmark baseline.
     """
     _check_resolution(resolution)
     validate_lat_lon(point.lat, point.lon)
@@ -344,7 +344,7 @@ def encode_cell_reference(
     return HexCell(resolution, q, r)
 
 
-_encode_cell = lru_cache(maxsize=1 << 17)(encode_cell_reference)
+_encode_cell = lru_cache(maxsize=1 << 17)(encode_cell_uncached)
 
 
 def _split_signed(body: str) -> Tuple[str, str, str]:

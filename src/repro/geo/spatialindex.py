@@ -23,7 +23,7 @@ from typing import Dict, Generic, Iterable, List, Set, Tuple, TypeVar
 import numpy as np
 
 from repro.errors import GeoError
-from repro.geo.geodesy import LatLon, haversine_km, haversine_km_many
+from repro.geo.geodesy import LatLon, haversine_km_many
 
 __all__ = ["SpatialIndex"]
 
@@ -163,23 +163,6 @@ class SpatialIndex(Generic[T]):
         filtered) and unordered.
         """
         results, _ = self.within_radius_distances(center, radius_km)
-        return results
-
-    def within_radius_reference(
-        self, center: LatLon, radius_km: float
-    ) -> List[Tuple[LatLon, T]]:
-        """Scalar reference for :meth:`within_radius`: one Python-loop
-        haversine per candidate (property tests, benchmark baseline)."""
-        if radius_km < 0:
-            raise GeoError(f"radius must be non-negative, got {radius_km}")
-        results: List[Tuple[LatLon, T]] = []
-        for key in self._candidate_keys(center, radius_km):
-            for point, item in self._bins[key]:
-                if (
-                    haversine_km(center.lat, center.lon, point.lat, point.lon)
-                    <= radius_km
-                ):
-                    results.append((point, item))
         return results
 
     def count_within_radius(self, center: LatLon, radius_km: float) -> int:

@@ -10,8 +10,10 @@ the payload is the parent's *serialised resolved spec*
 (:meth:`repro.scenarios.ResolvedScenario.payload`), never a name to be
 re-looked-up — rehydrates the
 :class:`~repro.simulation.engine.SimulationResult` from the snapshot on
-first use, and memoises it for the rest of its life, so a worker pays
-the load cost once no matter how many tasks it draws. Because spawn
+first use, opens the entry's ETL replica (``etl.db``, ingested by the
+parent before the fan-out) read-only, and memoises both for the rest of
+its life, so a worker pays the load cost once no matter how many tasks
+it draws. Because spawn
 workers rebuild from the payload, a spec file edited (or deleted)
 mid-run cannot change what they compute.
 
@@ -88,10 +90,12 @@ def _worker_result(snapshot_dir: Optional[str], payload: Dict):
     key = (snapshot_dir, payload["digest"])
     if _WORKER_KEY != key:
         if snapshot_dir is not None:
+            from repro.experiments.context import open_replica
             from repro.experiments.snapshot import load_result
 
             with obs.timer("farm.rehydrate_s") as timing:
                 _WORKER_RESULT = load_result(snapshot_dir)
+                open_replica(snapshot_dir, payload["digest"])
             obs.counter("farm.rehydrates")
             obs.trace_event(
                 "worker.rehydrate", scenario=payload["label"],

@@ -17,22 +17,16 @@ from repro.chain.crypto import Address
 from repro.chain.transactions import PocReceipts, PocRequest, WitnessReport
 from repro.economics.rewards import PocEvent
 from repro.geo.geodesy import LatLon, haversine_km_many, latlon_arrays
-from repro.geo.hexgrid import HexCell, HexGrid, encode_cell_reference
+from repro.geo.hexgrid import HexCell, HexGrid
 from repro.poc.cheats import CheatStrategy
 from repro.poc.validity import WitnessValidityChecker
 from repro.radio.lora import ChannelPlan, US915
-from repro.radio.propagation import (
-    Environment,
-    LinkBudget,
-    PropagationModel,
-    sample_link_rssi_dbm_many,
-)
+from repro.radio.propagation import Environment, sample_link_rssi_dbm_many
 
 __all__ = [
     "PocParticipant",
     "ChallengeOutcome",
     "run_challenge",
-    "run_challenge_reference",
 ]
 
 #: Hotspots beyond this actual distance are never candidate witnesses
@@ -150,9 +144,9 @@ def run_challenge(
     (2) per-candidate cheat forgery draws in candidate order, (3) one
     batched SNR draw covering the filed reports in report order. The
     validity checks consume no randomness, so they run after the SNR
-    draw. :func:`run_challenge_reference` replays the same draw order
-    with scalar arithmetic, so both implementations are
-    stream-compatible and property-testable against each other.
+    draw. The scalar twin in the test suite replays the same draw
+    order, so both implementations are stream-compatible and
+    property-testable against each other.
 
     Args:
         challenger: the hotspot that constructed the challenge.
@@ -340,158 +334,6 @@ def run_challenge(
         challenger=challenger.gateway,
         challengee=challengee.gateway,
         challengee_location_token=challengee._poc_cell()[2],
-        witnesses=tuple(reports),
-        frequency_mhz=freq_mhz,
-    )
-    event = PocEvent(
-        challenger=challenger.gateway,
-        challenger_owner=challenger.owner,
-        challengee=challengee.gateway,
-        challengee_owner=challengee.owner,
-        witnesses=tuple(event_witnesses),
-    )
-    return ChallengeOutcome(
-        request=request,
-        receipts=receipts,
-        event=event,
-        witness_actual_distances=actual_distances,
-    )
-
-
-def run_challenge_reference(
-    challenger: PocParticipant,
-    challengee: PocParticipant,
-    candidates: Sequence[PocParticipant],
-    rng: np.random.Generator,
-    checker: Optional[WitnessValidityChecker] = None,
-    plan: ChannelPlan = US915,
-) -> ChallengeOutcome:
-    """Scalar reference implementation of :func:`run_challenge`.
-
-    Pure-Python arithmetic, one candidate at a time, consuming the RNG
-    in the same three phases as the vectorised path (sequential scalar
-    draws from a numpy ``Generator`` are bitwise identical to one batch
-    draw of the same length). Kept as the oracle for the property tests
-    and as the baseline the performance benchmarks measure speedups
-    against — so it deliberately replays the pre-vectorisation costs
-    too: uncached cell encoding, the uncached pentagon test (via
-    :meth:`WitnessValidityChecker.check`), and one
-    :class:`PropagationModel` per link.
-    """
-    if checker is None:
-        checker = WitnessValidityChecker()
-    freq_mhz = plan.random_channel(rng)
-    channel_index = plan.channel_index(freq_mhz)
-    secret_hash = hashlib.sha256(
-        f"{challenger.gateway}:{challengee.gateway}:{rng.integers(1 << 30)}".encode()
-    ).hexdigest()
-
-    eligible = [
-        c
-        for c in candidates
-        if c.gateway != challengee.gateway and c.online
-    ]
-
-    # Phase 1: sample every in-range link, in candidate order.
-    honest_rssi_by_pos: List[Optional[float]] = []
-    actual_km_by_pos: List[float] = []
-    for candidate in eligible:
-        actual_km = challengee.actual_location.distance_km(
-            candidate.actual_location
-        )
-        actual_km_by_pos.append(actual_km)
-        honest_rssi: Optional[float] = None
-        if actual_km <= WITNESS_QUERY_RADIUS_KM and actual_km > 1e-4:
-            env = _link_environment(
-                challengee.environment, candidate.environment
-            )
-            model = PropagationModel(
-                env,
-                LinkBudget(antenna_gain_dbi=candidate.antenna_gain_dbi),
-            )
-            rssi = model.sample_rssi_dbm(actual_km, rng)
-            if rssi >= DEMOD_FLOOR_DBM:
-                honest_rssi = rssi
-        honest_rssi_by_pos.append(honest_rssi)
-
-    # Phase 2: cheat forgery draws, in candidate order.
-    reporting: List[int] = []
-    reported_vals: List[float] = []
-    for pos, candidate in enumerate(eligible):
-        honest_rssi = honest_rssi_by_pos[pos]
-        asserted_km = challengee.asserted_location.distance_km(
-            candidate.asserted_location
-        )
-        reported: Optional[float]
-        if candidate.cheat is not None:
-            fabricate = (
-                honest_rssi is None
-                and candidate.cheat.witnesses_out_of_range(challengee.gateway)
-            )
-            if honest_rssi is None and not fabricate:
-                continue
-            reported = candidate.cheat.forge_rssi(
-                honest_rssi, asserted_km, checker, rng
-            )
-            if reported is None:
-                continue
-        else:
-            if honest_rssi is None:
-                continue
-            reported = honest_rssi
-        reporting.append(pos)
-        reported_vals.append(reported)
-
-    verdicts = []
-    cells = []
-    for j, pos in enumerate(reporting):
-        candidate = eligible[pos]
-        # The pre-vectorisation code encoded the cell separately for the
-        # validity check and again for the report token; replay both.
-        cell = encode_cell_reference(candidate.asserted_location)
-        cells.append(encode_cell_reference(candidate.asserted_location))
-        verdicts.append(checker.check(
-            challengee_location=challengee.asserted_location,
-            witness_location=candidate.asserted_location,
-            witness_cell=cell,
-            rssi_dbm=reported_vals[j],
-            freq_mhz=freq_mhz,
-            channel_index=channel_index,
-        ))
-
-    # Phase 3: SNR draws, in report order.
-    reports: List[WitnessReport] = []
-    event_witnesses: List[Tuple[Address, Address]] = []
-    actual_distances: List[Tuple[Address, float]] = []
-    for j, pos in enumerate(reporting):
-        candidate = eligible[pos]
-        verdict = verdicts[j]
-        reports.append(WitnessReport(
-            witness=candidate.gateway,
-            rssi_dbm=reported_vals[j],
-            snr_db=float(rng.normal(5.0, 4.0)),
-            frequency_mhz=freq_mhz,
-            reported_location_token=cells[j].token,
-            is_valid=verdict.is_valid,
-            invalid_reason=(
-                verdict.reason.value if verdict.reason is not None else None
-            ),
-        ))
-        actual_distances.append((candidate.gateway, actual_km_by_pos[pos]))
-        if verdict.is_valid:
-            event_witnesses.append((candidate.gateway, candidate.owner))
-
-    request = PocRequest(
-        challenger=challenger.gateway,
-        secret_hash=secret_hash,
-        challengee=challengee.gateway,
-    )
-    receipts = PocReceipts(
-        challenger=challenger.gateway,
-        challengee=challengee.gateway,
-        challengee_location_token=encode_cell_reference(
-            challengee.asserted_location
-        ).token,
         witnesses=tuple(reports),
         frequency_mhz=freq_mhz,
     )

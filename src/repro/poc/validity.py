@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.geo.geodesy import LatLon, haversine_km_many
-from repro.geo.hexgrid import HexCell, pentagon_distorted_reference
+from repro.geo.hexgrid import HexCell, pentagon_distorted_uncached
 from repro.radio.lora import MAX_EIRP_DBM_US
 from repro.radio.propagation import fspl_db, fspl_db_many
 
@@ -114,7 +114,7 @@ class WitnessValidityChecker:
         """
         if channel_index < 0:
             return ValidityVerdict(False, InvalidReason.WRONG_CHANNEL)
-        if pentagon_distorted_reference(witness_cell):
+        if pentagon_distorted_uncached(witness_cell):
             return ValidityVerdict(False, InvalidReason.PENTAGON_DISTORTION)
         distance_km = challengee_location.distance_km(witness_location)
         if distance_km < self.min_distance_km:

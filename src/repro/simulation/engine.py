@@ -205,6 +205,7 @@ class SimulationEngine:
 
             state.chain.attach_log(ChainLog())
         run_started = perf_counter()
+        first_day = state.day
         if state.console_owner is None:
             state.bootstrap_routers()
 
@@ -223,6 +224,7 @@ class SimulationEngine:
                         "stop_after_day requires checkpoint_dir"
                     )
                 self._checkpoint(checkpoint_dir)
+                obs.counter("engine.days", state.day - first_day)
                 return None
             if (
                 checkpoint_every
@@ -236,7 +238,9 @@ class SimulationEngine:
         )
         wall_s = perf_counter() - run_started
         obs.counter("engine.runs")
-        obs.counter("engine.days", state.config.n_days)
+        # The days this call simulated: none when resuming a finished
+        # run, the remainder when resuming a stopped one.
+        obs.counter("engine.days", state.day - first_day)
         self.scheduler.publish_metrics()
         obs.trace_event(
             "engine.run",

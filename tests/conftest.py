@@ -1,7 +1,8 @@
 """Shared fixtures.
 
 The small scenario takes a few seconds to build; it is session-scoped so
-the whole analysis-layer test suite shares one chain.
+the whole analysis-layer test suite shares one chain, and one ETL
+replica of it (the store the experiment registry hands its reports).
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.etl.store import EtlStore
+from repro.experiments.context import result_store
 from repro.rng import RngHub
 from repro.scenarios import resolve
 from repro.simulation import SimulationEngine
@@ -18,6 +21,13 @@ from repro.simulation import SimulationEngine
 def small_result():
     """One fully simulated small scenario, shared across tests."""
     return SimulationEngine(resolve("small", seed=7).config).run()
+
+
+@pytest.fixture(scope="session")
+def small_store(small_result) -> EtlStore:
+    """The ETL replica of ``small_result``'s chain, which the analyses
+    read."""
+    return result_store(small_result)
 
 
 @pytest.fixture()

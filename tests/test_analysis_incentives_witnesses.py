@@ -17,11 +17,11 @@ from repro.poc.cheats import GossipClique, RssiLiar, SilentMover
 
 
 class TestSilentMovers:
-    def test_detector_finds_injected_cheats(self, small_result):
+    def test_detector_finds_injected_cheats(self, small_result, small_store):
         # min_events=2: the small scenario injects only a handful of
         # silent movers, while same-day assert/challenge block races
         # produce single-event transients that must be filtered.
-        findings = find_silent_movers(small_result.chain, min_events=2)
+        findings = find_silent_movers(small_store, min_events=2)
         truth = {
             g for g, h in small_result.world.hotspots.items()
             if isinstance(h.cheat, (SilentMover, GossipClique))
@@ -34,29 +34,29 @@ class TestSilentMovers:
         precision = len(flagged & truth) / len(flagged)
         assert precision > 0.1
 
-    def test_findings_sorted_by_contradiction(self, small_result):
-        findings = find_silent_movers(small_result.chain, min_events=2)
+    def test_findings_sorted_by_contradiction(self, small_store):
+        findings = find_silent_movers(small_store, min_events=2)
         distances = [f.contradiction_km for f in findings]
         assert distances == sorted(distances, reverse=True)
         for finding in findings:
             assert finding.contradiction_km > 200.0
             assert finding.name  # three-word display name
 
-    def test_cheats_still_rewarded(self, small_result):
-        findings = find_silent_movers(small_result.chain, min_events=2)
+    def test_cheats_still_rewarded(self, small_store):
+        findings = find_silent_movers(small_store, min_events=2)
         # The §7.1 takeaway: flagged cheats keep earning.
         assert any(f.still_rewarded for f in findings)
 
 
 class TestRssiAnomalies:
-    def test_absurd_values_found_and_rejected(self, small_result):
-        anomalies = find_rssi_anomalies(small_result.chain)
+    def test_absurd_values_found_and_rejected(self, small_store):
+        anomalies = find_rssi_anomalies(small_store)
         assert anomalies  # RssiLiars inject them
         assert anomalies[0].rssi_dbm == pytest.approx(1_041_313_293.0)
         assert not any(a.passed_validity for a in anomalies)
 
-    def test_anomalies_trace_to_liars(self, small_result):
-        anomalies = find_rssi_anomalies(small_result.chain)
+    def test_anomalies_trace_to_liars(self, small_result, small_store):
+        anomalies = find_rssi_anomalies(small_store)
         liars = {
             g for g, h in small_result.world.hotspots.items()
             if isinstance(h.cheat, RssiLiar)
@@ -65,57 +65,57 @@ class TestRssiAnomalies:
 
 
 class TestCheaterRewards:
-    def test_totals_nonnegative(self, small_result):
+    def test_totals_nonnegative(self, small_result, small_store):
         gateways = [
             g for g, h in small_result.world.hotspots.items()
             if h.cheat is not None
         ][:10]
-        rewards = cheater_rewards(small_result.chain, gateways)
+        rewards = cheater_rewards(small_store, gateways)
         assert set(rewards) == set(gateways)
         assert all(v >= 0 for v in rewards.values())
 
-    def test_empty_input_rejected(self, small_result):
+    def test_empty_input_rejected(self, small_store):
         with pytest.raises(AnalysisError):
-            cheater_rewards(small_result.chain, [])
+            cheater_rewards(small_store, [])
 
 
 class TestWitnessDistributions:
-    def test_distance_cdf_shape(self, small_result):
-        stats = witness_distance_cdf(small_result.chain)
+    def test_distance_cdf_shape(self, small_store):
+        stats = witness_distance_cdf(small_store)
         assert 0.3 < stats.median_km < 15.0
         assert stats.median_km < stats.p95_km <= stats.max_km
         # HIP 15 excludes witnesses under 300 m.
         assert min(stats.distances_km) >= 0.29
 
-    def test_rssi_cdf_in_physical_band(self, small_result):
-        stats = witness_rssi_cdf(small_result.chain)
+    def test_rssi_cdf_in_physical_band(self, small_store):
+        stats = witness_rssi_cdf(small_store)
         assert -139.0 <= stats.p5_dbm <= stats.median_dbm <= stats.p95_dbm
         assert stats.p95_dbm < 0.0  # no absurd values among the valid
 
-    def test_rssi_includes_absurd_when_unfiltered(self, small_result):
-        stats = witness_rssi_cdf(small_result.chain, valid_only=False)
+    def test_rssi_includes_absurd_when_unfiltered(self, small_store):
+        stats = witness_rssi_cdf(small_store, valid_only=False)
         assert stats.rssis_dbm[-1] > 1e6  # the liar's billion-dBm claim
 
-    def test_window_restriction(self, small_result):
-        end = small_result.chain.height
+    def test_window_restriction(self, small_store):
+        end = small_store.checkpoint_height
         windowed = witness_rssi_cdf(
-            small_result.chain, start_height=end - 20 * 1440, end_height=end
+            small_store, start_height=end - 20 * 1440, end_height=end
         )
-        full = witness_rssi_cdf(small_result.chain)
+        full = witness_rssi_cdf(small_store)
         assert len(windowed.rssis_dbm) < len(full.rssis_dbm)
 
-    def test_validity_breakdown(self, small_result):
-        breakdown = validity_breakdown(small_result.chain)
+    def test_validity_breakdown(self, small_store):
+        breakdown = validity_breakdown(small_store)
         assert breakdown["valid"] > 0
         # The HIP-15 proximity rule fires somewhere in a dense city.
         assert breakdown.get("too_close", 0) > 0
 
 
 class TestWitnessesPerChallenge:
-    def test_distribution_shape(self, small_result):
+    def test_distribution_shape(self, small_store):
         from repro.core.analysis.witnesses import witnesses_per_challenge
 
-        stats = witnesses_per_challenge(small_result.chain)
+        stats = witnesses_per_challenge(small_store)
         assert stats.challenges > 0
         assert sum(c for _, c in stats.histogram) == stats.challenges
         assert 0.0 <= stats.zero_witness_fraction < 1.0

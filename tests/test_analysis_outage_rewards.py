@@ -78,35 +78,35 @@ class TestOutageImpact:
 
 
 class TestRewardEconomics:
-    def test_earnings_distribution(self, small_result):
-        stats = hotspot_earnings(small_result.chain)
+    def test_earnings_distribution(self, small_store):
+        stats = hotspot_earnings(small_store)
         assert stats.n_hotspots > 0
         assert stats.median_hnt <= stats.p90_hnt <= stats.max_hnt
         assert stats.total_hnt > 0
         assert "poc_witness" in stats.by_reward_type_hnt
 
-    def test_payback_footnote1(self, small_result):
+    def test_payback_footnote1(self, small_store):
         # At May-2021 prices, "hotspots pay for themselves in a few
         # weeks" — the median payback should be days-to-months.
         stats = payback_analysis(
-            small_result.chain, hnt_price_usd=15.0, hotspot_cost_usd=400.0
+            small_store, hnt_price_usd=15.0, hotspot_cost_usd=400.0
         )
         assert stats.paid_back_fraction > 0.2
         assert stats.p25_payback_days <= stats.median_payback_days
         assert stats.median_payback_days < 150.0
 
-    def test_payback_at_dust_prices_never_happens(self, small_result):
+    def test_payback_at_dust_prices_never_happens(self, small_store):
         stats = payback_analysis(
-            small_result.chain, hnt_price_usd=0.0001, hotspot_cost_usd=400.0
+            small_store, hnt_price_usd=0.0001, hotspot_cost_usd=400.0
         )
         assert stats.paid_back_fraction < 0.05
 
-    def test_invalid_inputs_rejected(self, small_result):
+    def test_invalid_inputs_rejected(self, small_store):
         with pytest.raises(AnalysisError):
-            payback_analysis(small_result.chain, hnt_price_usd=0.0)
+            payback_analysis(small_store, hnt_price_usd=0.0)
 
-    def test_speculation_ratio(self, small_result):
-        ratio = speculation_ratio(small_result.chain)
+    def test_speculation_ratio(self, small_store):
+        ratio = speculation_ratio(small_store)
         # "Helium is largely speculative today with more hotspot
         # activity than user activity" — coverage rewards dominate.
         assert ratio > 0.5

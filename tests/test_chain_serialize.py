@@ -107,22 +107,26 @@ class TestReloadedChainAnalyses:
     """A dumped-and-reloaded chain supports the full analysis pipeline
     with identical results — the DeWi-ETL property."""
 
-    def test_analyses_identical_after_reload(self, small_result, tmp_path):
+    def test_analyses_identical_after_reload(
+        self, small_result, small_store, tmp_path
+    ):
         from repro.core.analysis.chainstats import chain_stats
         from repro.core.analysis.moves import move_stats
         from repro.core.analysis.ownership import ownership_stats
         from repro.core.analysis.resale import resale_stats
         from repro.core.analysis.witnesses import witness_distance_cdf
+        from repro.etl import EtlStore, ingest_chain
 
         path = tmp_path / "chain.jsonl"
         dump_chain(small_result.chain, path)
-        rebuilt = load_chain(path)
+        rebuilt = EtlStore()
+        ingest_chain(load_chain(path), rebuilt)
 
-        assert chain_stats(rebuilt) == chain_stats(small_result.chain)
-        assert move_stats(rebuilt) == move_stats(small_result.chain)
-        assert ownership_stats(rebuilt) == ownership_stats(small_result.chain)
-        assert resale_stats(rebuilt) == resale_stats(small_result.chain)
-        original = witness_distance_cdf(small_result.chain)
+        assert chain_stats(rebuilt) == chain_stats(small_store)
+        assert move_stats(rebuilt) == move_stats(small_store)
+        assert ownership_stats(rebuilt) == ownership_stats(small_store)
+        assert resale_stats(rebuilt) == resale_stats(small_store)
+        original = witness_distance_cdf(small_store)
         reloaded = witness_distance_cdf(rebuilt)
         assert reloaded.median_km == original.median_km
         assert reloaded.distances_km == original.distances_km

@@ -309,7 +309,10 @@ def _plain_filter(chain, kind=None, start_height=0, end_height=None,
 
 
 class TestKindIndex:
-    """``iter_transactions`` over the per-kind index ≡ a plain filter."""
+    """Typed ``iter_transactions`` scans read the same transactions from
+    every residency: resident, log-backed, checkpoint-resumed and
+    warm-loaded chains all equal a plain filter over the resident
+    replay."""
 
     @pytest.fixture(scope="class")
     def chains(self, tmp_path_factory):

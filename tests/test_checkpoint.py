@@ -17,6 +17,7 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.errors import SimulationError
 from repro.experiments.snapshot import result_digest
 from repro.scenarios import resolve
@@ -113,6 +114,27 @@ class TestResumeEqualsFresh:
         assert engine.state.day == engine.config.n_days
         assert result_digest(engine.run()) == SMALL_SEED7_DIGEST
         assert {p.name: p.read_bytes() for p in entry.iterdir()} == before
+
+    def test_engine_days_counts_the_days_each_call_simulates(self, tmp_path):
+        """``engine.days`` grows by the days a call runs: 60 up to the
+        stop, the other 120 on resume, none on resuming the finished
+        run."""
+        from repro.experiments.snapshot import save_result
+
+        def days() -> int:
+            return obs.snapshot()["counters"].get("engine.days", 0)
+
+        ckpt = tmp_path / "ckpt"
+        start = days()
+        SimulationEngine(resolve("small", seed=7).config).run(
+            stop_after_day=60, checkpoint_dir=ckpt
+        )
+        assert days() - start == 60
+        result = SimulationEngine.resume(ckpt).run()
+        assert days() - start == 60 + 120
+        save_result(result, tmp_path / "entry")
+        SimulationEngine.resume(tmp_path / "entry").run()
+        assert days() - start == 180
 
 
 class TestCorruptCheckpoints:

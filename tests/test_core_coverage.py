@@ -14,7 +14,9 @@ from repro.core.coverage import (
     WitnessGeometry,
     build_witness_geometry,
 )
-from repro.chain.transactions import PocReceipts, WitnessReport
+from repro.chain.blockchain import Blockchain
+from repro.chain.transactions import AddGateway, PocReceipts, WitnessReport
+from repro.etl import EtlStore, ingest_chain
 from repro.geo.geodesy import LatLon, destination
 from repro.geo.hexgrid import HexGrid
 from repro.geo.landmass import CONTIGUOUS_US
@@ -160,9 +162,13 @@ class TestModels:
 
 class TestWitnessGeometryExtraction:
     def _receipt(self, witness_valid=True):
+        """One receipt on a chain, read back from its ETL replica."""
         cell = HexGrid.encode_cell(CENTER)
         witness_cell = HexGrid.encode_cell(destination(CENTER, 0.0, 5.0))
-        return PocReceipts(
+        chain = Blockchain()
+        chain.submit(AddGateway(gateway="hs_e", owner="wal_e"))
+        chain.mint_block()
+        chain.submit(PocReceipts(
             challenger="hs_c",
             challengee="hs_e",
             challengee_location_token=cell.token,
@@ -172,7 +178,11 @@ class TestWitnessGeometryExtraction:
                 reported_location_token=witness_cell.token,
                 is_valid=witness_valid,
             ),),
-        )
+        ))
+        chain.mint_block()
+        store = EtlStore()
+        ingest_chain(chain, store)
+        return next(store.valid_witness_receipts())
 
     def _locate(self, token):
         from repro.geo.hexgrid import HexCell

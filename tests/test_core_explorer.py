@@ -7,8 +7,8 @@ from repro.errors import AnalysisError
 
 
 @pytest.fixture(scope="module")
-def explorer(small_result) -> Explorer:
-    return Explorer(small_result.chain)
+def explorer(small_store) -> Explorer:
+    return Explorer.from_store(small_store)
 
 
 class TestHotspotPages:

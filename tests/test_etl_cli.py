@@ -6,12 +6,12 @@ import json
 
 import pytest
 
-from repro.core.explorer import Explorer
 from repro.etl import EtlStore, ingest_chain
 from repro.etl.cli import main
 from repro.experiments import context
 
 from tests.etl_chains import ChainBuilder
+from tests.reference_twins import ChainExplorer
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ class TestQueryCommand:
 
     def test_hotspot_by_address_and_name(self, ingested_db, capsys):
         db, result = ingested_db
-        explorer = Explorer(result.chain)
+        explorer = ChainExplorer(result.chain)
         gateway = next(iter(result.chain.ledger.hotspots))
         page = explorer.hotspot(gateway)
 

@@ -1,10 +1,15 @@
-"""Backend parity: the ETL store answers exactly like the object graph.
+"""Read-path parity: the ETL store answers exactly like a chain walk.
 
-Three layers of evidence, per the issue's acceptance criteria:
+The analyses and the explorer read only the ETL replica. Their oracles
+are the chain walks in ``tests/reference_twins.py``: :class:`ChainRows`
+(every row an analysis reads, derived from the chain and its ledger),
+``find_silent_movers_reference`` (the §7.1 chain replay) and
+:class:`ChainExplorer` (pages from an in-memory index of the chain).
+Three layers of evidence:
 
 * **Randomized chains** (Hypothesis): any valid chain the builder can
-  produce yields identical explorer pages and analysis numbers on both
-  backends.
+  produce yields identical explorer pages and analysis numbers from the
+  store and from its oracle.
 * **Small scenario**: the full simulated scenario the rest of the test
   suite uses, compared page-by-page and analysis-by-analysis.
 * **Paper scenario**: the case-study comparison on the full-size chain
@@ -18,20 +23,90 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.analysis import resale, rewards, witnesses
+from repro.core.analysis import (
+    chainstats,
+    density,
+    growth,
+    incentives,
+    moves,
+    ownership,
+    resale,
+    rewards,
+    traffic,
+    witnesses,
+)
+from repro.core.coverage import build_witness_geometry
 from repro.core.explorer import Explorer
 from repro.errors import AnalysisError
 from repro.etl import EtlStore, ingest_chain
 from repro.experiments import context
 from repro.geo.geodesy import LatLon
+from repro.geo.hexgrid import HexCell
 
 from tests.etl_chains import ChainBuilder
+from tests.reference_twins import (
+    ChainExplorer,
+    ChainRows,
+    find_silent_movers_reference,
+)
 
 
 def _ingested(chain) -> EtlStore:
     store = EtlStore()
     ingest_chain(chain, store)
     return store
+
+
+def _locate(token):
+    location = HexCell.from_token(token).center()
+    return None if location.is_null_island() else location
+
+
+#: Every analysis that reads the chain, as ``(name, call)``; each call
+#: takes the store or its chain-walk oracle.
+_ANALYSES = [
+    ("chain_stats", lambda src: chainstats.chain_stats(src, 10.0)),
+    ("growth_curves", growth.growth_curves),
+    ("collect_move_records", moves.collect_move_records),
+    ("move_stats", moves.move_stats),
+    ("null_island_stats", moves.null_island_stats),
+    ("ownership_stats", ownership.ownership_stats),
+    ("classify_owners", lambda src: ownership.classify_owners(src, min_fleet=1)),
+    ("owner_fleet_map", lambda src: [
+        ownership.owner_fleet_map(src, owner) for owner in src.owner_counts()
+    ]),
+    ("hex_density", density.hex_density),
+    ("crowding_stats", density.crowding_stats),
+    ("spatial_gini", density.spatial_gini),
+    ("channel_share", traffic.channel_share),
+    ("packets_by_close", traffic.packets_by_close),
+    ("traffic_series", traffic.traffic_series),
+    ("find_rssi_anomalies", lambda src: incentives.find_rssi_anomalies(src, -90.0)),
+    ("cheater_rewards", lambda src: incentives.cheater_rewards(
+        src, [gateway for gateway, _, _ in src.hotspot_rows()] + ["hs_none"]
+    )),
+    ("clique_counts", lambda src: src.witness_counts_among(
+        [gateway for gateway, _, _ in src.hotspot_rows()][::2]
+    )),
+    ("witness_geometry", lambda src: build_witness_geometry(
+        src.valid_witness_receipts(), _locate
+    )),
+    ("witness_distance_cdf", witnesses.witness_distance_cdf),
+    ("witness_rssi_cdf", lambda src: witnesses.witness_rssi_cdf(src, valid_only=True)),
+    ("witness_rssi_cdf_all", lambda src: witnesses.witness_rssi_cdf(src, valid_only=False)),
+    ("witness_rssi_cdf_window", lambda src: witnesses.witness_rssi_cdf(
+        src, start_height=src.checkpoint_height // 2,
+        end_height=src.checkpoint_height,
+    )),
+    ("witnesses_per_challenge", witnesses.witnesses_per_challenge),
+    ("validity_breakdown", witnesses.validity_breakdown),
+    ("hotspot_earnings", rewards.hotspot_earnings),
+    ("payback_analysis", lambda src: rewards.payback_analysis(src, 15.0)),
+    ("speculation_ratio", rewards.speculation_ratio),
+    ("resale_stats", resale.resale_stats),
+    ("transfers_over_time", resale.transfers_over_time),
+    ("top_traders", resale.top_traders),
+]
 
 
 def _maybe(callable_, *args, **kwargs):
@@ -44,37 +119,15 @@ def _maybe(callable_, *args, **kwargs):
 
 
 def _assert_analysis_parity(chain, store) -> None:
-    assert witnesses.witness_distance_cdf(chain) == (
-        witnesses.witness_distance_cdf(store)
-    )
-    assert witnesses.witness_rssi_cdf(chain, valid_only=True) == (
-        witnesses.witness_rssi_cdf(store, valid_only=True)
-    )
-    assert witnesses.witness_rssi_cdf(chain, valid_only=False) == (
-        witnesses.witness_rssi_cdf(store, valid_only=False)
-    )
-    assert _maybe(witnesses.witnesses_per_challenge, chain) == (
-        _maybe(witnesses.witnesses_per_challenge, store)
-    )
-    assert witnesses.validity_breakdown(chain) == (
-        witnesses.validity_breakdown(store)
-    )
-    assert _maybe(rewards.hotspot_earnings, chain) == (
-        _maybe(rewards.hotspot_earnings, store)
-    )
-    assert _maybe(rewards.payback_analysis, chain, 15.0) == (
-        _maybe(rewards.payback_analysis, store, 15.0)
-    )
-    assert _maybe(rewards.speculation_ratio, chain) == (
-        _maybe(rewards.speculation_ratio, store)
-    )
-    assert _maybe(resale.resale_stats, chain) == (
-        _maybe(resale.resale_stats, store)
-    )
-    assert resale.transfers_over_time(chain) == (
-        resale.transfers_over_time(store)
-    )
-    assert resale.top_traders(chain) == resale.top_traders(store)
+    oracle = ChainRows(chain)
+    for name, analysis in _ANALYSES:
+        assert _maybe(analysis, store) == _maybe(analysis, oracle), name
+    # The default, and a 1 km bound that turns most witness events into
+    # findings (small chains rarely hold a 300 km witness).
+    for kwargs in ({}, {"impossible_km": 1.0, "min_events": 1}):
+        assert incentives.find_silent_movers(store, **kwargs) == (
+            find_silent_movers_reference(chain, **kwargs)
+        )
 
 
 class TestRandomizedChains:
@@ -88,7 +141,7 @@ class TestRandomizedChains:
         builder = ChainBuilder(seed=seed, n_hotspots=5)
         builder.grow(12)
         store = _ingested(builder.chain)
-        in_memory = Explorer(builder.chain)
+        in_memory = ChainExplorer(builder.chain)
         from_store = Explorer.from_store(store)
         for gateway in builder.gateways:
             assert in_memory.hotspot(gateway) == from_store.hotspot(gateway)
@@ -104,7 +157,7 @@ class TestRandomizedChains:
         builder = ChainBuilder(seed=seed, n_hotspots=4)
         builder.grow(4)
         store = _ingested(builder.chain)
-        in_memory = Explorer(builder.chain)
+        in_memory = ChainExplorer(builder.chain)
         from_store = Explorer.from_store(store)
         for gateway in builder.gateways:
             name = in_memory.hotspot(gateway).name
@@ -113,26 +166,21 @@ class TestRandomizedChains:
             assert in_memory.search(needle) == from_store.search(needle)
 
 
-@pytest.fixture(scope="module")
-def small_store(small_result) -> EtlStore:
-    return _ingested(small_result.chain)
-
-
 class TestSmallScenarioParity:
     def test_every_hotspot_page(self, small_result, small_store):
-        in_memory = Explorer(small_result.chain)
+        in_memory = ChainExplorer(small_result.chain)
         from_store = Explorer.from_store(small_store)
         for gateway in small_result.chain.ledger.hotspots:
             assert in_memory.hotspot(gateway) == from_store.hotspot(gateway)
 
     def test_every_owner_page(self, small_result, small_store):
-        in_memory = Explorer(small_result.chain)
+        in_memory = ChainExplorer(small_result.chain)
         from_store = Explorer.from_store(small_store)
         for wallet in small_result.chain.ledger.wallets:
             assert in_memory.owner(wallet) == from_store.owner(wallet)
 
     def test_hotspots_near(self, small_result, small_store):
-        in_memory = Explorer(small_result.chain)
+        in_memory = ChainExplorer(small_result.chain)
         from_store = Explorer.from_store(small_store)
         some_located = next(
             record.location_token
@@ -169,7 +217,7 @@ class TestPaperScenarioParity:
 
     def test_sampled_hotspot_pages(self, paper):
         result, store = paper
-        in_memory = Explorer(result.chain)
+        in_memory = ChainExplorer(result.chain)
         from_store = Explorer.from_store(store)
         gateways = list(result.chain.ledger.hotspots)
         sample = random.Random(2021).sample(gateways, 80)
@@ -178,7 +226,7 @@ class TestPaperScenarioParity:
 
     def test_sampled_owner_pages(self, paper):
         result, store = paper
-        in_memory = Explorer(result.chain)
+        in_memory = ChainExplorer(result.chain)
         from_store = Explorer.from_store(store)
         wallets = list(result.chain.ledger.wallets)
         sample = random.Random(2021).sample(wallets, 40)
@@ -220,7 +268,7 @@ class TestPaperScenarioParity:
                 with urllib.request.urlopen(base + path, timeout=10) as r:
                     return json.loads(r.read().decode("utf-8"))
 
-            explorer = Explorer(result.chain)
+            explorer = ChainExplorer(result.chain)
             gateway = next(iter(result.chain.ledger.hotspots))
             page = explorer.hotspot(gateway)
 

@@ -6,6 +6,8 @@ from repro.errors import GeoError
 from repro.geo.geodesy import LatLon, destination
 from repro.geo.spatialindex import SpatialIndex
 
+from tests.reference_twins import within_radius_reference
+
 
 def _random_points(rng, n, center=LatLon(40.0, -100.0), spread_km=300.0):
     return [
@@ -84,7 +86,7 @@ class TestSpatialIndex:
             fast = {item for _, item in index.within_radius(query, radius)}
             ref = {
                 item
-                for _, item in index.within_radius_reference(query, radius)
+                for _, item in within_radius_reference(index, query, radius)
             }
             assert fast == ref
 

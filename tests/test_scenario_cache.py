@@ -96,15 +96,23 @@ class TestSnapshotRoundTrip:
 
     def test_figures_bit_identical(self, small_result, roundtripped):
         # fig12 draws fresh randomness from a seed-derived stream and
-        # fig13 walks the chain, so equality here means the reloaded
-        # scenario is indistinguishable from the fresh simulation.
+        # fig13 reads the chain's witnesses; each result gets a replica
+        # ingested from its own chain, so equality here means the
+        # reloaded scenario is indistinguishable from the fresh
+        # simulation.
+        from repro.etl import EtlStore, ingest_chain
+
+        stores = {}
+        for name, result in (("fresh", small_result), ("cached", roundtripped)):
+            stores[name] = EtlStore()
+            ingest_chain(result.chain, stores[name])
         for module in (fig12, fig13):
-            fresh = json.dumps(
-                _report_payload(module.run(small_result)), sort_keys=True
-            )
-            cached = json.dumps(
-                _report_payload(module.run(roundtripped)), sort_keys=True
-            )
+            fresh = json.dumps(_report_payload(
+                module.run(small_result, stores["fresh"])
+            ), sort_keys=True)
+            cached = json.dumps(_report_payload(
+                module.run(roundtripped, stores["cached"])
+            ), sort_keys=True)
             assert fresh == cached
 
 
@@ -202,7 +210,7 @@ class TestCacheWiring:
         result = context.get_result(resolved, checkpoint_every=20)
         # Periodic saves at days 20 and 40, then the final one at 60.
         assert extended == [False, True, True]
-        entry = context._entry_dir(resolved)
+        entry = context._entry_dir(resolved.config.seed, resolved.digest)
         assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
             entry.name
         ]
@@ -218,7 +226,8 @@ class TestEntryIntegrity:
     def entry(self, monkeypatch, tmp_path, small_result):
         monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path))
         monkeypatch.setattr(context, "_CACHE", {})
-        entry = context._entry_dir(resolve("small", seed=7))
+        resolved = resolve("small", seed=7)
+        entry = context._entry_dir(resolved.config.seed, resolved.digest)
         save_result(small_result, entry)
         return entry
 
@@ -308,7 +317,7 @@ class TestStoreWiring:
             context, "_CACHE", {resolved.digest: small_result}
         )
         monkeypatch.setattr(context, "_STORES", {})
-        entry = context._entry_dir(resolved)
+        entry = context._entry_dir(resolved.config.seed, resolved.digest)
         save_result(small_result, entry)
         return entry
 

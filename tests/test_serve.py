@@ -1,7 +1,8 @@
 """The serving tier, end-to-end over real sockets.
 
-Covers the explorer routes (pages equal to the chain-walking
-:class:`~repro.core.explorer.Explorer`'s, 4xx handling, ``/metrics``)
+Covers the explorer routes (pages equal to those of the chain-walk
+oracle ``tests.reference_twins.ChainExplorer``, 4xx handling,
+``/metrics``)
 and the four behaviours that let :mod:`repro.serve` take traffic:
 
 * checkpoint-keyed ETags — ``If-None-Match`` collapses to 304 while the
@@ -28,7 +29,6 @@ from urllib.parse import quote
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.explorer import Explorer
 from repro.errors import EtlError
 from repro.etl import EtlStore, ingest_chain
 from repro.etl.server import owner_to_json, page_to_json
@@ -40,6 +40,7 @@ from repro.serve.cursor import CursorError, decode_cursor, encode_cursor
 from repro.serve.server import create_server, default_workers
 
 from tests.etl_chains import ChainBuilder
+from tests.reference_twins import ChainExplorer
 
 
 # -- harness ---------------------------------------------------------------
@@ -434,24 +435,24 @@ def _ok(live, path):
 
 
 class TestExplorerRoutes:
-    """Served pages equal the chain-walking explorer's renders."""
+    """Served pages equal the renders of the chain-walk oracle's pages."""
 
     def test_hotspot_by_address(self, explorer):
         gateway = explorer.builder.gateways[0]
-        expected = page_to_json(Explorer(explorer.builder.chain).hotspot(
+        expected = page_to_json(ChainExplorer(explorer.builder.chain).hotspot(
             gateway
         ))
         assert _ok(explorer, f"/hotspot/{gateway}") == expected
 
     def test_hotspot_by_name(self, explorer):
         gateway = explorer.builder.gateways[1]
-        page = Explorer(explorer.builder.chain).hotspot(gateway)
+        page = ChainExplorer(explorer.builder.chain).hotspot(gateway)
         slug = quote(page.name.replace(" ", "-"))
         assert _ok(explorer, f"/hotspot/{slug}") == page_to_json(page)
 
     def test_owner(self, explorer):
         wallet = explorer.builder.owners[0]
-        expected = owner_to_json(Explorer(explorer.builder.chain).owner(
+        expected = owner_to_json(ChainExplorer(explorer.builder.chain).owner(
             wallet
         ))
         assert _ok(explorer, f"/owner/{wallet}") == expected
@@ -489,7 +490,7 @@ class TestExplorerRoutes:
 
     def test_search(self, explorer):
         chain = explorer.builder.chain
-        name = Explorer(chain).hotspot(explorer.builder.gateways[0]).name
+        name = ChainExplorer(chain).hotspot(explorer.builder.gateways[0]).name
         needle = name.split()[0].lower()
         payload = _ok(explorer, f"/search?q={quote(needle)}")
         assert any(m["name"] == name for m in payload["matches"])

@@ -65,7 +65,7 @@ class TestChainConsistency:
             assert txn.seller != txn.buyer
 
     def test_rewards_minted_daily(self, small_result):
-        rewards = small_result.chain.transactions_of_kind(Rewards)
+        rewards = list(small_result.chain.iter_transactions(Rewards))
         assert len(rewards) >= small_result.config.n_days * 0.9
 
     def test_dc_burned_matches_channel_closings(self, small_result):
