@@ -16,13 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.chain.crypto import Address
-from repro.chain.naming import hotspot_name
 from repro.errors import AnalysisError
 from repro.geo.hexgrid import HexCell
 from repro.geo.sphere import LatLon
 
 __all__ = ["HotspotPage", "OwnerPage", "WitnessEvent", "Explorer"]
+
+#: A wallet or hotspot address, as :data:`repro.chain.crypto.Address`
+#: names it; restated so that the serving process, which imports the
+#: page types, never imports the chain package (and its ``hashlib``).
+Address = str
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,9 @@ class Explorer:
     def __init__(self, store, recent_limit: int = 25) -> None:
         self.store = store
         self.recent_limit = recent_limit
-        self._name_index: Dict[str, Address] = {
-            name.lower(): gateway for gateway, name, _ in store.hotspot_rows()
+        self._name_index: Dict[str, Tuple[Address, str]] = {
+            name.lower(): (gateway, name)
+            for gateway, name, _ in store.hotspot_rows()
         }
 
     @classmethod
@@ -102,10 +106,10 @@ class Explorer:
 
     def hotspot_by_name(self, name: str) -> HotspotPage:
         """Look a hotspot up by its three-word name (case-insensitive)."""
-        gateway = self._name_index.get(name.lower())
-        if gateway is None:
+        entry = self._name_index.get(name.lower())
+        if entry is None:
             raise AnalysisError(f"no hotspot named {name!r}")
-        return self.hotspot(gateway)
+        return self.hotspot(entry[0])
 
     def owner(self, wallet: Address) -> OwnerPage:
         """The explorer page for a wallet."""
@@ -118,9 +122,7 @@ class Explorer:
         """Substring search over hotspot names."""
         needle = query.lower()
         matches = [
-            (gateway, hotspot_name(gateway))
-            for name, gateway in self._name_index.items()
-            if needle in name
+            entry for key, entry in self._name_index.items() if needle in key
         ]
         matches.sort(key=lambda pair: pair[1])
         return matches[:limit]

@@ -35,9 +35,7 @@ from typing import (
 from urllib.parse import quote
 
 from repro import units
-from repro.chain.crypto import Address
-from repro.chain.naming import hotspot_name
-from repro.core.explorer import HotspotPage, OwnerPage, WitnessEvent
+from repro.core.explorer import Address, HotspotPage, OwnerPage, WitnessEvent
 from repro.errors import EtlError
 from repro.etl import schema
 from repro.geo.hexgrid import HexCell
@@ -82,6 +80,21 @@ def clamp_page(
     if offset < 0:
         raise ValueError(f"offset must be >= 0, got {offset}")
     return min(limit, max_limit), offset
+
+
+def _derived_name(address: Address) -> str:
+    """The three-word name of an address with no ``hotspots`` row.
+
+    The ledger checks only a receipt's challengee, so a witness need
+    not be a registered hotspot; its name is then derived from the
+    address as the chain derives every hotspot's. ``hotspot_name`` is
+    imported on this path only: a registered hotspot's name comes from
+    its row, and a module-level import would load ``hashlib`` into the
+    serving process.
+    """
+    from repro.chain.naming import hotspot_name
+
+    return hotspot_name(address)
 
 
 class EtlStore:
@@ -315,7 +328,8 @@ class EtlStore:
         (counterparty is the challengee); ``"witnessed_by"`` lists
         reports about this hotspot's own beacons (counterparty is the
         witness). Events come back oldest-first: the newest ``limit``
-        of them, in chain order.
+        of them, in chain order. Counterparty names come from the
+        ``hotspots`` table.
         """
         if direction == "witnessing":
             where, counterparty = "witness", "challengee"
@@ -325,21 +339,25 @@ class EtlStore:
             raise EtlError(f"unknown witness direction {direction!r}")
         limit, _ = clamp_page(limit)
         rows = self.connection.execute(
-            f"SELECT height, {counterparty}, rssi_dbm, distance_km, is_valid "
-            f"FROM witnesses WHERE {where}=? "
-            "ORDER BY height DESC, seq DESC, witness_seq DESC LIMIT ?",
+            f"SELECT w.height, w.{counterparty}, h.name, w.rssi_dbm, "
+            "w.distance_km, w.is_valid FROM witnesses w "
+            f"LEFT JOIN hotspots h ON h.gateway = w.{counterparty} "
+            f"WHERE w.{where}=? "
+            "ORDER BY w.height DESC, w.seq DESC, w.witness_seq DESC LIMIT ?",
             (gateway, limit),
         ).fetchall()
         return [
             WitnessEvent(
                 block=int(height),
                 counterparty=other,
-                counterparty_name=hotspot_name(other),
+                counterparty_name=(
+                    name if name is not None else _derived_name(other)
+                ),
                 rssi_dbm=float(rssi),
                 distance_km=float(distance),
                 valid=bool(valid),
             )
-            for height, other, rssi, distance, valid in reversed(rows)
+            for height, other, name, rssi, distance, valid in reversed(rows)
         ]
 
     def query_owner_page(self, wallet: Address) -> Optional[OwnerPage]:

@@ -43,6 +43,7 @@ ingests.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import sqlite3
 import tempfile
@@ -94,6 +95,26 @@ def _entry_dir(seed: int, digest: str) -> Optional[Path]:
     if root is None:
         return None
     return root / f"scn-seed{seed}-{digest[:12]}-v{CHECKPOINT_SCHEMA_VERSION}"
+
+
+#: The name of an entry or of its ``.ckpt`` sibling; group 1 is the
+#: schema version.
+_ENTRY_NAME = re.compile(r"scn-seed\d+-[0-9a-f]{12}-v(\d+)(?:\.ckpt)?")
+
+
+def _prune_stale_entries(root: Path) -> None:
+    """Remove the entries (and ``.ckpt`` siblings) of older schema
+    versions under ``root``. Never one of this version, which a reader
+    may hold open, nor of a newer one, which another checkout reads."""
+    try:
+        paths = list(root.iterdir())
+    except OSError:
+        return  # no cache directory yet
+    for path in paths:
+        match = _ENTRY_NAME.fullmatch(path.name)
+        if match and int(match.group(1)) < CHECKPOINT_SCHEMA_VERSION:
+            shutil.rmtree(path, ignore_errors=True)
+            obs.trace_event("cache.prune", entry=path.name)
 
 
 def _load_from_disk(entry: Path) -> Optional[SimulationResult]:
@@ -184,6 +205,8 @@ def get_result(
             if entry is not None:
                 cached = _timed_load(entry, resolved)
             if cached is None:
+                if entry is not None:
+                    _prune_stale_entries(entry.parent)
                 obs.counter("cache.build", scenario=resolved.label)
                 obs.trace_event(
                     "cache.build.start", scenario=resolved.label,

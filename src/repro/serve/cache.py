@@ -27,8 +27,8 @@ True
 
 from __future__ import annotations
 
-import hashlib
 import threading
+import zlib
 from collections import OrderedDict
 from time import monotonic
 from typing import NamedTuple, Optional, Tuple
@@ -45,10 +45,15 @@ def etag_for(canonical: str, checkpoint: int) -> str:
     checkpoint are semantically identical even if a serializer changed
     byte order. The checkpoint rides in the tag, so advancing ingest
     invalidates every outstanding ETag at once — a conditional request
-    after ingest always revalidates to a fresh body.
+    after ingest always revalidates to a fresh body. The suffix is the
+    CRC-32 of the canonical request: a tag is only ever compared with
+    the tag of the same request, so it needs no cryptographic strength.
+
+    >>> etag_for("/stats", 7)
+    'W/"ck7-d65d86f7"'
     """
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-    return f'W/"ck{int(checkpoint)}-{digest}"'
+    crc = zlib.crc32(canonical.encode("utf-8"))
+    return f'W/"ck{int(checkpoint)}-{crc:08x}"'
 
 
 def etag_matches(if_none_match: Optional[str], etag: str) -> bool:

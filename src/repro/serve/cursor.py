@@ -2,10 +2,12 @@
 
 A cursor names a position in an indexed walk (``rowid`` of the last row
 the client saw) without exposing the implementation: the token is
-base64url over a tiny JSON payload plus a truncated SHA-256 integrity
-tag. The tag is not a secret — it exists so a truncated, hand-edited or
+base64url over a tiny JSON payload plus a CRC-32 integrity tag. The
+tag is not a secret — it exists so a truncated, hand-edited or
 version-skewed token is rejected as a clean ``400 bad cursor`` instead
-of turning into a surprising SQL predicate or a 500.
+of turning into a surprising SQL predicate or a 500. (A CRC catches
+accidents, not forgery; a forged token can only name a position in a
+public listing, which ``offset=`` reaches anyway.)
 
 Keyset position beats ``OFFSET`` in two ways the serving tier needs:
 
@@ -28,19 +30,17 @@ from __future__ import annotations
 
 import base64
 import binascii
-import hashlib
 import json
+import zlib
 
 __all__ = ["CursorError", "decode_cursor", "encode_cursor"]
 
 #: Version tag baked into every token; bump on layout changes so old
 #: cursors fail closed as 400s instead of decoding to nonsense.
-_VERSION = 1
+_VERSION = 2
 
 #: Domain-separation prefix for the integrity tag (not a secret).
-_TAG_KEY = b"repro.serve.cursor.v1:"
-
-_TAG_LEN = 10  # hex chars of SHA-256 — plenty against accidents
+_TAG_KEY = b"repro.serve.cursor.v2:"
 
 
 class CursorError(ValueError):
@@ -48,7 +48,7 @@ class CursorError(ValueError):
 
 
 def _tag(payload: bytes) -> str:
-    return hashlib.sha256(_TAG_KEY + payload).hexdigest()[:_TAG_LEN]
+    return f"{zlib.crc32(_TAG_KEY + payload):08x}"
 
 
 def encode_cursor(kind: str, after: int) -> str:

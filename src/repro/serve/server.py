@@ -26,6 +26,23 @@ JSON, built for sustained concurrent traffic:
 * **Cursor pagination.** List endpoints accept an opaque ``cursor``
   token (:mod:`repro.serve.cursor`) and return ``next_cursor``,
   alongside the ``offset`` form.
+* **Its own HTTP/1.1 framing.** The handler reads and writes the
+  socket itself (``socketserver``, not ``http.server``, whose import
+  chain maps OpenSSL into a process that never speaks TLS). HTTP/1.1
+  connections stay open until the client sends ``Connection: close``;
+  HTTP/1.0 gets one response per connection. The request head is
+  bounded: the request line and every header line must fit in
+  :data:`MAX_LINE` bytes, at most :data:`MAX_HEADERS` header lines, and
+  the whole head must arrive within ``keepalive_idle_s`` of when the
+  worker starts reading it — one deadline across every ``recv``, so a
+  client trickling bytes holds a worker no longer than a silent one.
+  A malformed head gets a JSON 400 / 414 / 431 / 505 and the
+  connection closes. The API takes no request bodies: a request that
+  declares one (``Content-Length`` above zero, or any
+  ``Transfer-Encoding``) is answered and the connection closed, so an
+  unread body is never parsed as the next request. Every response
+  leaves as one write carrying ``Content-Length``, ``Server`` and
+  ``Date``.
 
 Routes: ``/stats``, ``/hotspots``, ``/hotspot/<id>[/witnesses]``,
 ``/owner/<addr>``, ``/coverage/dots``, ``/search``, ``/healthz`` (queue
@@ -34,7 +51,7 @@ carry ``checkpoint`` and ``next_cursor``. Errors are ``{"error": …}``
 with a 4xx: 404 for unknown resources, 400 for a negative or
 non-integer ``limit``/``offset`` (an oversized ``limit`` clamps to
 :data:`repro.etl.store.MAX_PAGE_LIMIT`). ``HEAD`` mirrors ``GET``
-headers; other methods are 405.
+headers; every other method is 405 with ``Allow: GET, HEAD``.
 
 Observability (:mod:`repro.obs`): ``serve.requests{route=,status=}``
 counters, ``serve.latency_s{route=}`` histograms,
@@ -48,10 +65,12 @@ from __future__ import annotations
 import json
 import os
 import queue
+import re
 import socket
+import socketserver
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
-from time import perf_counter, sleep
+from time import gmtime, monotonic, perf_counter, sleep, strftime
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlencode, urlparse
 
@@ -63,6 +82,33 @@ from repro.serve.cache import ResponseCache, etag_for, etag_matches
 from repro.serve.cursor import CursorError, decode_cursor, encode_cursor
 
 __all__ = ["ServeServer", "create_server", "default_workers", "serve"]
+
+#: Longest request line or header line accepted, in bytes (line
+#: terminator excluded); a longer one is a 414 or a 431.
+MAX_LINE = 65536
+
+#: Most header lines one request may carry; more is a 431.
+MAX_HEADERS = 100
+
+_RECV_BYTES = 65536
+
+#: RFC 9110 ``token``: what a method or a header name may be made of.
+_TOKEN = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+
+_HTTP_VERSION = re.compile(rb"HTTP/(\d)\.(\d)")
+
+_REASONS = {
+    200: "OK", 304: "Not Modified", 400: "Bad Request", 404: "Not Found",
+    405: "Method Not Allowed", 414: "URI Too Long",
+    431: "Request Header Fields Too Large",
+    505: "HTTP Version Not Supported",
+}
+
+_SERVER = "repro-serve/1 Python/" + sys.version.split()[0]
+
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep",
+           "Oct", "Nov", "Dec")
 
 #: Poison pill that tells a worker thread to exit its loop.
 _STOP = object()
@@ -107,6 +153,13 @@ def default_workers() -> int:
     return max(4, min(32, 4 * (os.cpu_count() or 1)))
 
 
+def _http_date() -> str:
+    """The current time as an RFC 9110 ``Date`` value."""
+    t = gmtime()
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} "
+            f"{t.tm_year} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+
+
 def _route_key(parts: List[str]) -> str:
     """Bounded metric label for a request path (shape, not resource)."""
     if not parts:
@@ -132,32 +185,172 @@ def _canonical(parts: List[str], params: Dict[str, List[str]]) -> str:
     return path + "?" + urlencode(flat)
 
 
-class ServeHandler(BaseHTTPRequestHandler):
+class _BadHead(Exception):
+    """A request head the framing layer rejects: ``(status, message)``."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class ServeHandler(socketserver.BaseRequestHandler):
     """One connection's requests, executed on a pool worker's replica.
 
-    The handler speaks HTTP/1.1: every response carries
-    ``Content-Length``, so the base class's request loop serves any
-    number of requests over one connection, and an idle socket is
-    reclaimed after ``keepalive_idle_s`` (the read timeout trips,
-    ``close_connection`` is set, and the worker moves on). HTTP/1.0
-    clients still get one response per connection.
+    The handler frames HTTP/1.1 on the raw socket (see the module
+    docstring for the rules). It keeps its own receive buffer rather
+    than a buffered file over the socket: the head deadline has to
+    span every ``recv``, and bytes read past one request's head must
+    stay for the next, pipelined one.
     """
 
-    server_version = "repro-serve/1"
-    protocol_version = "HTTP/1.1"
-    # TCP_NODELAY: a response goes out as two writes (headers, then
-    # body), and with Nagle on the body waits for the client's delayed
-    # ACK of the headers, ~40 ms per response on a kept-alive socket.
-    disable_nagle_algorithm = True
-
     def setup(self) -> None:
-        server: "ServeServer" = self.server  # type: ignore[assignment]
-        self.timeout = server.keepalive_idle_s
-        super().setup()
+        self.connection: socket.socket = self.request
+        # Nagle would hold the last, partial segment of a response
+        # until the client ACKs the ones before it, which a delayed
+        # ACK can put off for ~40 ms.
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._pending = bytearray()
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:  # type: ignore[attr-defined]
-            super().log_message(format, *args)
+    def handle(self) -> None:
+        while True:
+            self.command = self.requestline = ""
+            self._close = self._drain = False
+            try:
+                head = self._read_head()
+                if head is None:
+                    return  # client closed, or no whole head in time
+                self._parse(head)
+            except _BadHead as exc:
+                self._close = True
+                self._error(str(exc), exc.status)
+                self._linger()
+                return
+            if self.command in ("GET", "HEAD"):
+                self._dispatch()
+            else:
+                self._method_not_allowed()
+            if self._close:
+                if self._drain:
+                    self._linger()
+                return
+
+    # -- framing -------------------------------------------------------------
+
+    def _read_head(self) -> Optional[List[bytes]]:
+        """The next request's request line and header lines.
+
+        Buffers ``recv`` output until a blank line ends the head; bytes
+        beyond it stay in ``_pending``. ``None`` when the client closes
+        or the head is not complete ``keepalive_idle_s`` after the call.
+        Blank lines before the request line are skipped (RFC 9112 2.2);
+        a bare LF ends a line as CRLF does.
+        """
+        deadline = monotonic() + self.server.keepalive_idle_s
+        pending = self._pending
+        lines: List[bytes] = []
+        scanned = 0
+        while True:
+            end = pending.find(b"\n", scanned)
+            if end < 0:
+                if len(pending) > MAX_LINE + 1:  # + 1: room for a CR
+                    raise self._too_long(lines)
+                scanned = len(pending)
+                remaining = deadline - monotonic()
+                if remaining <= 0:
+                    return None
+                self.connection.settimeout(remaining)
+                try:
+                    chunk = self.connection.recv(_RECV_BYTES)
+                except TimeoutError:
+                    return None
+                if not chunk:
+                    return None
+                pending += chunk
+                continue
+            line = bytes(pending[:end])
+            del pending[:end + 1]
+            scanned = 0
+            if line.endswith(b"\r"):
+                line = line[:-1]
+            if len(line) > MAX_LINE:
+                raise self._too_long(lines)
+            if line:
+                lines.append(line)
+                if len(lines) > MAX_HEADERS + 1:
+                    raise _BadHead(431, f"more than {MAX_HEADERS} headers")
+            elif lines:
+                return lines
+
+    @staticmethod
+    def _too_long(lines: List[bytes]) -> _BadHead:
+        if lines:
+            return _BadHead(431, f"header line over {MAX_LINE} bytes")
+        return _BadHead(414, f"request line over {MAX_LINE} bytes")
+
+    def _parse(self, lines: List[bytes]) -> None:
+        """Set the request's method, target, headers and connection fate."""
+        words = lines[0].split()
+        if len(words) != 3 or not _TOKEN.fullmatch(words[0]):
+            raise _BadHead(
+                400, f"bad request line {lines[0][:100].decode('latin-1')!r}"
+            )
+        version = _HTTP_VERSION.fullmatch(words[2])
+        if version is None:
+            raise _BadHead(
+                400, f"bad HTTP version {words[2][:20].decode('latin-1')!r}"
+            )
+        if version.group(1) != b"1":
+            raise _BadHead(505, "only HTTP/1.x is served")
+        headers: Dict[str, str] = {}
+        for line in lines[1:]:
+            name, colon, value = line.partition(b":")
+            if not colon or not _TOKEN.fullmatch(name):
+                raise _BadHead(
+                    400, f"bad header line {line[:100].decode('latin-1')!r}"
+                )
+            key = name.decode("ascii").lower()
+            text = value.strip(b" \t").decode("latin-1")
+            if key in headers:  # a repeated field is one list (RFC 9110 5.3)
+                text = f"{headers[key]}, {text}"
+            headers[key] = text
+        length = headers.get("content-length")
+        if length is not None and not (length.isascii() and length.isdigit()):
+            raise _BadHead(400, f"bad Content-Length {length[:20]!r}")
+        tokens = headers.get("connection", "").lower().split(",")
+        self._drain = "transfer-encoding" in headers or bool(
+            length and length.lstrip("0")
+        )
+        self._close = (
+            self._drain
+            or version.group(2) == b"0"
+            or "close" in (token.strip() for token in tokens)
+        )
+        self.requestline = lines[0].decode("latin-1")
+        self.command = words[0].decode("ascii")
+        self.path = words[1].decode("latin-1")
+        if self.path.startswith("//"):
+            # Not an authority: "//x" would otherwise parse as a host.
+            self.path = "/" + self.path.lstrip("/")
+        self.headers = headers
+
+    def _linger(self) -> None:
+        """Close the write side, then read until the client hangs up.
+
+        Closing a socket with unread bytes resets the connection, and a
+        reset can destroy a reply the client has not read yet. So after
+        a reply that leaves bytes unread (a rejected head, a body) the
+        worker reads and drops input until EOF, for at most
+        ``keepalive_idle_s``.
+        """
+        deadline = monotonic() + self.server.keepalive_idle_s
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            while (remaining := deadline - monotonic()) > 0:
+                self.connection.settimeout(remaining)
+                if not self.connection.recv(_RECV_BYTES):
+                    return
+        except OSError:
+            pass  # reset or timed out: either way, done with it
 
     # -- plumbing ----------------------------------------------------------
 
@@ -169,14 +362,28 @@ class ServeHandler(BaseHTTPRequestHandler):
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
         self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        lines = [
+            f"HTTP/1.1 {status} {_REASONS[status]}",
+            f"Server: {_SERVER}",
+            f"Date: {_http_date()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+        ]
         for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(body)
+            lines.append(f"{name}: {value}")
+        if self._close:
+            lines.append("Connection: close")
+        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        self.connection.settimeout(self.server.keepalive_idle_s)
+        self.connection.sendall(
+            head if self.command == "HEAD" else head + body
+        )
+        if self.server.verbose:
+            sys.stderr.write(
+                f"{self.client_address[0]} - - "
+                f"[{strftime('%d/%b/%Y %H:%M:%S')}] "
+                f"\"{self.requestline}\" {status} -\n"
+            )
 
     def _reply(
         self,
@@ -217,12 +424,6 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     # -- dispatch ----------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch()
-
-    def do_HEAD(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch()
-
     def _method_not_allowed(self) -> None:
         started = perf_counter()
         self._reply(
@@ -236,23 +437,20 @@ class ServeHandler(BaseHTTPRequestHandler):
             "serve.latency_s", perf_counter() - started, route="method"
         )
 
-    do_POST = _method_not_allowed  # noqa: N815 - http.server API
-    do_PUT = _method_not_allowed  # noqa: N815
-    do_DELETE = _method_not_allowed  # noqa: N815
-    do_PATCH = _method_not_allowed  # noqa: N815
-    do_OPTIONS = _method_not_allowed  # noqa: N815
-
     def _dispatch(self) -> None:
-        parsed = urlparse(self.path)
-        parts = [unquote(p) for p in parsed.path.split("/") if p]
-        # keep_blank_values: ``?cursor=`` must be rejected as a bad
-        # cursor, not silently treated as "no cursor".
-        params = parse_qs(parsed.query, keep_blank_values=True)
         server: "ServeServer" = self.server  # type: ignore[assignment]
-        route = _route_key(parts)
+        route = "unknown"
         self._status = 200
         started = perf_counter()
         try:
+            # urlparse raises ValueError on a malformed authority
+            # ("http://[x/"): a 400 like any other bad parameter.
+            parsed = urlparse(self.path)
+            parts = [unquote(p) for p in parsed.path.split("/") if p]
+            # keep_blank_values: ``?cursor=`` must be rejected as a bad
+            # cursor, not silently treated as "no cursor".
+            params = parse_qs(parsed.query, keep_blank_values=True)
+            route = _route_key(parts)
             if route == "metrics":
                 self._metrics(params)
             elif route == "healthz":
@@ -341,7 +539,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             checkpoint = store.checkpoint_height
             etag = etag_for(canonical, checkpoint)
             if route not in _UNCACHED:
-                if etag_matches(self.headers.get("If-None-Match"), etag):
+                if etag_matches(self.headers.get("if-none-match"), etag):
                     obs.counter("serve.cache.revalidated")
                     self._send(
                         b"", "application/json", 304,
@@ -490,7 +688,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         }, 200
 
 
-class ServeServer(HTTPServer):
+class ServeServer(socketserver.TCPServer):
     """Bounded-queue, fixed-pool HTTP server over read replicas.
 
     The accept loop (``serve_forever``) only enqueues sockets; ``N``

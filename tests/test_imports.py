@@ -1,10 +1,11 @@
 """Import budget of the serving process.
 
 ``python -m repro.serve serve`` must load only what serving needs: the
-package re-exports resolve lazily, the scalar geodesy is numpy-free, and
-read-only replicas keep a small page cache. A fresh interpreter is the
-only place to see an import closure, so the closure checks run in a
-subprocess.
+package re-exports resolve lazily, the scalar geodesy is numpy-free,
+nothing maps OpenSSL (no ``ssl``, no ``hashlib``, no ``http.server``
+or ``http.client``, which import ``ssl``), and read-only replicas keep
+a small page cache. A fresh interpreter is the only place to see an
+import closure, so the closure checks run in a subprocess.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ from repro.etl.store import PAGE_CACHE_KIB, EtlStore, ReadReplicas
 
 SERVE_MODULES = ("repro.serve.server", "repro.serve.cli", "repro.etl.store")
 FORBIDDEN = ("numpy", "repro.simulation", "repro.experiments")
+#: ``ssl`` and ``hashlib`` map libssl / libcrypto; ``http.server``,
+#: ``http.client`` and ``email`` are the import chain that brought ``ssl``.
+NO_OPENSSL = (
+    "ssl", "_ssl", "hashlib", "_hashlib", "http.server", "http.client",
+    "email",
+)
 LAZY_PACKAGES = (
     "repro", "repro.chain", "repro.core", "repro.etl", "repro.geo",
     "repro.serve",
@@ -46,14 +53,80 @@ def _loaded_after(statement: str) -> set:
     return set(json.loads(out.splitlines()[-1]))
 
 
-def test_serving_imports_no_numpy_simulation_or_experiments():
-    loaded = _loaded_after("".join(f"import {m}\n" for m in SERVE_MODULES))
-    assert set(SERVE_MODULES) <= loaded
-    pulled = sorted(
+def _pulled(loaded: set, forbidden) -> list:
+    return sorted(
         name for name in loaded
-        if any(name == f or name.startswith(f + ".") for f in FORBIDDEN)
+        if any(name == f or name.startswith(f + ".") for f in forbidden)
     )
-    assert not pulled, pulled
+
+
+@pytest.fixture(scope="module")
+def serve_closure() -> set:
+    return _loaded_after("".join(f"import {m}\n" for m in SERVE_MODULES))
+
+
+def test_serving_imports_no_numpy_simulation_or_experiments(serve_closure):
+    assert set(SERVE_MODULES) <= serve_closure
+    assert not _pulled(serve_closure, FORBIDDEN)
+
+
+def test_serving_imports_nothing_that_maps_openssl(serve_closure):
+    assert not _pulled(serve_closure, NO_OPENSSL)
+
+
+#: Drives a live server in the fresh interpreter over raw sockets (an
+#: HTTP client library would itself import ``ssl``): every store route,
+#: a cursor, a revalidation and a rejected head.
+_SERVE_SCRIPT = """
+import json, socket, sys, threading
+from repro.serve.server import create_server
+server = create_server(sys.argv[1], port=0, workers=2)
+threading.Thread(target=server.serve_forever, daemon=True).start()
+def get(path, extra=""):
+    address = ("127.0.0.1", server.server_address[1])
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(f"GET {path} HTTP/1.0\\r\\n{extra}\\r\\n".encode())
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, body = data.decode().partition("\\r\\n\\r\\n")
+    assert head.split()[1] in ("200", "304", "400", "404"), (path, head)
+    return head, body
+hotspot = "/hotspot/" + sys.argv[2]
+cursor = json.loads(get("/hotspots?limit=1")[1])["next_cursor"]
+get("/hotspots?limit=1&cursor=" + cursor)
+etag = get("/stats")[0].split("ETag: ")[1].split("\\r\\n")[0]
+get("/stats", f"If-None-Match: {etag}\\r\\n")
+for path in ("/", hotspot, hotspot + "/witnesses",
+             "/owner/" + json.loads(get(hotspot)[1])["owner"],
+             "/coverage/dots", "/search?q=a", "/healthz", "/metrics",
+             "/metrics?format=prometheus", "/no/such/route",
+             "/hotspots?limit=-1", "/a rejected head"):
+    get(path)
+server.shutdown()
+server.server_close()
+"""
+
+
+def test_serving_requests_import_nothing_that_maps_openssl(tmp_path):
+    """Request-time imports count too: serve every route, then look."""
+    from repro.etl import ingest_chain
+
+    from tests.etl_chains import ChainBuilder
+
+    builder = ChainBuilder(seed=5, n_hotspots=6)
+    builder.grow(12)
+    path = tmp_path / "etl.db"
+    with EtlStore(path) as store:
+        ingest_chain(builder.chain, store)
+        gateway = store.hotspot_rows()[0][0]
+    loaded = _loaded_after(
+        "import sys\n"
+        f"sys.argv = ['serve', {str(path)!r}, {gateway!r}]\n"
+        + _SERVE_SCRIPT
+    )
+    assert "repro.serve.server" in loaded
+    assert not _pulled(loaded, NO_OPENSSL)
 
 
 def test_top_level_quickstart_import_still_works():

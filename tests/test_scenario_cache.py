@@ -162,6 +162,42 @@ class TestCacheWiring:
         second = context.get_result("small", seed=7)
         assert second.chain.tip.hash == first.chain.tip.hash
 
+    def test_cold_build_prunes_only_older_schema_entries(
+        self, monkeypatch, tmp_path, small_result
+    ):
+        """A cold build removes what an older schema version wrote (the
+        entry and its ``.ckpt`` sibling) and touches neither a current
+        entry that a reader holds open nor a newer version's entry."""
+        monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path))
+        monkeypatch.setattr(context, "_CACHE", {})
+        monkeypatch.setattr(
+            context, "_build_result", lambda *args: small_result
+        )
+        context.get_result("small", seed=7)
+        entry = context._entry_dir(7, resolve("small", seed=7).digest)
+        files = {p.name: p.read_bytes() for p in entry.iterdir()}
+        reader = load_result(entry)  # log-backed: chain.log stays open
+        version = CHECKPOINT_SCHEMA_VERSION
+        stale = [
+            tmp_path / f"scn-seed7-{'a' * 12}-v{version - 1}",
+            tmp_path / f"scn-seed7-{'a' * 12}-v{version - 1}.ckpt",
+        ]
+        newer = tmp_path / f"scn-seed7-{'b' * 12}-v{version + 1}"
+        for path in stale + [newer]:
+            path.mkdir()
+            (path / "meta.json").write_text("{}")
+
+        monkeypatch.setattr(context, "_CACHE", {})
+        context.get_result("small", seed=8)  # another cold build
+        assert not any(path.exists() for path in stale)
+        assert newer.exists()
+        assert {p.name: p.read_bytes() for p in entry.iterdir()} == files
+        middle = small_result.chain.height // 2
+        assert (
+            reader.chain.block_at(middle).hash
+            == small_result.chain.block_at(middle).hash
+        )
+
     def test_corrupt_entry_falls_back_to_simulation(
         self, monkeypatch, tmp_path
     ):

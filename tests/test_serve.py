@@ -618,9 +618,10 @@ class TestKeepAlive:
                 json.loads(body.decode("utf-8"))
 
     def test_keep_alive_bodies_do_not_wait_for_delayed_ack(self, live):
-        """Headers and body leave in two writes; with Nagle on, each
-        body waited for the client's delayed ACK (~40 ms a response,
-        ~800 ms for these 20). TCP_NODELAY sends it at once."""
+        """When headers and body left in two writes, Nagle held each
+        body for the client's delayed ACK (~40 ms a response, ~800 ms
+        for these 20). One write per response, with TCP_NODELAY, sends
+        it at once."""
         _, _, listing = live.get_json("/hotspots?limit=20")
         gateways = [h["gateway"] for h in listing["hotspots"]]
         conn = http.client.HTTPConnection(live.host, live.port, timeout=10)
