@@ -109,17 +109,18 @@ class BlockSequence:
         """Attach the append-to-disk log evictions spill into.
 
         The log must describe this sequence's prefix: empty for a fresh
-        attach, or (checkpoint resume) holding one frame per existing
-        position.
+        attach, or holding a frame for each existing position. A
+        framed-log load attaches a log that holds more frames and then
+        registers the rest, one :meth:`append_spilled` each.
         """
         if self._log is not None and self._log is not log:
             raise ChainError("chain already has a different log attached")
-        if len(log) not in (0, len(self._slots)):
+        if 0 < len(log) < len(self._slots):
             raise ChainError(
                 f"log holds {len(log)} frames for {len(self._slots)} blocks"
             )
         self._log = log
-        self._spilled = len(log)
+        self._spilled = min(len(log), len(self._slots))
 
     def evict_finalized(self, keep_tail: int = 1) -> int:
         """Spill finalized blocks to the log and drop their objects.
@@ -150,9 +151,9 @@ class BlockSequence:
         return evicted
 
     def append_spilled(self) -> None:
-        """Register a position whose bytes are already in the log
-        (framed-log load: the frame was just byte-copied)."""
-        if self._log is None or len(self._log) != len(self._slots) + 1:
+        """Register the next position, whose frame is already in the
+        log (framed-log load)."""
+        if self._log is None or len(self._log) <= len(self._slots):
             raise ChainError("append_spilled needs the frame in the log")
         self._slots.append(None)
         self._spilled = len(self._slots)
@@ -308,8 +309,8 @@ class Blockchain:
         return block
 
     def _append_spilled(self, height: int) -> None:
-        """Register a new tip whose bytes are already in the attached
-        log (a framed-log load byte-copies the frame first)."""
+        """Register a new tip whose frame is already in the attached
+        log (a framed-log load)."""
         self._heights.append(height)
         self.blocks.append_spilled()
 

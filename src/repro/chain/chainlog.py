@@ -35,9 +35,13 @@ representation for the simulated chain:
   width); :meth:`payload` is one ``os.pread``, so lazily materialising
   block *i* never touches the rest of the file.
 
-A :class:`ChainLog` is backed by an anonymous unlinked temporary file:
-the descriptor keeps the bytes alive for the run and the kernel
-reclaims them when the process exits, crash included.
+A run's :class:`ChainLog` is backed by an anonymous unlinked temporary
+file: the descriptor keeps the bytes alive for the run and the kernel
+reclaims them when the process exits, crash included. A finished run
+loaded from disk needs no copy, since nothing appends to it:
+:meth:`ChainLog.reader` is a read-only log over the saved file itself,
+indexed by the scan that verified it
+(:func:`repro.chain.serialize.open_chain_log`).
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ __all__ = [
     "ChainLogError",
     "encode_frame",
     "seed_digest",
+    "split_frame",
 ]
 
 #: File magic: identifies a framed chain log and versions the layout.
@@ -94,19 +99,41 @@ def encode_frame(
     return header + payload, digest
 
 
+def split_frame(frame: bytes) -> Tuple[int, bytes, bytes]:
+    """``(height, payload, digest8)`` of one frame's bytes."""
+    _, height, digest = _FRAME_HEADER.unpack_from(frame)
+    return height, frame[FRAME_HEADER_SIZE:], digest
+
+
 class ChainLog:
     """One append-only framed record log plus its in-memory frame index.
 
     Appends go through :meth:`append` (payload serialization) or
     :meth:`append_frame` (verified raw bytes, used when seeding a run
     log from a chain-log file); reads are positional and stateless.
+    :meth:`reader` makes a read-only log over an existing chain-log
+    file instead, whose frames its verifying scan indexes
+    (:meth:`index_frame`).
     """
 
     def __init__(self) -> None:
         fd, tmp_path = tempfile.mkstemp(prefix="repro-chainlog-")
         os.unlink(tmp_path)  # anonymous: vanishes with the fd
+        os.write(fd, CHAINLOG_MAGIC)
+        self._open(fd, writable=True)
+
+    @classmethod
+    def reader(cls, fd: int) -> "ChainLog":
+        """A read-only log over the chain-log file open at ``fd``, which
+        it takes over (and closes). It holds no frame until the caller's
+        scan indexes them, in file order, with :meth:`index_frame`."""
+        log = cls.__new__(cls)
+        log._open(fd, writable=False)
+        return log
+
+    def _open(self, fd: int, writable: bool) -> None:
         self._fd = fd
-        os.write(self._fd, CHAINLOG_MAGIC)
+        self.writable = writable
         self.size = len(CHAINLOG_MAGIC)
         self.tail_digest = seed_digest()
         self._offsets = array("Q")
@@ -117,20 +144,23 @@ class ChainLog:
     def append(self, height: int, payload: bytes) -> None:
         """Append one block's payload as the next frame."""
         frame, digest = encode_frame(height, payload, self.tail_digest)
-        os.write(self._fd, frame)
-        self._offsets.append(self.size)
-        self._lengths.append(len(payload))
-        self.size += len(frame)
-        self.tail_digest = digest
+        self.append_frame(frame, digest)
 
     def append_frame(self, frame: bytes, digest: bytes) -> None:
         """Append pre-encoded frame bytes whose chain digest the caller
-        has already verified (a framed-log load seeds the run log this
-        way — the scan just proved every link)."""
+        has already verified (a resumed run seeds its own log this way
+        from the checkpoint's verified frames)."""
+        if not self.writable:
+            raise ChainLogError("cannot append to a read-only chain log")
         os.write(self._fd, frame)
+        self.index_frame(len(frame), digest)
+
+    def index_frame(self, frame_size: int, digest: bytes) -> None:
+        """Index the ``frame_size``-byte frame that follows the last
+        indexed one in the file; ``digest`` is its chain digest."""
         self._offsets.append(self.size)
-        self._lengths.append(len(frame) - FRAME_HEADER_SIZE)
-        self.size += len(frame)
+        self._lengths.append(frame_size - FRAME_HEADER_SIZE)
+        self.size += frame_size
         self.tail_digest = digest
 
     # -- read --------------------------------------------------------------

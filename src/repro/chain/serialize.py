@@ -10,9 +10,11 @@ consume them).
 Persisted chains — day-level checkpoints and scenario-cache entries —
 use the framed :mod:`repro.chain.chainlog` layout instead, whose frame
 payloads are exactly those JSONL lines. :func:`write_chain_log` writes
-one and returns its extent record for the caller's ``meta.json``;
-:func:`load_chain_log` takes that meta and streams the file back into a
-log-backed chain.
+one and returns its extent record for the caller's ``meta.json``.
+Reading one back takes two steps, so a caller can check a file long
+before it needs the chain: :func:`open_chain_log` verifies the file
+against that meta and indexes its frames without decoding any, and
+:func:`replay_chain_log` decodes them into a log-backed chain.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import (
     IO,
@@ -41,6 +44,7 @@ from repro.chain.chainlog import (
     ChainLog,
     scan_frames,
     seed_digest,
+    split_frame,
 )
 from repro.chain.transactions import (
     AddGateway,
@@ -69,7 +73,8 @@ __all__ = [
     "chain_log_extent",
     "dump_chain",
     "load_chain",
-    "load_chain_log",
+    "open_chain_log",
+    "replay_chain_log",
     "transaction_to_dict",
     "transaction_from_dict",
     "write_chain_log",
@@ -312,7 +317,7 @@ def write_chain_log(
 
     Returns ``(record, tail)``: ``record`` is the ``chain_blocks``,
     ``chain_bytes`` and ``chain_sha256`` entry a caller merges into its
-    ``meta.json`` for :func:`load_chain_log`, and ``tail`` is the
+    ``meta.json`` for :func:`open_chain_log`, and ``tail`` is the
     digest-chain state after the last frame.
     """
     if after is None:
@@ -337,85 +342,109 @@ def write_chain_log(
     return record, tail
 
 
-def load_chain_log(
-    path: Union[str, Path],
-    meta: Mapping[str, Any],
-    vars: ChainVars = ChainVars(),
-) -> Tuple[Blockchain, "hashlib._Hash", bytes]:
-    """Stream a :func:`write_chain_log` file back into a chain.
+def open_chain_log(
+    path: Union[str, Path], meta: Mapping[str, Any]
+) -> Tuple[ChainLog, "hashlib._Hash"]:
+    """Verify a :func:`write_chain_log` file and index its frames,
+    decoding none of them.
 
-    ``meta`` holds the writer's extent record: the load reads exactly
+    ``meta`` holds the writer's extent record: the scan reads exactly
     ``chain_bytes`` bytes (a hardlinked checkpoint file may have grown
     past them), verifies every frame's digest link and the SHA-256 of
-    those bytes, and requires exactly ``chain_blocks`` frames starting
-    at genesis, so a torn, truncated or flipped file fails instead of
-    loading a shorter chain.
+    those bytes, and requires exactly ``chain_blocks`` frames whose
+    heights start at genesis and increase, so a torn, truncated or
+    flipped file fails here instead of loading a shorter chain.
 
-    Each block's transactions replay through the ledger (parent hashes
-    are the recorded ones). The frame itself is byte-copied into a new
-    anonymous :class:`ChainLog` — ``path`` is only ever read — and the
-    chain keeps just its tip resident.
-
-    Returns ``(chain, hash of the bytes read, digest-chain tail)``.
+    Returns a read-only :class:`ChainLog` over the file and the hash of
+    the bytes read. The log keeps the descriptor the scan read through,
+    so :func:`replay_chain_log` later decodes exactly the verified
+    bytes, however long after.
 
     Raises:
-        ChainError: on a missing extent, any integrity failure, or a
-            malformed or out-of-order block.
+        ChainError: on a missing extent or any integrity failure.
+        OSError: when the file cannot be opened.
     """
     blocks, size, sha256 = chain_log_extent(meta)
-    chain = Blockchain(vars)
-    log = ChainLog()
+    fd = os.open(path, os.O_RDONLY)
+    log = ChainLog.reader(fd)
     try:
         sha = hashlib.sha256(CHAINLOG_MAGIC)
-        read = len(CHAINLOG_MAGIC)
-        tail = seed_digest()
-        frames = 0
-        with open(path, "rb") as handle:
-            for frame, height, payload, digest in scan_frames(
+        last = -1
+        with open(fd, "rb", closefd=False) as handle:
+            for frame, height, _, digest in scan_frames(
                 handle, limit_bytes=size
             ):
-                sha.update(frame)
-                read += len(frame)
-                tail = digest
-                frames += 1
-                if frames == 1:
-                    if height != 0:
-                        raise ChainError(
-                            f"first chain frame is height {height}, "
-                            f"not genesis"
-                        )
-                    # Genesis is already in place (Blockchain() makes it).
-                    log.append_frame(frame, digest)
-                    chain.attach_log(log)
-                    chain.evict_finalized(keep_tail=0)
-                    continue
-                if height <= chain.height:
+                if last < 0 and height != 0:
                     raise ChainError(
-                        f"chain height goes {chain.height} -> {height}"
+                        f"first chain frame is height {height}, not genesis"
                     )
-                block = block_from_record(json.loads(payload))
-                for txn in block.transactions:
-                    _prefund(chain, txn)
-                for txn in block.transactions:
-                    chain.ledger.apply(txn, height)
-                log.append_frame(frame, digest)
-                chain._append_spilled(height)
-        if read != size or sha.hexdigest() != sha256:
+                if height <= last:
+                    raise ChainError(f"chain height goes {last} -> {height}")
+                sha.update(frame)
+                log.index_frame(len(frame), digest)
+                last = height
+        if log.size != size or sha.hexdigest() != sha256:
             raise ChainError(
                 f"chain log digest mismatch ({sha.hexdigest()[:12]}… != "
                 f"recorded {sha256[:12]}…)"
             )
-        if frames != blocks:
+        if len(log) != blocks:
             raise ChainError(
-                f"chain log has {frames} blocks, meta records {blocks}"
+                f"chain log has {len(log)} blocks, meta records {blocks}"
             )
-        if frames:
-            # Pin the tip: the next mint seeds prev_hash from it.
-            chain.blocks.keep_resident(frames - 1)
     except BaseException:
         log.close()
         raise
-    return chain, sha, tail
+    return log, sha
+
+
+def replay_chain_log(
+    source: ChainLog, vars: ChainVars = ChainVars(), copy: bool = False
+) -> Blockchain:
+    """The chain an :func:`open_chain_log` log holds, log-backed with
+    only its tip resident.
+
+    Each frame is read once through ``source``'s descriptor and its
+    block's transactions replay through the ledger (parent hashes are
+    the recorded ones); nothing is hashed again. The chain's blocks
+    stay in ``source`` — a finished run never appends — unless
+    ``copy``: then each frame is also byte-copied into a new anonymous
+    :class:`ChainLog` that the chain can grow (a resumed run), and
+    ``source`` is closed.
+
+    Raises:
+        ChainError: on a malformed block.
+    """
+    chain = Blockchain(vars)
+    log = ChainLog() if copy else source
+    try:
+        for position in range(len(source)):
+            frame = source.frame_bytes(position)
+            height, payload, digest = split_frame(frame)
+            if copy:
+                log.append_frame(frame, digest)
+            if position == 0:
+                # Genesis is already in place (Blockchain() makes it).
+                chain.attach_log(log)
+                chain.evict_finalized(keep_tail=0)
+                continue
+            block = block_from_record(json.loads(payload))
+            for txn in block.transactions:
+                _prefund(chain, txn)
+            for txn in block.transactions:
+                chain.ledger.apply(txn, height)
+            chain._append_spilled(height)
+        if len(source):
+            # Pin the tip: the next mint seeds prev_hash from it.
+            chain.blocks.keep_resident(len(source) - 1)
+    except BaseException:
+        if copy:
+            log.close()
+        raise
+    finally:
+        if copy:
+            source.close()
+    return chain
 
 
 def _prefund(chain: Blockchain, txn: Transaction) -> None:

@@ -14,7 +14,7 @@ every case study in the paper can be retraced interactively:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import AnalysisError
 from repro.geo.hexgrid import HexCell
@@ -73,9 +73,8 @@ class OwnerPage:
 class Explorer:
     """Answers page queries from a :class:`repro.etl.store.EtlStore`.
 
-    The pages come from the store's ``query_*_page`` methods; the
-    explorer adds a name index, built once from the store's hotspot
-    rows, for name lookups and search.
+    The pages, name lookups and name search are the store's own
+    queries, so the explorer, the HTTP tier and the CLI answer alike.
 
     Args:
         store: the ETL replica to explore.
@@ -85,10 +84,6 @@ class Explorer:
     def __init__(self, store, recent_limit: int = 25) -> None:
         self.store = store
         self.recent_limit = recent_limit
-        self._name_index: Dict[str, Tuple[Address, str]] = {
-            name.lower(): (gateway, name)
-            for gateway, name, _ in store.hotspot_rows()
-        }
 
     @classmethod
     def from_store(cls, store, recent_limit: int = 25) -> "Explorer":
@@ -105,11 +100,12 @@ class Explorer:
         return page
 
     def hotspot_by_name(self, name: str) -> HotspotPage:
-        """Look a hotspot up by its three-word name (case-insensitive)."""
-        entry = self._name_index.get(name.lower())
-        if entry is None:
+        """Look a hotspot up by its three-word name (case-insensitive;
+        of hotspots sharing a name, the first on the ledger)."""
+        gateway = self.store.gateway_by_name(name)
+        if gateway is None:
             raise AnalysisError(f"no hotspot named {name!r}")
-        return self.hotspot(entry[0])
+        return self.hotspot(gateway)
 
     def owner(self, wallet: Address) -> OwnerPage:
         """The explorer page for a wallet."""
@@ -119,13 +115,8 @@ class Explorer:
         return page
 
     def search(self, query: str, limit: int = 10) -> List[Tuple[Address, str]]:
-        """Substring search over hotspot names."""
-        needle = query.lower()
-        matches = [
-            entry for key, entry in self._name_index.items() if needle in key
-        ]
-        matches.sort(key=lambda pair: pair[1])
-        return matches[:limit]
+        """Substring search over hotspot names, sorted by name."""
+        return self.store.search_names(query, limit)
 
     def hotspots_near(
         self, center: LatLon, radius_km: float, limit: int = 50

@@ -426,25 +426,28 @@ class EtlStore:
     def gateway_by_name(self, name: str) -> Optional[Address]:
         """The gateway address for a three-word name (case-insensitive).
 
-        Unlike the explorer's name index (built once per handle), this
-        reads the live table — a hotspot added by an
-        ingest that ran after the handle opened is still found.
+        Names are not unique; of hotspots sharing one, the first in
+        ledger order (the lowest rowid) answers. Reads the live table,
+        through ``idx_hs_name``, so a hotspot that an ingest added after
+        the handle opened is still found.
         """
         row = self.connection.execute(
-            "SELECT gateway FROM hotspots WHERE name=? COLLATE NOCASE",
-            (name,),
+            "SELECT gateway FROM hotspots WHERE lower(name)=? "
+            "ORDER BY rowid LIMIT 1",
+            (name.lower(),),
         ).fetchone()
         return None if row is None else row[0]
 
     def search_names(
         self, query: str, limit: int = 10
     ) -> List[Tuple[Address, str]]:
-        """Substring search over hotspot names, sorted by name."""
+        """Substring search over hotspot names, sorted by name (hotspots
+        sharing a name in ledger order)."""
         limit, _ = clamp_page(limit)
         needle = query.lower()
         return self.connection.execute(
             "SELECT gateway, name FROM hotspots "
-            "WHERE instr(lower(name), ?) > 0 ORDER BY name LIMIT ?",
+            "WHERE instr(lower(name), ?) > 0 ORDER BY name, rowid LIMIT ?",
             (needle, limit),
         ).fetchall()
 

@@ -23,9 +23,15 @@ so stale entries are never mistaken for current ones.
 
 An entry is the finished run's final day-boundary checkpoint
 (:mod:`repro.experiments.snapshot`): the format ``--checkpoint-dir``
-holds mid-run, with every file digest-checked on load. A resumable
-cold build (``checkpoint_every``) publishes its ``.ckpt`` sibling as
-the entry once the final state is saved into it.
+holds mid-run. A disk hit runs every integrity check of the entry up
+front, inside ``get_result`` — a damaged entry warns, is discarded and
+is rebuilt there — and also checks that the entry's config digests to
+the one asked for. The result it returns builds its chain half and its
+world half each on first read: ``python -m repro.etl ingest`` and
+``repro.serve --scenario`` read only the chain, a farm worker only the
+world (its analyses read the replica). A resumable cold build
+(``checkpoint_every``) publishes its ``.ckpt`` sibling as the entry
+once the final state is saved into it.
 
 ``get_store`` materialises the DeWi-style ETL replica (``etl.db``,
 :mod:`repro.etl`) alongside the run files inside the same entry: the
@@ -117,11 +123,17 @@ def _prune_stale_entries(root: Path) -> None:
             obs.trace_event("cache.prune", entry=path.name)
 
 
-def _load_from_disk(entry: Path) -> Optional[SimulationResult]:
+def _load_from_disk(entry: Path, digest: str) -> Optional[SimulationResult]:
     if not (entry / "meta.json").exists():
         return None
     try:
-        return snapshot.load_result(entry)
+        result = snapshot.load_result(entry)
+        held = spec_digest(result.config)
+        if held != digest:
+            raise ReproError(
+                f"entry holds config {held[:12]}…, not {digest[:12]}…"
+            )
+        return result
     except (ReproError, OSError, KeyError, ValueError, TypeError) as exc:
         warnings.warn(
             f"ignoring unreadable scenario cache entry {entry}: {exc}",
@@ -285,7 +297,7 @@ def _timed_load(
 ) -> Optional[SimulationResult]:
     """Disk load wrapped in hit/miss metrics and one trace event."""
     with obs.timer("cache.load_s") as timing:
-        result = _load_from_disk(entry)
+        result = _load_from_disk(entry, resolved.digest)
     if result is None:
         obs.counter("cache.disk_miss", scenario=resolved.label)
         return None

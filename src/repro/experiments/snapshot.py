@@ -2,9 +2,8 @@
 
 Building the paper scenario takes tens of seconds; analyses, benchmarks
 and examples all want the same result. A result is persisted as the
-final day-boundary state of the run that produced it, written and read
-by :meth:`~repro.simulation.state.WorldState.save` and
-:meth:`~repro.simulation.state.WorldState.load` — the one on-disk run
+final day-boundary state of the run that produced it, written by
+:meth:`~repro.simulation.state.WorldState.save` — the one on-disk run
 format, shared with mid-run checkpoints (``chain.log``, ``state.json``,
 ``meta.json``; see :mod:`repro.simulation.state`). So a second process
 reloads a scenario in seconds instead of re-simulating, every file of
@@ -12,10 +11,17 @@ the entry is digest-checked on load, and a warm result equals the cold
 one in everything it carries, the stale spatial index included.
 
 * :func:`save_result` writes a result's final state.
-* :func:`load_result` loads a saved state and turns it back into a
-  :class:`~repro.simulation.engine.SimulationResult`
-  (:meth:`~repro.simulation.engine.SimulationResult.from_state`): its
-  chain is log-backed with only the tip resident, and no day runs.
+* :func:`load_result` runs every integrity check of the entry up front
+  (:meth:`~repro.simulation.state.Checkpoint.open`: the meta schema,
+  the config digest, the finished run, and the SHA-256 of both files
+  plus the chain log's frame digest chain and count), decoding no block
+  and parsing no world. The
+  :class:`~repro.simulation.engine.SimulationResult` it returns builds
+  each half once, on first read: the chain half (log-backed, only the
+  tip resident, its blocks read from the entry's own ``chain.log``) on
+  ``result.chain``, the world half on any world field. An ETL ingest
+  builds only the first; analyses that read the replica build only the
+  second.
 * :func:`result_digest` hashes a result's canonical bytes.
 """
 
@@ -29,7 +35,7 @@ from typing import Any, Dict, List, Union
 
 from repro.poc.cheats import GossipClique
 from repro.simulation.engine import SimulationResult
-from repro.simulation.state import WorldState, hotspot_payload, owner_payload
+from repro.simulation.state import Checkpoint, hotspot_payload, owner_payload
 
 __all__ = [
     "ETL_DB_FILE",
@@ -106,12 +112,15 @@ def save_result(result: SimulationResult, directory: Union[str, Path]) -> None:
 
 
 def load_result(directory: Union[str, Path]) -> SimulationResult:
-    """Reload a :func:`save_result` entry, its chain log-backed.
+    """Check a :func:`save_result` entry and return its result, whose
+    halves are built when first read.
 
     Raises:
         SimulationError: when the directory is not a loadable finished
-            run — unreadable or schema-foreign meta, a file that fails
-            its recorded digest (a torn or corrupted entry), or a
-            mid-run checkpoint.
+            run — unreadable or schema-foreign meta, a config that does
+            not digest to the recorded one, a file that fails its
+            recorded digest (a torn or corrupted entry), or a mid-run
+            checkpoint. A half whose deferred build fails raises it
+            too, naming the entry.
     """
-    return SimulationResult.from_state(WorldState.load(directory))
+    return SimulationResult.from_checkpoint(Checkpoint.open(directory))

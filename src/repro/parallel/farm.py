@@ -13,9 +13,10 @@ re-looked-up — rehydrates the
 first use, opens the entry's ETL replica (``etl.db``, ingested by the
 parent before the fan-out) read-only, and memoises both for the rest of
 its life, so a worker pays the load cost once no matter how many tasks
-it draws. Because spawn
-workers rebuild from the payload, a spec file edited (or deleted)
-mid-run cannot change what they compute.
+it draws. It builds only the result's world half: its analyses read
+the chain from the replica, so its chain half is never decoded.
+Because spawn workers rebuild from the payload, a spec file edited (or
+deleted) mid-run cannot change what they compute.
 
 Scheduling: tasks dispatch **longest-first** using the static cost
 table in :mod:`repro.parallel.costs` (seeded from the benchmark's
@@ -96,6 +97,10 @@ def _worker_result(snapshot_dir: Optional[str], payload: Dict):
             with obs.timer("farm.rehydrate_s") as timing:
                 _WORKER_RESULT = load_result(snapshot_dir)
                 open_replica(snapshot_dir, payload["digest"])
+                # Tasks read the world half and the replica, never the
+                # chain half: build the world now, so the rehydrate
+                # wall is all a worker pays before its first task.
+                _WORKER_RESULT.state
             obs.counter("farm.rehydrates")
             obs.trace_event(
                 "worker.rehydrate", scenario=payload["label"],

@@ -57,7 +57,9 @@ Observability (:mod:`repro.obs`): ``serve.requests{route=,status=}``
 counters, ``serve.latency_s{route=}`` histograms,
 ``serve.cache.{hit,miss,revalidated,...}`` counters, a
 ``serve.queue_depth`` gauge and a ``serve.shed`` counter — all visible
-on ``GET /metrics``.
+on ``GET /metrics``. A head the framing rejects counts in
+``serve.rejected{status=}`` instead of ``serve.requests``, and a head
+cut off by its deadline in ``serve.head_timeouts``.
 """
 
 from __future__ import annotations
@@ -221,6 +223,7 @@ class ServeHandler(socketserver.BaseRequestHandler):
                     return  # client closed, or no whole head in time
                 self._parse(head)
             except _BadHead as exc:
+                obs.counter("serve.rejected", status=exc.status)
                 self._close = True
                 self._error(str(exc), exc.status)
                 self._linger()
@@ -241,7 +244,9 @@ class ServeHandler(socketserver.BaseRequestHandler):
 
         Buffers ``recv`` output until a blank line ends the head; bytes
         beyond it stay in ``_pending``. ``None`` when the client closes
-        or the head is not complete ``keepalive_idle_s`` after the call.
+        or the head is not complete ``keepalive_idle_s`` after the call;
+        the latter counts as a ``serve.head_timeouts`` when part of a
+        head had come (a connection idle between requests is not one).
         Blank lines before the request line are skipped (RFC 9112 2.2);
         a bare LF ends a line as CRLF does.
         """
@@ -257,12 +262,12 @@ class ServeHandler(socketserver.BaseRequestHandler):
                 scanned = len(pending)
                 remaining = deadline - monotonic()
                 if remaining <= 0:
-                    return None
+                    return self._head_timeout(lines)
                 self.connection.settimeout(remaining)
                 try:
                     chunk = self.connection.recv(_RECV_BYTES)
                 except TimeoutError:
-                    return None
+                    return self._head_timeout(lines)
                 if not chunk:
                     return None
                 pending += chunk
@@ -280,6 +285,11 @@ class ServeHandler(socketserver.BaseRequestHandler):
                     raise _BadHead(431, f"more than {MAX_HEADERS} headers")
             elif lines:
                 return lines
+
+    def _head_timeout(self, lines: List[bytes]) -> None:
+        if lines or self._pending:
+            obs.counter("serve.head_timeouts")
+        return None
 
     @staticmethod
     def _too_long(lines: List[bytes]) -> _BadHead:

@@ -10,19 +10,22 @@ Proof-of-Coverage, traffic, rewards, encashment, the mint, and the
 growth log. The engine owns only the run loop itself: bootstrap,
 day iteration and day-level checkpointing (``WorldState.save``).
 
-The result bundles the chain (what analyses read) with the world (ground
-truth analyses score against). It is assembled from the final state
-alone (:meth:`SimulationResult.from_state`, which also builds the
-end-of-run peerbook), so a saved final state reloads as the same result
-without running a day: a scenario-cache entry is that saved state.
+The result bundles the chain half (the chain and its ledger, what the
+ETL replica ingests) with the world half (ground truth analyses score
+against). It is assembled from the final state alone
+(:meth:`SimulationResult.from_state`, which also builds the end-of-run
+peerbook), so a saved final state reloads as the same result without
+running a day: a scenario-cache entry is that saved state, and
+:meth:`SimulationResult.from_checkpoint` builds each of its halves when
+first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.chain.blockchain import Blockchain
@@ -34,35 +37,40 @@ from repro.rng import RngHub
 from repro.simulation.phases import Phase
 from repro.simulation.scenario import ScenarioConfig
 from repro.simulation.scheduler import PhaseScheduler
-from repro.simulation.state import GrowthLogRow, WorldState
+from repro.simulation.state import Checkpoint, GrowthLogRow, WorldState
 from repro.simulation.world import World
 
 __all__ = ["GrowthLogRow", "SimulationResult", "SimulationEngine"]
 
 
-@dataclass
 class SimulationResult:
-    """Everything one scenario run produced."""
+    """Everything one scenario run produced, in two halves.
 
-    config: ScenarioConfig
-    chain: Blockchain
-    world: World
-    peerbook: Peerbook
-    oracle: PriceOracle
-    growth_log: List[GrowthLogRow]
-    console_owner: Address
-    oui_owners: Dict[int, Address]
-    spammer_owners: List[Address] = field(default_factory=list)
-    #: Cumulative wall-clock seconds per day-loop phase, filled by
-    #: :meth:`SimulationEngine.run` (``None`` on a load, which runs no
-    #: day). Never saved, so recording it never perturbs the scenario
-    #: digest.
-    day_loop_timings: Optional[Dict[str, float]] = None
-    #: The final day-boundary state this result was assembled from: what
-    #: :func:`repro.experiments.snapshot.save_result` persists.
-    state: Optional[WorldState] = field(
-        default=None, repr=False, compare=False
-    )
+    The **chain half** is :attr:`chain`, the log-backed chain with its
+    replayed ledger: what the ETL replica ingests. The **world half** is
+    the rest of the final state: :attr:`world`, :attr:`peerbook`,
+    :attr:`oracle`, :attr:`growth_log`, the owner maps and :attr:`state`,
+    the ground truth analyses score against. A run hands over both
+    halves built (:meth:`from_state`); a warm load hands over a builder
+    for each (:meth:`from_checkpoint`), since no consumer of a loaded
+    result needs both, and each half is built on its first read, once.
+    """
+
+    def __init__(
+        self,
+        config: ScenarioConfig,
+        chain: Callable[[], Blockchain],
+        world: Callable[[], Tuple[WorldState, Peerbook]],
+        day_loop_timings: Optional[Dict[str, float]] = None,
+    ) -> None:
+        self.config = config
+        #: Cumulative wall-clock seconds per day-loop phase, filled by
+        #: :meth:`SimulationEngine.run` (``None`` on a load, which runs
+        #: no day). Never saved, so recording it never perturbs the
+        #: scenario digest.
+        self.day_loop_timings = day_loop_timings
+        self._build_chain = chain
+        self._build_world = world
 
     @classmethod
     def from_state(
@@ -70,31 +78,82 @@ class SimulationResult:
         state: WorldState,
         day_loop_timings: Optional[Dict[str, float]] = None,
     ) -> "SimulationResult":
-        """The result of a finished run's final state (freshly run or
-        loaded); builds the peerbook and runs no day."""
-        if state.day != state.config.n_days:
-            raise SimulationError(
-                f"state is at day {state.day} of {state.config.n_days}; "
-                f"only a finished run has a result"
-            )
+        """The result of a finished run's final state; builds the
+        peerbook and runs no day."""
+        _require_finished(state.day, state.config)
+        halves = (state, _build_peerbook(state))
         return cls(
-            config=state.config,
-            chain=state.chain,
-            world=state.world,
-            peerbook=_build_peerbook(state),
-            oracle=state.oracle,
-            growth_log=state.growth_log,
-            console_owner=state.console_owner,
-            oui_owners=state.oui_owners,
-            spammer_owners=list(state.spammers),
-            day_loop_timings=day_loop_timings,
-            state=state,
+            state.config, lambda: state.chain, lambda: halves,
+            day_loop_timings,
         )
+
+    @classmethod
+    def from_checkpoint(cls, checkpoint: Checkpoint) -> "SimulationResult":
+        """The result of a finished run's checkpoint, which has passed
+        every check and whose halves are built when first read."""
+        _require_finished(checkpoint.day, checkpoint.config)
+
+        def world() -> Tuple[WorldState, Peerbook]:
+            state = checkpoint.world()
+            return state, _build_peerbook(state)
+
+        return cls(checkpoint.config, checkpoint.chain, world)
+
+    @cached_property
+    def chain(self) -> Blockchain:
+        """The chain half."""
+        return self._build_chain()
+
+    @cached_property
+    def _world_half(self) -> Tuple[WorldState, Peerbook]:
+        return self._build_world()
+
+    @property
+    def state(self) -> WorldState:
+        """The final day-boundary state this result was assembled from:
+        what :func:`repro.experiments.snapshot.save_result` persists."""
+        return self._world_half[0]
+
+    @property
+    def world(self) -> World:
+        return self.state.world
+
+    @property
+    def peerbook(self) -> Peerbook:
+        return self._world_half[1]
+
+    @property
+    def oracle(self) -> PriceOracle:
+        return self.state.oracle
+
+    @property
+    def growth_log(self) -> List[GrowthLogRow]:
+        return self.state.growth_log
+
+    @property
+    def console_owner(self) -> Address:
+        return self.state.console_owner
+
+    @property
+    def oui_owners(self) -> Dict[int, Address]:
+        return self.state.oui_owners
+
+    @property
+    def spammer_owners(self) -> List[Address]:
+        return self.state.spammers
 
     @property
     def scale_factor(self) -> float:
         """Fleet scale relative to the real network."""
         return self.config.scale_factor
+
+
+def _require_finished(day: int, config: ScenarioConfig) -> None:
+    if day != config.n_days:
+        raise SimulationError(
+            f"state is at day {day} of {config.n_days}; "
+            f"only a finished run has a result"
+        )
 
 
 class SimulationEngine:

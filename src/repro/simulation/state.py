@@ -17,8 +17,9 @@ a scenario-cache entry (a finished run's final checkpoint, written by
 files:
 
 * ``chain.log`` — the framed chain log written by
-  :func:`~repro.chain.serialize.write_chain_log` and streamed back by
-  :func:`~repro.chain.serialize.load_chain_log`;
+  :func:`~repro.chain.serialize.write_chain_log` and read back by
+  :func:`~repro.chain.serialize.open_chain_log` and
+  :func:`~repro.chain.serialize.replay_chain_log`;
 * ``state.json`` — the world, reconstructed against the deterministic
   city/ISP universe rather than pickled, plus exact RNG stream states
   (``bit_generator.state`` per named stream), the pending move/transfer
@@ -26,7 +27,7 @@ files:
   ``index_location`` (so the weekly-rebuilt spatial index is restored
   *stale*, exactly as the run last saw it), and owner-model linkage
   (organic order, the whale) and planner flags;
-* ``meta.json`` — schema, seed, day, the config's
+* ``meta.json`` — schema, seed, day, the config and its
   :func:`~repro.scenarios.spec.spec_digest`, the chain log's extent and
   the SHA-256 of ``state.json``.
 
@@ -36,6 +37,12 @@ is closed, and ``EpochActivity`` is per-day. Integrity is guarded by
 SHA-256 digests in ``meta.json`` (written last): a torn or corrupted
 file fails the load loudly instead of resuming, or warm-loading, into
 silent divergence.
+
+A load splits in two (:class:`Checkpoint`). Every integrity check runs
+up front and parses no world and decodes no block; then the **chain
+half** (the log-backed chain and its replayed ledger) and the **world
+half** (everything ``state.json`` holds) are each built on their own.
+A resume builds both; a warm-loaded result builds each on first read.
 """
 
 from __future__ import annotations
@@ -49,16 +56,18 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import IO, Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro import units
+from repro import obs, units
 from repro.chain.blockchain import Blockchain
+from repro.chain.chainlog import ChainLog
 from repro.chain.crypto import Address, Keypair
 from repro.chain.serialize import (
     chain_log_extent,
-    load_chain_log,
+    open_chain_log,
+    replay_chain_log,
     write_chain_log,
 )
 from repro.chain.transactions import OuiRegistration, Transaction
@@ -83,6 +92,7 @@ from repro.simulation.world import SimHotspot, SimOwner, World
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
+    "Checkpoint",
     "FleetColumns",
     "GrowthLogRow",
     "WorldState",
@@ -102,7 +112,11 @@ __all__ = [
 #: v4: a scenario-cache entry is a finished run's final checkpoint,
 #: replacing the separate result-snapshot layout, and ``meta.json`` no
 #: longer restates that layout's version.
-CHECKPOINT_SCHEMA_VERSION = 4
+#:
+#: v5: the config moves from ``state.json`` into ``meta.json``, so a
+#: load checks that a run finished, and reads its config, without
+#: parsing the world.
+CHECKPOINT_SCHEMA_VERSION = 5
 
 _CHAIN_FILE = "chain.log"
 _STATE_FILE = "state.json"
@@ -296,9 +310,10 @@ class FleetColumns:
 
 
 def _sha256_prefix(
-    path: Path, limit: Optional[int] = None
+    handle: IO[bytes], limit: Optional[int] = None
 ) -> Tuple[str, "hashlib._Hash", int]:
-    """SHA-256 of the first ``limit`` bytes of ``path`` (all by default).
+    """SHA-256 of the next ``limit`` bytes of ``handle`` (all by
+    default).
 
     Returns ``(hexdigest, live hash object, bytes hashed)`` — callers
     that keep extending the file reuse the hash object instead of
@@ -307,21 +322,16 @@ def _sha256_prefix(
     sha = hashlib.sha256()
     size = 0
     remaining = limit
-    with open(path, "rb") as handle:
-        while remaining is None or remaining > 0:
-            step = 1 << 20 if remaining is None else min(1 << 20, remaining)
-            chunk = handle.read(step)
-            if not chunk:
-                break
-            sha.update(chunk)
-            size += len(chunk)
-            if remaining is not None:
-                remaining -= len(chunk)
+    while remaining is None or remaining > 0:
+        step = 1 << 20 if remaining is None else min(1 << 20, remaining)
+        chunk = handle.read(step)
+        if not chunk:
+            break
+        sha.update(chunk)
+        size += len(chunk)
+        if remaining is not None:
+            remaining -= len(chunk)
     return sha.hexdigest(), sha, size
-
-
-def _sha256_file(path: Path) -> str:
-    return _sha256_prefix(path)[0]
 
 
 #: ScenarioConfig fields declared as tuples (JSON round-trips them as
@@ -740,7 +750,6 @@ class WorldState:
             hotspots.append(payload)
 
         state_payload = {
-            "config": dataclasses.asdict(self.config),
             "day": self.day,
             "rng_streams": {
                 name: generator.bit_generator.state
@@ -806,6 +815,7 @@ class WorldState:
             "seed": self.config.seed,
             "day": self.day,
             "config_digest": config_digest,
+            "config": dataclasses.asdict(self.config),
             **chain_record,
             "chain_log_tail": chain_tail.hex(),
             "state_sha256": hashlib.sha256(
@@ -900,9 +910,8 @@ class WorldState:
             # trust the running hash, skip re-reading the prefix.
             return cache["sha"], meta, cache["tail"]
         try:
-            hexdigest, sha, size = _sha256_prefix(
-                previous / _CHAIN_FILE, prev_bytes
-            )
+            with open(previous / _CHAIN_FILE, "rb") as handle:
+                hexdigest, sha, size = _sha256_prefix(handle, prev_bytes)
         except OSError:
             return None
         if size != prev_bytes or hexdigest != prev_sha:
@@ -914,7 +923,8 @@ class WorldState:
 
     @staticmethod
     def read_meta(directory: Union[str, Path]) -> Dict[str, Any]:
-        """The checkpoint's meta dict (schema/seed/day/config digest).
+        """The checkpoint's meta dict (schema, seed, day, the config and
+        its digest, the extents and digests of the other two files).
 
         Raises:
             SimulationError: when the directory is not a checkpoint.
@@ -929,72 +939,41 @@ class WorldState:
 
     @classmethod
     def load(cls, directory: Union[str, Path]) -> "WorldState":
-        """Reconstruct a :meth:`save` checkpoint, bit-exactly.
+        """Reconstruct a :meth:`save` checkpoint, bit-exactly, with both
+        halves built (:class:`Checkpoint`).
 
-        The chain stays on disk:
-        :func:`~repro.chain.serialize.load_chain_log` byte-copies each
-        verified frame into the run's own anonymous chain log while its
-        transactions replay through the ledger, so resume-time peak RSS
-        is bounded by one frame plus the folded ledger — the block
-        object graph is never resident.
+        The chain stays on disk: each verified frame is byte-copied into
+        the run's own anonymous chain log, which a resumed run appends
+        to, while its transactions replay through the ledger, so
+        resume-time peak RSS is bounded by one frame plus the folded
+        ledger — the block object graph is never resident.
 
         Raises:
             SimulationError: when the checkpoint is missing, schema-
                 incompatible, or fails its integrity digests (torn or
                 corrupted files).
         """
-        directory = Path(directory)
-        meta = cls.read_meta(directory)
-        schema = meta.get("schema")
-        if schema != CHECKPOINT_SCHEMA_VERSION:
-            raise SimulationError(
-                f"unsupported checkpoint schema {schema!r} in {directory} "
-                f"(this build reads schema {CHECKPOINT_SCHEMA_VERSION})"
-            )
-        chain_path = directory / _CHAIN_FILE
-        if not chain_path.exists():
-            raise SimulationError(f"corrupt checkpoint: {chain_path} missing")
-        state_path = directory / _STATE_FILE
-        if not state_path.exists():
-            raise SimulationError(f"corrupt checkpoint: {state_path} missing")
-        actual = _sha256_file(state_path)
-        if actual != meta.get("state_sha256"):
-            raise SimulationError(
-                f"corrupt checkpoint: {_STATE_FILE} digest mismatch "
-                f"({actual[:12]}… != recorded "
-                f"{str(meta.get('state_sha256'))[:12]}…)"
-            )
-        try:
-            with open(state_path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise SimulationError(
-                f"unreadable checkpoint state: {exc}"
-            ) from exc
+        checkpoint = Checkpoint.open(directory)
+        return checkpoint.build_world(checkpoint.build_chain(copy=True))
 
-        config = _config_from_dict(payload["config"])
+    def __getattr__(self, name: str) -> Any:
+        # Reached only when normal lookup fails, which happens to one
+        # attribute alone: the chain of a world half built apart from
+        # its chain half (Checkpoint.world), built on first read.
+        source = self.__dict__.get("_chain_source")
+        if name != "chain" or source is None:
+            raise AttributeError(name)
+        self.chain = source()
+        return self.chain
+
+    @classmethod
+    def _restore(
+        cls, config: ScenarioConfig, payload: Dict[str, Any]
+    ) -> "WorldState":
+        """The world half: the state a ``state.json`` payload describes.
+        Its ``chain`` is still the empty one :meth:`create` made."""
         state = cls.create(config)
         state.day = int(payload["day"])
-
-        # The load reads exactly ``chain_bytes``: an in-progress
-        # incremental save may have appended past the recorded extent
-        # (hardlinked inode), which this meta does not describe.
-        try:
-            chain, sha, tail = load_chain_log(
-                chain_path, meta, vars=ChainVars()
-            )
-        except ChainError as exc:
-            # Torn frames, digest-chain breaks, malformed payloads.
-            raise SimulationError(f"corrupt checkpoint: {exc}") from exc
-        state.chain = chain
-        # Seed the running-hash cache so the first post-resume periodic
-        # save extends this verified prefix without re-reading it.
-        state._chain_cache = {
-            "extent": chain_log_extent(meta), "sha": sha, "tail": tail,
-        }
-        state.checker = WitnessValidityChecker(
-            min_distance_km=state.chain.vars.poc_witness_min_distance_km
-        )
 
         world = state.world
         world._keypair_seq = int(payload["keypair_seq"])
@@ -1049,8 +1028,8 @@ class WorldState:
             len(uptime_column) != len(payload["hotspots"])
         ):
             raise SimulationError(
-                f"corrupt checkpoint: fleet uptime column does not match "
-                f"the hotspot payloads in {directory}"
+                "corrupt checkpoint: fleet uptime column does not match "
+                "the hotspot payloads"
             )
         for saved_hotspot, uptime in zip(
             payload["hotspots"], uptime_column
@@ -1133,3 +1112,189 @@ class WorldState:
             state.hub.stream(name).bit_generator.state = rng_state
 
         return state
+
+
+class Checkpoint:
+    """A checkpoint directory that passed every integrity check, its
+    two halves not yet built.
+
+    :meth:`open` runs the checks: ``meta.json``'s schema, that its
+    config digests to its ``config_digest``, the SHA-256 of
+    ``state.json``, and ``chain.log``'s SHA-256, frame digest chain and
+    frame count. It parses no world and decodes no block, and it keeps
+    both files open, so each half is later built from exactly the bytes
+    it checked:
+
+    * the **chain half** (:meth:`build_chain`): the log-backed chain,
+      its ledger replayed from the frames the scan indexed;
+    * the **world half** (:meth:`build_world`): everything
+      ``state.json`` holds, restored into a :class:`WorldState`.
+
+    :meth:`WorldState.load` builds both, for a resume. A finished run's
+    result builds each on its first read (:meth:`chain`, :meth:`world`):
+    no consumer of one needs both. Every build records a
+    ``cache.half_loads{half=}`` counter, a ``cache.half_load_s{half=}``
+    timer and a ``cache.half_load`` trace event, so a trace shows which
+    halves each process built.
+    """
+
+    def __init__(
+        self,
+        directory: Path,
+        meta: Dict[str, Any],
+        config: ScenarioConfig,
+        chain_log: ChainLog,
+        chain_sha: "hashlib._Hash",
+        state_fd: int,
+    ) -> None:
+        self.directory = directory
+        self.meta = meta
+        self.config = config
+        self._chain_log = chain_log
+        self._chain_sha = chain_sha
+        self._state_fd = state_fd
+        self._chain: Optional[Blockchain] = None
+        self._world: Optional[WorldState] = None
+
+    @classmethod
+    def open(cls, directory: Union[str, Path]) -> "Checkpoint":
+        """Check ``directory`` and open its files (see the class
+        docstring).
+
+        Raises:
+            SimulationError: when the directory is not a checkpoint, is
+                schema-incompatible, or fails an integrity check.
+        """
+        # At call time: repro.scenarios imports this package.
+        from repro.scenarios.spec import spec_digest
+
+        directory = Path(directory)
+        meta = WorldState.read_meta(directory)
+        schema = meta.get("schema")
+        if schema != CHECKPOINT_SCHEMA_VERSION:
+            raise SimulationError(
+                f"unsupported checkpoint schema {schema!r} in {directory} "
+                f"(this build reads schema {CHECKPOINT_SCHEMA_VERSION})"
+            )
+        try:
+            config = _config_from_dict(meta["config"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SimulationError(
+                f"corrupt checkpoint: no readable config in "
+                f"{directory / _META_FILE}: {exc!r}"
+            ) from exc
+        if spec_digest(config) != meta.get("config_digest"):
+            raise SimulationError(
+                f"corrupt checkpoint: the config in {directory / _META_FILE}"
+                f" does not digest to its config_digest"
+            )
+        chain_path = directory / _CHAIN_FILE
+        if not chain_path.exists():
+            raise SimulationError(f"corrupt checkpoint: {chain_path} missing")
+        state_path = directory / _STATE_FILE
+        if not state_path.exists():
+            raise SimulationError(f"corrupt checkpoint: {state_path} missing")
+        state_fd = os.open(state_path, os.O_RDONLY)
+        try:
+            with open(state_fd, "rb", closefd=False) as handle:
+                actual = _sha256_prefix(handle)[0]
+            if actual != meta.get("state_sha256"):
+                raise SimulationError(
+                    f"corrupt checkpoint: {_STATE_FILE} digest mismatch "
+                    f"({actual[:12]}… != recorded "
+                    f"{str(meta.get('state_sha256'))[:12]}…)"
+                )
+            # The scan reads exactly ``chain_bytes``: an in-progress
+            # incremental save may have appended past the recorded
+            # extent (hardlinked inode), which this meta does not
+            # describe.
+            try:
+                chain_log, chain_sha = open_chain_log(chain_path, meta)
+            except ChainError as exc:
+                # Torn frames, digest-chain breaks, a wrong extent.
+                raise SimulationError(f"corrupt checkpoint: {exc}") from exc
+        except BaseException:
+            os.close(state_fd)
+            raise
+        return cls(directory, meta, config, chain_log, chain_sha, state_fd)
+
+    @property
+    def day(self) -> Optional[int]:
+        """Days the checkpointed run had completed."""
+        return self.meta.get("day")
+
+    def chain(self) -> Blockchain:
+        """The chain half of a finished run, built on the first call.
+
+        Its blocks stay in the checkpoint's own ``chain.log``, read
+        through the descriptor :meth:`open` verified: nothing appends
+        to a finished run, so it needs no copy.
+        """
+        if self._chain is None:
+            self._chain = self.build_chain(copy=False)
+        return self._chain
+
+    def world(self) -> WorldState:
+        """The world half, built on the first call. The state's
+        ``chain`` is :meth:`chain`, built when first read."""
+        if self._world is None:
+            self._world = self.build_world()
+        return self._world
+
+    def build_chain(self, copy: bool) -> Blockchain:
+        """Replay the verified frames into a log-backed chain; ``copy``
+        gives it an anonymous copy of the log to grow (see
+        :func:`~repro.chain.serialize.replay_chain_log`)."""
+        return self._build("chain", lambda: replay_chain_log(
+            self._chain_log, ChainVars(), copy=copy
+        ))
+
+    def build_world(self, chain: Optional[Blockchain] = None) -> WorldState:
+        """Restore the world half from ``state.json``, which is read
+        once and closed. The state holds ``chain`` when given, and
+        otherwise resolves its chain through :meth:`chain`."""
+        def restore() -> WorldState:
+            fd, self._state_fd = self._state_fd, -1
+            with open(fd, "rb") as handle:
+                handle.seek(0)
+                payload = json.loads(handle.read())
+            return WorldState._restore(self.config, payload)
+
+        state = self._build("world", restore)
+        # Lets the first periodic save after a resume extend this
+        # verified prefix without re-reading it.
+        state._chain_cache = {
+            "extent": chain_log_extent(self.meta),
+            "sha": self._chain_sha,
+            "tail": self._chain_log.tail_digest,
+        }
+        if chain is None:
+            del state.chain
+            state._chain_source = self.chain
+        else:
+            state.chain = chain
+        return state
+
+    def _build(self, half: str, build: Callable[[], Any]) -> Any:
+        """Run one half's build, timed, counted and traced; a failure
+        is a :class:`SimulationError` that names the checkpoint."""
+        with obs.timer("cache.half_load_s", half=half) as timing:
+            try:
+                built = build()
+            except Exception as exc:
+                # Whatever it is: the files passed every check, and the
+                # reader that trips over this may be far from the load.
+                raise SimulationError(
+                    f"cannot build the {half} half of checkpoint "
+                    f"{self.directory}: {exc}"
+                ) from exc
+        obs.counter("cache.half_loads", half=half)
+        obs.trace_event(
+            "cache.half_load", half=half, entry=self.directory.name,
+            wall_s=round(timing.elapsed, 4),
+        )
+        return built
+
+    def __del__(self) -> None:  # pragma: no cover - GC timing
+        if self._state_fd >= 0:
+            os.close(self._state_fd)

@@ -731,7 +731,8 @@ class ChainExplorer:
 
     def _build_indexes(self) -> None:
         for gateway in self.chain.ledger.hotspots:
-            self._name_index[hotspot_name(gateway).lower()] = gateway
+            # Of hotspots sharing a name, the first on the ledger.
+            self._name_index.setdefault(hotspot_name(gateway).lower(), gateway)
         for height, txn in self.chain.iter_transactions(
             (Rewards, StateChannelClose, TransferHotspot, PocReceipts)
         ):
@@ -841,8 +842,8 @@ class ChainExplorer:
         needle = query.lower()
         matches = [
             (gateway, hotspot_name(gateway))
-            for name, gateway in self._name_index.items()
-            if needle in name
+            for gateway in self.chain.ledger.hotspots
+            if needle in hotspot_name(gateway).lower()
         ]
         matches.sort(key=lambda pair: pair[1])
         return matches[:limit]

@@ -16,7 +16,7 @@ The contracts under test are the ones the bounded-RSS chain rests on:
   the recorded extent, corruption anywhere and a bad magic — never
   silently skipping a torn tail.
 * **Chain-log files.** ``write_chain_log`` returns the extent record
-  ``load_chain_log`` needs, and continuing a file after a recorded
+  ``open_chain_log`` needs, and continuing a file after a recorded
   extent writes the bytes a full write would.
 * **Typed reads.** The per-kind index makes ``iter_transactions(kind)``
   equal a plain filtered loop over ``chain.blocks`` on every residency:
@@ -47,7 +47,8 @@ from repro.chain.chainlog import (
 from repro.chain.serialize import (
     dump_chain,
     load_chain,
-    load_chain_log,
+    open_chain_log,
+    replay_chain_log,
     transaction_to_dict,
     write_chain_log,
 )
@@ -231,7 +232,7 @@ class TestTornTails:
         with pytest.raises(ChainLogError, match="bad magic"):
             _scan(path)
         with pytest.raises(ChainLogError, match="bad magic"):
-            load_chain_log(path, {
+            open_chain_log(path, {
                 "chain_blocks": 1, "chain_bytes": 72,
                 "chain_sha256": "0" * 64,
             })
@@ -245,7 +246,7 @@ class TestTornTails:
 
 
 class TestChainLogFile:
-    """``write_chain_log`` returns the extent record ``load_chain_log``
+    """``write_chain_log`` returns the extent record ``open_chain_log``
     reads back from the caller's meta."""
 
     def test_extent_record_round_trips(self, tmp_path):
@@ -258,16 +259,14 @@ class TestChainLogFile:
             "chain_bytes": path.stat().st_size,
             "chain_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
         }
-        loaded, sha, loaded_tail = load_chain_log(
-            path, {"schema": 3, **record}
-        )
+        source, sha = open_chain_log(path, {"schema": 3, **record})
         assert sha.hexdigest() == record["chain_sha256"]
-        assert loaded_tail == tail
-        assert _dump_text(loaded) == _dump_text(chain)
+        assert source.tail_digest == tail
+        assert _dump_text(replay_chain_log(source)) == _dump_text(chain)
         for key in record:
             partial = {k: v for k, v in record.items() if k != key}
             with pytest.raises(ChainError, match="not recorded"):
-                load_chain_log(path, partial)
+                open_chain_log(path, partial)
 
     def test_continuing_after_an_extent_equals_a_full_write(self, tmp_path):
         builder = ChainBuilder(seed=6, n_hotspots=5, n_owners=3)

@@ -162,8 +162,8 @@ class TestCorruptCheckpoints:
             WorldState.load(checkpoint)
 
     @pytest.mark.parametrize(
-        "schema", [1, 2, CHECKPOINT_SCHEMA_VERSION + 1],
-        ids=["v1", "v2", "newer"],
+        "schema", [1, 2, 4, CHECKPOINT_SCHEMA_VERSION + 1],
+        ids=["v1", "v2", "v4", "newer"],
     )
     def test_schema_mismatch_is_rejected(self, checkpoint, schema):
         """Any other schema fails on its meta, with the one message that

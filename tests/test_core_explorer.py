@@ -1,9 +1,16 @@
 """Explorer query-layer tests."""
 
+import json
+import sqlite3
+
 import pytest
 
 from repro.core.explorer import Explorer
 from repro.errors import AnalysisError
+from repro.etl.cli import main as etl_main
+from repro.serve.server import create_server
+
+from tests.test_serve import LiveServer
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +32,7 @@ class TestHotspotPages:
         gateway = next(iter(small_result.chain.ledger.hotspots))
         page = explorer.hotspot(gateway)
         again = explorer.hotspot_by_name(page.name)
-        # Names can collide; the index maps each name to one gateway.
+        # Names can collide; a name answers with one gateway.
         assert again.name == page.name
 
     def test_lookup_case_insensitive(self, explorer, small_result):
@@ -86,3 +93,62 @@ class TestSearch:
         pages = explorer.hotspots_near(hotspot.actual_location, 10.0, limit=5)
         assert pages
         assert len(pages) <= 5
+
+
+class TestSharedNames:
+    """Two small-scenario hotspots share the name "Mellow Ivory Gecko".
+    The explorer, the HTTP tier and the CLI all answer that name with
+    the first of them on the ledger, and search lists both."""
+
+    NAME = "Mellow Ivory Gecko"
+
+    @pytest.fixture()
+    def sharing(self, small_result):
+        gateways = [
+            gateway
+            for gateway, record in small_result.chain.ledger.hotspots.items()
+            if record.name == self.NAME
+        ]
+        assert len(gateways) == 2
+        return gateways
+
+    def test_every_surface_gives_the_first(
+        self, explorer, small_store, sharing, tmp_path, capsys
+    ):
+        first = sharing[0]
+        assert small_store.gateway_by_name(self.NAME.upper()) == first
+        assert explorer.hotspot_by_name(self.NAME).gateway == first
+
+        path = tmp_path / "store.db"
+        copy = sqlite3.connect(path)
+        small_store.connection.backup(copy)
+        copy.close()
+        query = ["query", "--db", str(path), "hotspot", self.NAME]
+        assert etl_main(query) == 0
+        assert json.loads(capsys.readouterr().out)["gateway"] == first
+        live = LiveServer(create_server(str(path), port=0, workers=1))
+        try:
+            status, _, page = live.get_json("/hotspot/mellow-ivory-gecko")
+        finally:
+            live.close()
+        assert (status, page["gateway"]) == (200, first)
+
+    def test_search_lists_both(self, explorer, small_store, sharing):
+        matches = explorer.search(self.NAME.lower())
+        assert matches == small_store.search_names(self.NAME.lower())
+        assert [gateway for gateway, _ in matches] == sharing
+
+    def test_name_lookup_uses_the_name_index(self, small_store):
+        statements = []
+        small_store.connection.set_trace_callback(statements.append)
+        try:
+            small_store.gateway_by_name(self.NAME)
+        finally:
+            small_store.connection.set_trace_callback(None)
+        [statement] = statements
+        plan = small_store.connection.execute(
+            "EXPLAIN QUERY PLAN " + statement
+        ).fetchall()
+        assert [row[3] for row in plan] == [
+            "SEARCH hotspots USING INDEX idx_hs_name (<expr>=?)"
+        ]

@@ -162,8 +162,8 @@ def _warm_loaded(chain, tmp_path):
     path = tmp_path / "chain.log"
     with open(path, "wb") as handle:
         record, _ = serialize.write_chain_log(chain, handle, hashlib.sha256())
-    loaded, _, _ = serialize.load_chain_log(path, record)
-    return loaded
+    source, _ = serialize.open_chain_log(path, record)
+    return serialize.replay_chain_log(source)
 
 
 class TestRecordPath:

@@ -12,16 +12,26 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import json
+import re
 
 import pytest
 
 import repro.experiments.context as context
+from repro import obs
+from repro.errors import SimulationError
+from repro.etl import EtlStore, ingest_chain
 from repro.experiments import fig12, fig13
-from repro.experiments.snapshot import load_result, save_result
+from repro.experiments.registry import report_payload, run_experiment
+from repro.experiments.snapshot import (
+    ETL_DB_FILE, load_result, result_digest, save_result,
+)
 from repro.poc.cheats import GossipClique
 from repro.scenarios import resolve, spec_digest
 from repro.simulation.state import CHECKPOINT_SCHEMA_VERSION
+
+from tests.test_engine_hotpath import SMALL_SEED7_DIGEST
 
 
 def _report_payload(report):
@@ -181,6 +191,7 @@ class TestCacheWiring:
         stale = [
             tmp_path / f"scn-seed7-{'a' * 12}-v{version - 1}",
             tmp_path / f"scn-seed7-{'a' * 12}-v{version - 1}.ckpt",
+            tmp_path / f"scn-seed7-{'c' * 12}-v4",
         ]
         newer = tmp_path / f"scn-seed7-{'b' * 12}-v{version + 1}"
         for path in stale + [newer]:
@@ -253,6 +264,166 @@ class TestCacheWiring:
         assert json.loads((entry / "meta.json").read_text())["day"] == 60
         assert result_digest(result) == fresh
         assert result_digest(load_result(entry)) == fresh
+
+
+class TestSplitLoad:
+    """A warm load runs every check of the entry up front and builds
+    each half on its first read, once: an ingest builds only the chain
+    half, analyses that read the replica only the world half."""
+
+    @pytest.fixture()
+    def entry(self, monkeypatch, tmp_path, small_result):
+        monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path))
+        monkeypatch.setattr(context, "_CACHE", {})
+        monkeypatch.setattr(context, "_STORES", {})
+        resolved = resolve("small", seed=7)
+        entry = context._entry_dir(resolved.config.seed, resolved.digest)
+        save_result(small_result, entry)
+        return entry
+
+    @pytest.fixture()
+    def built(self):
+        """The halves built since the test started, by half."""
+        def halves(snapshot):
+            return {
+                half: snapshot["counters"].get(
+                    f"cache.half_loads{{half={half}}}", 0
+                )
+                for half in ("chain", "world")
+            }
+
+        before = halves(obs.snapshot())
+        return lambda: {
+            half: count - before[half]
+            for half, count in halves(obs.snapshot()).items()
+        }
+
+    def test_ingest_builds_only_the_chain_half(
+        self, entry, small_result, built
+    ):
+        result = load_result(entry)
+        assert built() == {"chain": 0, "world": 0}
+        warm, cold = EtlStore(), EtlStore()
+        ingest_chain(result.chain, warm)
+        assert built() == {"chain": 1, "world": 0}
+        # Its blocks stay in the entry's own chain.log: no copy.
+        assert not result.chain.chain_log.writable
+        ingest_chain(small_result.chain, cold)
+        assert warm.content_digest() == cold.content_digest()
+
+    def test_analyses_on_the_replica_build_only_the_world_half(
+        self, entry, small_result, built
+    ):
+        with EtlStore(entry / ETL_DB_FILE) as writer:
+            ingest_chain(small_result.chain, writer)
+        result = load_result(entry)
+        context.open_replica(entry, resolve("small", seed=7).digest)
+        warm = {}
+        # fig02 and fig13 read the replica alone; fig05's growth log
+        # and fig10's peerbook are ground truth from the world half.
+        for eids, halves in ((("fig02", "fig13"), {"chain": 0, "world": 0}),
+                             (("fig05", "fig10"), {"chain": 0, "world": 1})):
+            for eid in eids:
+                warm[eid] = report_payload(run_experiment(eid, result))
+            assert built() == halves
+        assert warm == {
+            eid: report_payload(run_experiment(eid, small_result))
+            for eid in warm
+        }
+
+    def test_each_half_is_built_once(self, entry, built):
+        result = load_result(entry)
+        for _ in range(2):
+            assert result_digest(result) == SMALL_SEED7_DIGEST
+            assert result.state.chain is result.chain
+            assert result.peerbook is result.peerbook
+            assert result.world is result.state.world
+        assert built() == {"chain": 1, "world": 1}
+
+    def _rewrite_meta(self, entry, **changes):
+        path = entry / "meta.json"
+        meta = json.loads(path.read_text())
+        meta.update(changes)
+        path.write_text(json.dumps(meta))
+
+    def test_a_failed_world_build_names_the_entry(self, entry):
+        # Digest-consistent, so every up-front check passes; only
+        # building the world half can tell the fleet section is gone.
+        path = entry / "state.json"
+        payload = json.loads(path.read_text())
+        del payload["fleet"]
+        blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        path.write_bytes(blob)
+        self._rewrite_meta(
+            entry, state_sha256=hashlib.sha256(blob).hexdigest()
+        )
+        result = load_result(entry)
+        assert result.chain.height > 0
+        with pytest.raises(
+            SimulationError,
+            match=f"world half of checkpoint {re.escape(str(entry))}: "
+            f".*fleet uptime column",
+        ):
+            result.world
+
+    def test_a_failed_chain_build_names_the_entry(self, entry):
+        # The last block's record names an unknown transaction type,
+        # under a rebuilt digest chain and extent: only decoding it
+        # can tell.
+        from repro.chain.chainlog import (
+            CHAINLOG_MAGIC, encode_frame, scan_frames, seed_digest,
+        )
+
+        path = entry / "chain.log"
+        with open(path, "rb") as handle:
+            frames = [(h, p) for _, h, p, _ in scan_frames(handle)]
+        height = frames[-1][0]
+        frames[-1] = (height, b'{"height":%d,"transactions":'
+                              b'[{"type":"bogus"}]}\n' % height)
+        parts, tail = [CHAINLOG_MAGIC], seed_digest()
+        for frame_height, payload in frames:
+            frame, tail = encode_frame(frame_height, payload, tail)
+            parts.append(frame)
+        blob = b"".join(parts)
+        path.write_bytes(blob)
+        self._rewrite_meta(
+            entry, chain_bytes=len(blob), chain_log_tail=tail.hex(),
+            chain_sha256=hashlib.sha256(blob).hexdigest(),
+        )
+        result = load_result(entry)
+        assert result.world.hotspots
+        with pytest.raises(
+            SimulationError,
+            match=f"chain half of checkpoint {re.escape(str(entry))}: "
+            f".*unknown transaction type",
+        ):
+            result.chain
+
+    def test_config_must_digest_to_the_recorded_digest(self, entry):
+        meta = json.loads((entry / "meta.json").read_text())
+        config = dict(meta["config"], target_hotspots=1234)
+        self._rewrite_meta(entry, config=config)
+        with pytest.raises(SimulationError, match="does not digest"):
+            load_result(entry)
+
+    def test_get_result_rejects_an_entry_of_another_config(
+        self, monkeypatch, tmp_path, small_result
+    ):
+        """A sound entry holding another config (seed 7's run under
+        seed 8's name) is no hit: it is discarded and rebuilt."""
+        monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path))
+        monkeypatch.setattr(context, "_CACHE", {})
+        resolved = resolve("small", seed=8)
+        entry = context._entry_dir(resolved.config.seed, resolved.digest)
+        save_result(small_result, entry)
+        builds = []
+        monkeypatch.setattr(
+            context, "_build_result",
+            lambda *args: builds.append(args) or small_result,
+        )
+        with pytest.warns(RuntimeWarning, match="holds config"):
+            context.get_result(resolved)
+        assert len(builds) == 1
 
 
 class TestEntryIntegrity:

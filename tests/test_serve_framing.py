@@ -12,7 +12,9 @@ itself, so these tests speak bytes, not a client library:
   write;
 * Hypothesis-generated heads (missing colons, oversized lines, bare
   LF, non-ASCII bytes, bodies) only ever get a well-formed reply with
-  a status from a fixed set, and leave the server healthy.
+  a status from a fixed set, and leave the server healthy;
+* every reply is counted once, a rejected head in ``serve.rejected``,
+  and a head cut off by its deadline in ``serve.head_timeouts``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import re
 import socket
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,6 +207,38 @@ class TestHeadDeadline:
         assert status == 200
         assert waited < 2.0, f"client B waited {waited:.2f} s"
 
+    def test_only_a_cut_off_head_counts_as_a_timeout(self, db_path):
+        """A connection left idle after its request is not a head
+        timeout; one that stops halfway through a head is."""
+        _build_db(db_path, seed=7, n_hotspots=3, blocks=4)
+        live = LiveServer(create_server(
+            db_path, port=0, workers=2, keepalive_idle_s=0.3
+        ))
+
+        def until_closed(head: bytes) -> bytes:
+            # The server hangs up once its deadline passes.
+            with socket.create_connection(
+                (live.host, live.port), timeout=10
+            ) as sock:
+                sock.sendall(head)
+                data = b""
+                while chunk := sock.recv(65536):
+                    data += chunk
+            return data
+
+        def timeouts() -> int:
+            return obs.snapshot()["counters"].get("serve.head_timeouts", 0)
+
+        try:
+            before = timeouts()
+            idle = until_closed(b"GET /stats HTTP/1.1\r\n\r\n")
+            assert [s for s, _, _ in _responses(idle)] == [200]
+            assert timeouts() == before
+            assert until_closed(b"GET /stats HTTP/1.1\r\nX-Slow: a") == b""
+            assert timeouts() == before + 1
+        finally:
+            live.close()
+
     def test_pipelined_bytes_survive_the_deadline_reader(self, live):
         """Bytes read past one head belong to the next request."""
         address = (live.host, live.port)
@@ -333,6 +368,8 @@ def fuzzed(tmp_path_factory):
         db_path, port=0, workers=2, keepalive_idle_s=IDLE_S
     ))
     live.counters = dict(obs.snapshot()["counters"])
+    #: Every reply the tests below read, by status.
+    live.replies = Counter()
     yield live
     live.close()
 
@@ -349,6 +386,7 @@ class TestFuzzedHeads:
         # The first response answers the request line that was sent;
         # later ones, if any, answer what followed a blank header line.
         replies = _responses(data)
+        fuzzed.replies.update(status for status, _, _ in replies)
         assert replies, f"no reply to {raw[:200]!r}"
         for status, headers, _ in replies:
             assert status in _ALLOWED, (status, raw[:200])
@@ -364,6 +402,8 @@ class TestFuzzedHeads:
             for path in paths
         )
         replies = _responses(_exchange(fuzzed, raw))
+        fuzzed.replies.update(status for status, _ in expected)
+        fuzzed.replies.update(status for status, _, _ in replies)
         assert len(replies) == len(paths)
         for (status, _, body), (want_status, want_body), path in zip(
             replies, expected, paths
@@ -375,15 +415,37 @@ class TestFuzzedHeads:
                 assert body == want_body, path
 
     def test_server_is_healthy_afterwards(self, fuzzed):
-        """No 5xx besides shedding, no handler error, and it answers."""
-        status, _, payload = fuzzed.get_json("/healthz")
-        assert (status, payload["status"]) == (200, "ok")
+        """Every reply above was counted once: in ``serve.requests`` when
+        its head parsed, in ``serve.rejected`` when the framing refused
+        it; no head timed out. No 5xx besides shedding, no handler
+        error, and it answers."""
         after = obs.snapshot()["counters"]
         grown = {key for key in after
                  if after[key] != fuzzed.counters.get(key, 0)}
+        counted: Counter = Counter()
+        rejected: Counter = Counter()
+        for key in grown:
+            match = re.fullmatch(
+                r"serve\.(requests|rejected)\{(?:route=[^,]*,)?"
+                r"status=(\d+)\}", key,
+            )
+            if match:
+                delta = after[key] - fuzzed.counters.get(key, 0)
+                counted[int(match.group(2))] += delta
+                if match.group(1) == "rejected":
+                    rejected[int(match.group(2))] += delta
+        assert counted == fuzzed.replies
+        assert set(rejected) <= {400, 414, 431, 505}
+        for status in (414, 431, 505):  # only the framing sends these
+            assert rejected[status] == fuzzed.replies[status]
+        assert "serve.head_timeouts" not in grown
         assert any(key.startswith("serve.requests{") for key in grown)
+        # A 505 refusing an HTTP/2 head is a rejection, checked above.
         assert not {
             key for key in grown
-            if re.search(r"status=5(?!03)", key)
+            if (re.search(r"status=5(?!03)", key)
+                and not key.startswith("serve.rejected{"))
             or key == "serve.handler_errors"
         }
+        status, _, payload = fuzzed.get_json("/healthz")
+        assert (status, payload["status"]) == (200, "ok")
