@@ -15,11 +15,11 @@ share:
 * the HTTP tier (:mod:`repro.serve`) serves the same pages, rendered
   by :mod:`repro.etl.server`, plus the coverage-dot view as JSON.
 
-A store handle is cheap; the data lives in the ``.db`` file. Open a
-fresh handle per thread — :class:`ReadReplicas` is the factory the HTTP
-tier uses: one ``mode=ro`` connection per serving thread over a
-WAL-journalled file, so concurrent readers never queue behind each
-other or behind the ingest writer.
+A store handle is cheap; the data lives in the ``.db`` file. A handle
+serves one thread at a time — :class:`ReadReplicas` is the pool the
+HTTP tier leases from: one ``mode=ro`` connection per request in
+flight over a WAL-journalled file, so concurrent readers never queue
+behind each other or behind the ingest writer.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ class EtlStore:
         create: apply the schema to an empty database. When False, an
             empty or missing database raises :class:`EtlError`.
         read_only: open the file through SQLite's ``mode=ro`` URI — the
-            handle can never write, which is what the serving tier hands
-            to each worker thread. Requires a file-backed store.
+            handle can never write, which is what the serving tier
+            leases to each request. Requires a file-backed store.
 
     File-backed stores run with ``journal_mode=WAL`` (set on every
     writable open; the mode is persistent), so readers see consistent
@@ -137,8 +137,9 @@ class EtlStore:
             if read_only:
                 # mode=ro cannot write even by accident; isolation_level
                 # None leaves transaction control to read_snapshot().
-                # check_same_thread=False: ReadReplicas.close_all closes
-                # every thread's replica from the shutdown thread.
+                # check_same_thread=False: a ReadReplicas handle serves
+                # whichever worker leases it, and close_all closes them
+                # all from the shutdown thread.
                 uri = "file:{}?mode=ro".format(quote(str(Path(self.path).resolve())))
                 self.connection = sqlite3.connect(
                     uri, uri=True, check_same_thread=False,
@@ -746,43 +747,61 @@ class EtlStore:
 
 
 class ReadReplicas:
-    """Per-thread read-only :class:`EtlStore` handles over one file.
+    """A free list of read-only :class:`EtlStore` handles over one file.
 
-    The connection factory the HTTP tier draws from: the first call on
-    a thread opens a ``mode=ro`` connection onto the WAL database and
-    caches it in thread-local storage, so request threads never share a
-    handle (no lock, no ``database is locked`` queueing) while the
-    ingest writer commits concurrently.
+    The connection pool the HTTP tier leases from: :meth:`lease` hands
+    out the most recently returned ``mode=ro`` connection onto the WAL
+    database and opens a new one only when none is free, so the pool
+    holds as many handles as requests were ever in flight at once. A
+    lease is exclusive (no two requests share a handle) and takes no
+    lock, while the ingest writer commits concurrently.
 
-    >>> replicas = ReadReplicas("/tmp/etl.db")        # doctest: +SKIP
-    >>> store = replicas.get()  # this thread's handle # doctest: +SKIP
+    >>> replicas = ReadReplicas("/tmp/etl.db")         # doctest: +SKIP
+    >>> with replicas.lease() as store:               # doctest: +SKIP
+    ...     with store.read_snapshot():
+    ...         store.checkpoint_height
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = str(path)
-        self._tls = threading.local()
         self._lock = threading.Lock()
         self._opened: List[EtlStore] = []
-        # Fail fast (missing file, wrong schema) before any worker runs.
+        self._free: List[EtlStore] = []
+        # Fail fast (missing file, wrong schema) before any request.
         EtlStore(self.path, create=False, read_only=True).close()
 
-    def get(self) -> EtlStore:
-        """This thread's read-only store, opened on first use."""
-        store = getattr(self._tls, "store", None)
-        if store is None:
+    @property
+    def open_count(self) -> int:
+        """Handles opened so far and not yet closed."""
+        return len(self._opened)
+
+    @contextmanager
+    def lease(self) -> Iterator[EtlStore]:
+        """One handle, exclusively the caller's for the block.
+
+        Return it with no read transaction open (end any
+        :meth:`EtlStore.read_snapshot` inside the block), or its next
+        lease reads a stale snapshot.
+        """
+        # list.pop and list.append are atomic: the request path takes
+        # no lock; opening a handle does.
+        try:
+            store = self._free.pop()
+        except IndexError:
             store = EtlStore(self.path, create=False, read_only=True)
-            self._tls.store = store
             with self._lock:
                 self._opened.append(store)
-        return store
+        try:
+            yield store
+        finally:
+            self._free.append(store)
 
     def close_all(self) -> None:
-        """Close every replica opened so far (server shutdown)."""
+        """Close every handle opened so far (server shutdown)."""
         with self._lock:
-            stores, self._opened = self._opened, []
+            stores, self._opened, self._free = self._opened, [], []
         for store in stores:
             try:
                 store.close()
             except Exception:  # noqa: BLE001 - best-effort teardown
                 pass
-        self._tls = threading.local()

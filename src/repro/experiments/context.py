@@ -36,14 +36,15 @@ once the final state is saved into it.
 ``get_store`` materialises the DeWi-style ETL replica (``etl.db``,
 :mod:`repro.etl`) alongside the run files inside the same entry: the
 first call ingests the cached chain, later calls resume from the
-store's checkpoint (a no-op when the chain hasn't grown). A corrupt or
-schema-stale database self-heals exactly like a bad cache entry —
-warn, discard, re-ingest — and never crashes the caller. The replica
-is the only source of chain history and ledger state for the analyses:
-``result_store`` hands :func:`~repro.experiments.registry.run_experiment`
-the store kept for a result's spec digest, ingested from that very
-result's chain when it is first asked for. ``get_result`` alone never
-ingests.
+store's checkpoint, and a store already at the result's tip is used as
+it is (a warm run that finds its replica current builds no chain
+half). A corrupt or schema-stale database self-heals exactly like a
+bad cache entry — warn, discard, re-ingest — and never crashes the
+caller. The replica is the only source of chain history and ledger
+state for the analyses: ``result_store`` hands
+:func:`~repro.experiments.registry.run_experiment` the store kept for
+a result's spec digest, ingested from that very result's chain when it
+is first asked for. ``get_result`` alone never ingests.
 """
 
 from __future__ import annotations
@@ -408,7 +409,7 @@ def _materialise_store(
     if path is not None:
         try:
             store = _open_self_healing(path)
-            ingest_chain(result.chain, store)
+            _bring_current(store, result)
             return store
         except (ReproError, sqlite3.Error, OSError) as exc:
             warnings.warn(
@@ -420,6 +421,21 @@ def _materialise_store(
     store = EtlStore()
     ingest_chain(result.chain, store)
     return store
+
+
+def _bring_current(store: EtlStore, result: SimulationResult) -> None:
+    """Ingest ``result``'s chain unless ``store`` already holds its tip.
+
+    ``tip_hash`` commits with the ledger state in an ingest's last
+    transaction, so a store at the result's tip height and hash is
+    current; reading the tip of a warm result decodes one frame, where
+    the ingest would replay the whole chain to find nothing to load.
+    """
+    tip = result.tip
+    if (store.checkpoint_height, store.get_meta("tip_hash")) != (
+        tip.height, tip.hash
+    ):
+        ingest_chain(result.chain, store)
 
 
 def _open_self_healing(path: Path) -> EtlStore:

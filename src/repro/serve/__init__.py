@@ -2,9 +2,10 @@
 
 Layers a traffic-worthy HTTP explorer API on :mod:`repro.etl`:
 
-* :mod:`repro.serve.server` — a bounded-queue, fixed-pool server where
-  each worker owns a read-only WAL connection; sheds with 503 +
-  ``Retry-After`` at saturation and drains gracefully on SIGTERM.
+* :mod:`repro.serve.server` — a bounded-queue server that starts
+  workers on demand and leases each request a read-only WAL
+  connection; sheds with 503 + ``Retry-After`` at saturation and
+  drains gracefully on SIGTERM.
 * :mod:`repro.serve.cache` — ETag/TTL response caching keyed on the
   ingest checkpoint, so cached bodies are never stale relative to the
   replica and ``If-None-Match`` revalidations collapse to 304s.

@@ -10,8 +10,9 @@ Usage::
         --clients 1000 --duration 10 --report load.json
     python -m repro.serve --trace serve.jsonl serve --db /tmp/etl.db
 
-``serve`` starts the pooled front end (read-only WAL replicas per
-worker, checkpoint-keyed response cache, 503 shedding, SIGTERM drain);
+``serve`` starts the pooled front end (workers started on demand,
+read-only WAL replicas leased per request, checkpoint-keyed response
+cache, 503 shedding, SIGTERM drain);
 pass ``--scenario`` to ingest a missing or unreadable database first.
 ``load`` drives any explorer URL with zipf-popular, bursty traffic and
 prints a latency/throughput report as JSON.
@@ -48,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8700)
     serve.add_argument(
         "--workers", type=int, default=None,
-        help="worker threads (default: scaled from cpu count)",
+        help="at most this many worker threads, started as load needs "
+        "them (default: scaled from cpu count)",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=128, metavar="N",

@@ -3,12 +3,15 @@
 Serves the ETL replica's hotspot, owner, witness and coverage pages as
 JSON, built for sustained concurrent traffic:
 
-* **A fixed worker pool, not a thread per connection.** Accepted
-  sockets go onto a bounded queue; N long-lived workers drain it. Each
-  worker owns one read-only WAL connection
-  (:class:`repro.etl.store.ReadReplicas`), so requests run genuinely in
-  parallel with each other and with the ingest writer — there is no
-  shared handle and no lock on the request path.
+* **A worker pool sized by its load, not a thread per connection.**
+  Accepted sockets go onto a bounded queue that long-lived workers
+  drain; a socket that finds no idle worker starts one, up to
+  ``workers``. Each store request leases a read-only WAL connection
+  (:class:`repro.etl.store.ReadReplicas`) for its read snapshot, so
+  requests run genuinely in parallel with each other and with the
+  ingest writer — no two share a handle and no lock sits on the query
+  path — and the process holds as many threads and handles as
+  connections and requests were ever in flight at once.
 * **Checkpoint-keyed response caching.** Every cacheable response
   carries an ETag that embeds the store's ingest checkpoint
   (:mod:`repro.serve.cache`); repeats are served from memory and
@@ -45,8 +48,8 @@ JSON, built for sustained concurrent traffic:
   ``Date``.
 
 Routes: ``/stats``, ``/hotspots``, ``/hotspot/<id>[/witnesses]``,
-``/owner/<addr>``, ``/coverage/dots``, ``/search``, ``/healthz`` (queue
-and cache state) and ``/metrics``; ``/`` lists them. List responses
+``/owner/<addr>``, ``/coverage/dots``, ``/search``, ``/healthz`` (pool,
+queue and cache state) and ``/metrics``; ``/`` lists them. List responses
 carry ``checkpoint`` and ``next_cursor``. Errors are ``{"error": …}``
 with a 4xx: 404 for unknown resources, 400 for a negative or
 non-integer ``limit``/``offset`` (an oversized ``limit`` clamps to
@@ -55,9 +58,10 @@ headers; every other method is 405 with ``Allow: GET, HEAD``.
 
 Observability (:mod:`repro.obs`): ``serve.requests{route=,status=}``
 counters, ``serve.latency_s{route=}`` histograms,
-``serve.cache.{hit,miss,revalidated,...}`` counters, a
-``serve.queue_depth`` gauge and a ``serve.shed`` counter — all visible
-on ``GET /metrics``. A head the framing rejects counts in
+``serve.cache.{hit,miss,revalidated,...}`` counters, the
+``serve.queue_depth``, ``serve.workers_started`` and
+``serve.replicas_open`` gauges and a ``serve.shed`` counter — all
+visible on ``GET /metrics``. A head the framing rejects counts in
 ``serve.rejected{status=}`` instead of ``serve.requests``, and a head
 cut off by its deadline in ``serve.head_timeouts``.
 """
@@ -145,7 +149,7 @@ _UNCACHED = {"metrics", "healthz", "index", "unknown"}
 
 
 def default_workers() -> int:
-    """Worker-pool size when the caller does not pick one.
+    """Worker-pool cap when the caller does not pick one.
 
     Readers block on SQLite I/O and page rendering releases the GIL at
     the socket writes, so a small multiple of the cores keeps the pool
@@ -196,7 +200,7 @@ class _BadHead(Exception):
 
 
 class ServeHandler(socketserver.BaseRequestHandler):
-    """One connection's requests, executed on a pool worker's replica.
+    """One connection's requests, executed on a pool worker.
 
     The handler frames HTTP/1.1 on the raw socket (see the module
     docstring for the rules). It keeps its own receive buffer rather
@@ -462,7 +466,7 @@ class ServeHandler(socketserver.BaseRequestHandler):
             params = parse_qs(parsed.query, keep_blank_values=True)
             route = _route_key(parts)
             if route == "metrics":
-                self._metrics(params)
+                self._metrics(server, params)
             elif route == "healthz":
                 self._healthz(server)
             elif route == "index":
@@ -471,6 +475,8 @@ class ServeHandler(socketserver.BaseRequestHandler):
                     "service": "repro.serve",
                     "routes": _ROUTES,
                     "workers": server.workers,
+                    "workers_started": server.workers_started,
+                    "replicas_open": server.replicas.open_count,
                     "cache_entries": entries,
                     "cache_max_entries": cap,
                 })
@@ -495,7 +501,13 @@ class ServeHandler(socketserver.BaseRequestHandler):
                 status=self._status, wall_s=round(elapsed, 6),
             )
 
-    def _metrics(self, params: Dict[str, List[str]]) -> None:
+    def _metrics(
+        self, server: "ServeServer", params: Dict[str, List[str]]
+    ) -> None:
+        # The pool gauges are read when scraped: exact, and no metric
+        # write on the request path.
+        obs.gauge("serve.workers_started", server.workers_started)
+        obs.gauge("serve.replicas_open", server.replicas.open_count)
         fmt = params.get("format", ["json"])[0].lower()
         if fmt in ("prometheus", "prom", "text"):
             self._send(
@@ -513,6 +525,8 @@ class ServeHandler(socketserver.BaseRequestHandler):
         self._reply({
             "status": "draining" if server.draining else "ok",
             "workers": server.workers,
+            "workers_started": server.workers_started,
+            "replicas_open": server.replicas.open_count,
             "queue_depth": server.queue_size(),
             "queue_limit": server.queue_depth,
             "cache_entries": entries,
@@ -540,9 +554,10 @@ class ServeHandler(socketserver.BaseRequestHandler):
         parts: List[str],
         params: Dict[str, List[str]],
     ) -> None:
-        store = server.worker_store()
         canonical = _canonical(parts, params)
-        with store.read_snapshot():
+        # The snapshot ends before the lease does, so no handle goes
+        # back to the pool with a read transaction open.
+        with server.replicas.lease() as store, store.read_snapshot():
             # Everything below — checkpoint, conditional check, cache
             # lookup, render — sees one committed snapshot, so the ETag
             # names exactly the data the body was rendered from.
@@ -699,13 +714,14 @@ class ServeHandler(socketserver.BaseRequestHandler):
 
 
 class ServeServer(socketserver.TCPServer):
-    """Bounded-queue, fixed-pool HTTP server over read replicas.
+    """Bounded-queue HTTP server over leased read replicas.
 
-    The accept loop (``serve_forever``) only enqueues sockets; ``N``
-    worker threads own the request lifecycle end to end. A full queue
-    sheds with 503 + ``Retry-After`` at accept time — the cheapest
-    possible rejection — so latency stays bounded at saturation instead
-    of growing a thread pile.
+    The accept loop (``serve_forever``) only enqueues sockets, starting
+    a worker thread when no started one is idle, up to ``workers``; the
+    workers own the request lifecycle end to end. A full queue sheds
+    with 503 + ``Retry-After`` at accept time — the cheapest possible
+    rejection — so latency stays bounded at saturation instead of
+    growing a thread pile.
     """
 
     allow_reuse_address = True
@@ -741,30 +757,33 @@ class ServeServer(socketserver.TCPServer):
         self.replicas = ReadReplicas(self.db_path)  # fails fast on a bad db
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.queue_depth)
         self._threads: List[threading.Thread] = []
-        self._started = False
         self._accepting = False
         self._drained = threading.Event()
         self.draining = False
 
     # -- pool lifecycle ----------------------------------------------------
 
-    def start_workers(self) -> None:
-        """Spawn the worker pool (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        for index in range(self.workers):
+    @property
+    def workers_started(self) -> int:
+        """Worker threads started so far (at most ``workers``)."""
+        return len(self._threads)
+
+    def _ensure_worker(self) -> None:
+        """Start a worker for a just-queued item unless one is idle."""
+        # unfinished_tasks counts the items queued or in a worker's
+        # hands (task_done follows the connection's close): more of
+        # them than workers started leaves no worker idle for this one.
+        started = len(self._threads)
+        if self._queue.unfinished_tasks > started and started < self.workers:
             thread = threading.Thread(
                 target=self._worker_loop,
-                name=f"serve-worker-{index}",
+                name=f"serve-worker-{started}",
                 daemon=True,
             )
             thread.start()
             self._threads.append(thread)
-        obs.gauge("serve.workers", self.workers)
 
     def serve_forever(self, poll_interval: float = 0.25) -> None:
-        self.start_workers()
         self._accepting = True
         try:
             super().serve_forever(poll_interval)
@@ -788,10 +807,6 @@ class ServeServer(socketserver.TCPServer):
             finally:
                 self._queue.task_done()
 
-    def worker_store(self) -> EtlStore:
-        """The calling worker thread's read-only replica."""
-        return self.replicas.get()
-
     # -- accept path -------------------------------------------------------
 
     def process_request(self, request, client_address) -> None:
@@ -807,6 +822,7 @@ class ServeServer(socketserver.TCPServer):
             self._refuse(request, _SHED_BODY)
             return
         obs.gauge("serve.queue_depth", self._queue.qsize())
+        self._ensure_worker()
 
     def _refuse(self, request, body: bytes) -> None:
         """A minimal 503 written straight onto the socket.
@@ -845,9 +861,9 @@ class ServeServer(socketserver.TCPServer):
         """Graceful shutdown: stop accepting, finish the queue, join.
 
         New connections get an immediate 503 while queued ones complete;
-        the worker threads exit once the queue is empty. Safe to call
-        from a signal-handling thread while ``serve_forever`` runs in
-        another.
+        the started worker threads exit once the queue is empty. Safe to
+        call from a signal-handling thread while ``serve_forever`` runs
+        in another.
         """
         if self._drained.is_set():
             return
@@ -929,7 +945,7 @@ def serve(
     bound_host, bound_port = server.server_address[:2]
     print(
         f"repro.serve listening on http://{bound_host}:{bound_port}/ "
-        f"({server.workers} workers, queue depth {server.queue_depth})"
+        f"(up to {server.workers} workers, queue depth {server.queue_depth})"
     )
     obs.trace_event(
         "serve.start", host=bound_host, port=bound_port, db=db_path,

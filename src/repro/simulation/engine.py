@@ -28,6 +28,7 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro import obs
+from repro.chain.block import Block
 from repro.chain.blockchain import Blockchain
 from repro.chain.crypto import Address
 from repro.economics.oracle import PriceOracle
@@ -54,6 +55,7 @@ class SimulationResult:
     halves built (:meth:`from_state`); a warm load hands over a builder
     for each (:meth:`from_checkpoint`), since no consumer of a loaded
     result needs both, and each half is built on its first read, once.
+    :attr:`tip` builds neither on a warm load.
     """
 
     def __init__(
@@ -62,6 +64,7 @@ class SimulationResult:
         chain: Callable[[], Blockchain],
         world: Callable[[], Tuple[WorldState, Peerbook]],
         day_loop_timings: Optional[Dict[str, float]] = None,
+        tip: Optional[Callable[[], Block]] = None,
     ) -> None:
         self.config = config
         #: Cumulative wall-clock seconds per day-loop phase, filled by
@@ -71,6 +74,7 @@ class SimulationResult:
         self.day_loop_timings = day_loop_timings
         self._build_chain = chain
         self._build_world = world
+        self._read_tip = tip
 
     @classmethod
     def from_state(
@@ -97,12 +101,21 @@ class SimulationResult:
             state = checkpoint.world()
             return state, _build_peerbook(state)
 
-        return cls(checkpoint.config, checkpoint.chain, world)
+        return cls(checkpoint.config, checkpoint.chain, world,
+                   tip=checkpoint.tip)
 
     @cached_property
     def chain(self) -> Blockchain:
         """The chain half."""
         return self._build_chain()
+
+    @property
+    def tip(self) -> Block:
+        """The chain's tip block; a warm load decodes it from the last
+        frame of its log instead of building the chain half."""
+        if self._read_tip is None:
+            return self.chain.tip
+        return self._read_tip()
 
     @cached_property
     def _world_half(self) -> Tuple[WorldState, Peerbook]:

@@ -61,10 +61,12 @@ from typing import IO, Any, Callable, Dict, List, Optional, Set, Tuple, Union
 import numpy as np
 
 from repro import obs, units
+from repro.chain.block import Block
 from repro.chain.blockchain import Blockchain
 from repro.chain.chainlog import ChainLog
 from repro.chain.crypto import Address, Keypair
 from repro.chain.serialize import (
+    block_from_record,
     chain_log_extent,
     open_chain_log,
     replay_chain_log,
@@ -1233,6 +1235,14 @@ class Checkpoint:
         if self._chain is None:
             self._chain = self.build_chain(copy=False)
         return self._chain
+
+    def tip(self) -> Block:
+        """The run's tip block, decoded from the last verified frame
+        when the chain half is not built: no replay."""
+        if self._chain is not None:
+            return self._chain.tip
+        log = self._chain_log
+        return block_from_record(json.loads(log.payload(len(log) - 1)))
 
     def world(self) -> WorldState:
         """The world half, built on the first call. The state's

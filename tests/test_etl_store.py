@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import sqlite3
+import sys
+import threading
 
 import pytest
 
 from repro.errors import EtlError
 from repro.etl import SCHEMA_VERSION, EtlStore, ingest_chain
 from repro.etl import schema
-from repro.etl.store import MAX_PAGE_LIMIT, clamp_page
+from repro.etl.store import MAX_PAGE_LIMIT, ReadReplicas, clamp_page
 
 from tests.etl_chains import ChainBuilder
 
@@ -121,8 +123,8 @@ class TestContentDigest:
 
 
 class TestWalAndReplicas:
-    """The concurrency satellites: WAL at build time, per-thread
-    read-only replicas, and snapshot-consistent reads."""
+    """The concurrency satellites: WAL at build time, leased read-only
+    replicas, and snapshot-consistent reads."""
 
     def test_file_store_runs_in_wal_with_synchronous_normal(self, tmp_path):
         with EtlStore(tmp_path / "etl.db") as store:
@@ -183,37 +185,104 @@ class TestWalAndReplicas:
         writer.close()
         replica.close()
 
-    def test_read_replicas_hand_each_thread_its_own_connection(
-        self, tmp_path
-    ):
-        from repro.etl.store import ReadReplicas
-
+    def test_sequential_leases_reuse_one_handle(self, tmp_path):
         path = tmp_path / "etl.db"
         EtlStore(path).close()
         replicas = ReadReplicas(path)
-        stores = {}
+        with replicas.lease() as first:
+            assert first.read_only
+        for _ in range(5):
+            with replicas.lease() as again:
+                assert again is first
+        assert replicas.open_count == 1
+        replicas.close_all()
+        assert replicas.open_count == 0
 
-        def _grab(name):
-            stores[name] = replicas.get()
-            # Stable within a thread: repeated get() is the same handle.
-            assert replicas.get() is stores[name]
+    def test_concurrent_leases_never_share_a_handle(self, tmp_path):
+        path = tmp_path / "etl.db"
+        EtlStore(path).close()
+        replicas = ReadReplicas(path)
+        both_held = threading.Barrier(2)
+        held = []
 
-        threads = [
-            __import__("threading").Thread(target=_grab, args=(i,))
-            for i in range(3)
-        ]
+        def _lease():
+            with replicas.lease() as store:
+                held.append(store)
+                both_held.wait(timeout=10)
+
+        threads = [threading.Thread(target=_lease) for _ in range(2)]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
-        handles = list(stores.values())
-        assert len({id(store) for store in handles}) == 3
-        assert all(store.read_only for store in handles)
+            thread.join(timeout=10)
+        assert len(held) == 2 and held[0] is not held[1]
+        assert replicas.open_count == 2
+        # Most recently returned first; both stay pooled.
+        with replicas.lease() as outer, replicas.lease() as inner:
+            assert {id(outer), id(inner)} == {id(h) for h in held}
+        assert replicas.open_count == 2
         replicas.close_all()
 
-    def test_read_replicas_reject_missing_database(self, tmp_path):
-        from repro.etl.store import ReadReplicas
+    def test_leases_stay_exclusive_under_contention(self, tmp_path):
+        path = tmp_path / "etl.db"
+        EtlStore(path).close()
+        replicas = ReadReplicas(path)
+        held, clashes = set(), []
+        guard = threading.Lock()
 
+        def _hammer():
+            for _ in range(100):
+                with replicas.lease() as store:
+                    with guard:
+                        if id(store) in held:
+                            clashes.append(id(store))
+                        held.add(id(store))
+                    store.checkpoint_height  # a query on the leased handle
+                    with guard:
+                        held.discard(id(store))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=_hammer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not clashes
+        assert 1 <= replicas.open_count <= 8
+        # Every handle opened came back to the free list exactly once.
+        assert sorted(map(id, replicas._free)) == sorted(
+            map(id, replicas._opened)
+        )
+        replicas.close_all()
+
+    def test_lease_that_raised_in_a_snapshot_holds_no_transaction(
+        self, tmp_path
+    ):
+        path = tmp_path / "etl.db"
+        builder = ChainBuilder(seed=8, n_hotspots=3)
+        builder.grow(3)
+        writer = EtlStore(path)
+        ingest_chain(builder.chain, writer)
+        replicas = ReadReplicas(path)
+        with pytest.raises(RuntimeError, match="render failed"):
+            with replicas.lease() as store, store.read_snapshot():
+                assert store.checkpoint_height == builder.chain.height
+                raise RuntimeError("render failed")
+        builder.grow(2)
+        ingest_chain(builder.chain, writer)
+        with replicas.lease() as again:
+            assert again is store
+            assert not again.connection.in_transaction
+            assert again.checkpoint_height == builder.chain.height
+        replicas.close_all()
+        writer.close()
+
+    def test_read_replicas_reject_missing_database(self, tmp_path):
         with pytest.raises(EtlError, match="no ETL store"):
             ReadReplicas(tmp_path / "absent.db")
 

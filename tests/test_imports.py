@@ -156,9 +156,10 @@ def test_read_only_replica_caps_its_page_cache(tmp_path):
         writer_kib = -writer.connection.execute("PRAGMA cache_size").fetchone()[0]
     replicas = ReadReplicas(path)
     try:
-        replica_kib = -replicas.get().connection.execute(
-            "PRAGMA cache_size"
-        ).fetchone()[0]
+        with replicas.lease() as replica:
+            replica_kib = -replica.connection.execute(
+                "PRAGMA cache_size"
+            ).fetchone()[0]
     finally:
         replicas.close_all()
     assert writer_kib == replica_kib == PAGE_CACHE_KIB

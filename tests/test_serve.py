@@ -404,6 +404,8 @@ class TestHttpConformance:
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["workers"] == 4
+        assert payload["workers_started"] == 1
+        assert payload["replicas_open"] == 0  # /healthz reads no store
         assert payload["queue_limit"] == live.server.queue_depth
 
     def test_index_lists_routes(self, live):
@@ -775,12 +777,71 @@ class TestBackpressure:
     def test_drain_without_serve_forever_does_not_hang(self, db_path):
         _build_db(db_path, seed=5, n_hotspots=3, blocks=4)
         server = create_server(db_path, port=0, workers=2)
-        server.start_workers()
         server.drain(timeout_s=5)  # must return, not deadlock
         server.server_close()
 
     def test_default_workers_is_bounded(self):
         assert 4 <= default_workers() <= 32
+
+
+# -- pool sizing -----------------------------------------------------------
+
+
+class TestPoolSizing:
+    """Workers start and replicas open only as the load needs them."""
+
+    def test_sequential_requests_use_one_worker_and_one_replica(self, live):
+        for index in range(20):
+            path = "/stats" if index % 2 else f"/hotspots?limit={index}"
+            assert live.request(path)[0] == 200
+            # Every item done: the worker saw the client close and is
+            # idle again before the next connection arrives.
+            live.server._queue.join()
+        _, _, health = live.get_json("/healthz")
+        assert health["workers"] == 4
+        assert (health["workers_started"], health["replicas_open"]) == (1, 1)
+        gauges = live.get_json("/metrics")[2]["gauges"]
+        assert gauges["serve.workers_started"] == 1
+        assert gauges["serve.replicas_open"] == 1
+
+    def test_concurrent_requests_start_one_worker_each(self, live):
+        workers = live.server.workers
+        barrier = threading.Barrier(workers)
+        statuses = []
+
+        def _sleep():
+            barrier.wait()
+            statuses.append(live.request("/debug/sleep?s=0.3")[0])
+
+        clients = [threading.Thread(target=_sleep) for _ in range(workers)]
+        started = time.monotonic()
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join(timeout=10)
+        elapsed = time.monotonic() - started
+        assert statuses == [200] * workers
+        assert elapsed < 0.6, elapsed  # in parallel, not one after another
+        assert live.server.workers_started == workers
+        _, _, index = live.get_json("/")
+        assert index["workers_started"] == workers
+
+    def test_a_failed_request_returns_its_replica_with_no_snapshot(
+        self, live
+    ):
+        before = live.builder.chain.height
+        status, _, payload = live.get_json("/hotspots?cursor=bogus")
+        assert status == 400, payload  # raised inside the read snapshot
+        live.server._queue.join()
+        live.builder.grow(2)
+        with EtlStore(live.db_path) as writer:
+            ingest_chain(live.builder.chain, writer)
+        _, _, stats = live.get_json("/stats")
+        # The same handle again, reading the commit made after its
+        # failed request: it came back with no read transaction open.
+        assert live.server.replicas.open_count == 1
+        assert stats["checkpoint_height"] == live.builder.chain.height
+        assert stats["checkpoint_height"] > before
 
 
 # -- reads under ingest ----------------------------------------------------
