@@ -1,4 +1,4 @@
-"""Checkpoint-keyed response cache with ETags and a TTL bound.
+"""Checkpoint-keyed response cache with ETags and seen-before admission.
 
 The cache exploits the one freshness fact the ETL tier makes cheap to
 check: a response can only change when ingest advances the store's
@@ -12,13 +12,24 @@ which yields exact invalidation:
   every ETag in the wild stops validating — no stale body can ever be
   served, and no explicit invalidation hook is needed.
 
-The TTL is a memory bound, not a freshness mechanism (freshness is the
-checkpoint's job): entries idle longer than ``ttl_s`` are dropped, and
-an LRU cap bounds the entry count. Hits, misses and evictions land in
-the :mod:`repro.obs` registry under ``serve.cache.*``.
+A body is stored only for a request the cache has seen before: the
+first 200 render of a request leaves a bodiless marker, and a later
+render stores the body. Most pages of a cold scan are asked for once,
+and holding their bodies would only fill memory. A body found stale at
+a lookup turns back into a marker, so a page read before an ingest
+commit is stored on its first render after it. Markers and bodies share
+one LRU map, capped at :data:`MAX_ENTRIES` keys; that cap is the memory
+bound, and freshness is the checkpoint's job. Hits, misses, declined
+stores and evictions land in the :mod:`repro.obs` registry under
+``serve.cache.*``.
 
->>> cache = ResponseCache(max_entries=2, ttl_s=60.0)
->>> entry = cache.put("/stats", 7, b"{}", "application/json")
+>>> cache = ResponseCache()
+>>> cache.put("/stats", 7, b"{}", "application/json") is None  # first render
+True
+>>> cache.get("/stats", 7) is None   # a marker reads as a miss
+True
+>>> cache.put("/stats", 7, b"{}", "application/json").body    # seen before
+b'{}'
 >>> cache.get("/stats", 7) is not None
 True
 >>> cache.get("/stats", 8) is None   # checkpoint advanced: miss
@@ -30,12 +41,15 @@ from __future__ import annotations
 import threading
 import zlib
 from collections import OrderedDict
-from time import monotonic
 from typing import NamedTuple, Optional, Tuple
 
 from repro import obs
 
-__all__ = ["CacheEntry", "ResponseCache", "etag_for", "etag_matches"]
+__all__ = ["MAX_ENTRIES", "CacheEntry", "ResponseCache", "etag_for",
+           "etag_matches"]
+
+#: Most keys the cache holds, markers and bodies alike.
+MAX_ENTRIES = 1024
 
 
 def etag_for(canonical: str, checkpoint: int) -> str:
@@ -57,7 +71,8 @@ def etag_for(canonical: str, checkpoint: int) -> str:
 
 
 def etag_matches(if_none_match: Optional[str], etag: str) -> bool:
-    """RFC 7232 weak comparison of an ``If-None-Match`` header."""
+    """RFC 9110 weak comparison of an ``If-None-Match`` header with the
+    ETag of a page that exists; ``*`` matches any such page."""
     if not if_none_match:
         return False
     candidates = [value.strip() for value in if_none_match.split(",")]
@@ -76,46 +91,40 @@ class CacheEntry(NamedTuple):
     content_type: str
     etag: str
     checkpoint: int
-    stored_at: float
 
 
 class ResponseCache:
-    """LRU map of canonical request → rendered 200 response.
+    """LRU map of canonical request → rendered 200 response, or a marker.
 
     Thread-safe; every serving worker reads and writes it. Only
-    successful, full-body responses are cached — errors and 304s are
-    cheap to recompute and would only pollute the working set.
+    successful, full-body responses are offered — errors and 304s are
+    cheap to recompute and would only pollute the working set — and
+    only a request seen before keeps its body.
     """
 
-    def __init__(self, max_entries: int = 1024, ttl_s: float = 30.0) -> None:
-        self.max_entries = int(max_entries)
-        self.ttl_s = float(ttl_s)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        # None is a marker: the request was rendered, its body not kept.
+        self._entries: "OrderedDict[str, Optional[CacheEntry]]" = (
+            OrderedDict()
+        )
+        self._bodies = 0
 
-    def get(
-        self, canonical: str, checkpoint: int, now: Optional[float] = None
-    ) -> Optional[CacheEntry]:
+    def get(self, canonical: str, checkpoint: int) -> Optional[CacheEntry]:
         """The live entry for a request at ``checkpoint``, else ``None``.
 
         An entry stored under a different checkpoint is stale by
-        definition and dropped on sight; an entry idle past the TTL is
-        dropped to bound memory.
+        definition: its body is dropped on sight and its marker stays.
         """
-        now = monotonic() if now is None else now
         with self._lock:
             entry = self._entries.get(canonical)
             if entry is None:
                 obs.counter("serve.cache.miss")
                 return None
             if entry.checkpoint != int(checkpoint):
-                del self._entries[canonical]
+                self._entries[canonical] = None
+                self._bodies -= 1
                 obs.counter("serve.cache.invalidated")
-                obs.counter("serve.cache.miss")
-                return None
-            if now - entry.stored_at > self.ttl_s:
-                del self._entries[canonical]
-                obs.counter("serve.cache.expired")
                 obs.counter("serve.cache.miss")
                 return None
             self._entries.move_to_end(canonical)
@@ -128,32 +137,43 @@ class ResponseCache:
         checkpoint: int,
         body: bytes,
         content_type: str,
-        now: Optional[float] = None,
-    ) -> CacheEntry:
-        """Store a rendered 200 response; returns the entry."""
-        now = monotonic() if now is None else now
-        entry = CacheEntry(
-            body=body,
-            content_type=content_type,
-            etag=etag_for(canonical, checkpoint),
-            checkpoint=int(checkpoint),
-            stored_at=now,
-        )
+    ) -> Optional[CacheEntry]:
+        """Offer a rendered 200 response; returns the entry if stored.
+
+        The first offer of a request leaves a marker and stores nothing
+        (``serve.cache.declined``); an offer for a request the cache
+        holds a key for stores the body.
+        """
         with self._lock:
+            if canonical in self._entries:
+                entry: Optional[CacheEntry] = CacheEntry(
+                    body=body,
+                    content_type=content_type,
+                    etag=etag_for(canonical, checkpoint),
+                    checkpoint=int(checkpoint),
+                )
+                if self._entries[canonical] is None:
+                    self._bodies += 1
+            else:
+                entry = None
+                obs.counter("serve.cache.declined")
             self._entries[canonical] = entry
             self._entries.move_to_end(canonical)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            while len(self._entries) > MAX_ENTRIES:
+                _, evicted = self._entries.popitem(last=False)
+                if evicted is not None:
+                    self._bodies -= 1
                 obs.counter("serve.cache.evicted")
-            obs.gauge("serve.cache.entries", len(self._entries))
+            obs.gauge("serve.cache.entries", self._bodies)
         return entry
 
     def stats(self) -> Tuple[int, int]:
-        """``(entries, max_entries)`` — for the index route."""
+        """``(bodies held, MAX_ENTRIES)`` — for the index route."""
         with self._lock:
-            return len(self._entries), self.max_entries
+            return self._bodies, MAX_ENTRIES
 
     def clear(self) -> None:
         """Drop everything (tests)."""
         with self._lock:
             self._entries.clear()
+            self._bodies = 0

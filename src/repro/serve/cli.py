@@ -5,7 +5,7 @@ Usage::
     python -m repro.serve serve --db /tmp/etl.db --port 8700
     python -m repro.serve serve --db /tmp/etl.db --scenario small
     python -m repro.serve serve --db /tmp/etl.db --workers 8 \\
-        --queue-depth 256 --cache-ttl 30
+        --queue-depth 256
     python -m repro.serve load --url http://127.0.0.1:8700 \\
         --clients 1000 --duration 10 --report load.json
     python -m repro.serve --trace serve.jsonl serve --db /tmp/etl.db
@@ -55,14 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--queue-depth", type=int, default=128, metavar="N",
         help="max queued requests before shedding 503s (default 128)",
-    )
-    serve.add_argument(
-        "--cache-entries", type=int, default=1024, metavar="N",
-        help="response-cache LRU capacity (default 1024)",
-    )
-    serve.add_argument(
-        "--cache-ttl", type=float, default=30.0, metavar="SECONDS",
-        help="response-cache idle TTL (default 30)",
     )
     serve.add_argument(
         "--scenario", default=None, metavar="NAME|FILE",
@@ -146,8 +138,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         workers=args.workers,
         queue_depth=args.queue_depth,
-        cache_entries=args.cache_entries,
-        cache_ttl_s=args.cache_ttl,
         verbose=not args.quiet,
     )
     return 0

@@ -33,7 +33,7 @@ import binascii
 import json
 import zlib
 
-__all__ = ["CursorError", "decode_cursor", "encode_cursor"]
+__all__ = ["MAX_POSITION", "CursorError", "decode_cursor", "encode_cursor"]
 
 #: Version tag baked into every token; bump on layout changes so old
 #: cursors fail closed as 400s instead of decoding to nonsense.
@@ -41,6 +41,9 @@ _VERSION = 2
 
 #: Domain-separation prefix for the integrity tag (not a secret).
 _TAG_KEY = b"repro.serve.cursor.v2:"
+
+#: SQLite's largest integer: a position past it cannot be bound.
+MAX_POSITION = 2**63 - 1
 
 
 class CursorError(ValueError):
@@ -67,11 +70,12 @@ def encode_cursor(kind: str, after: int) -> str:
 
 
 def decode_cursor(token: str, kind: str) -> int:
-    """The row position a token resumes from.
+    """The row position a token resumes from, in ``[0, MAX_POSITION]``.
 
     Raises:
         CursorError: on anything that is not a well-formed, untampered
-            token of the right kind — the HTTP layer maps this to 400.
+            token of the right kind naming such a position — the HTTP
+            layer maps this to 400.
     """
     if not token or len(token) > 256:
         raise CursorError("bad cursor: empty or oversized token")
@@ -93,6 +97,7 @@ def decode_cursor(token: str, kind: str) -> int:
             f"bad cursor: token is for {fields.get('k')!r}, not {kind!r}"
         )
     after = fields.get("a")
-    if not isinstance(after, int) or isinstance(after, bool) or after < 0:
+    if (not isinstance(after, int) or isinstance(after, bool)
+            or not 0 <= after <= MAX_POSITION):
         raise CursorError("bad cursor: invalid position")
     return after

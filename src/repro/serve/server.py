@@ -14,9 +14,10 @@ JSON, built for sustained concurrent traffic:
   connections and requests were ever in flight at once.
 * **Checkpoint-keyed response caching.** Every cacheable response
   carries an ETag that embeds the store's ingest checkpoint
-  (:mod:`repro.serve.cache`); repeats are served from memory and
-  ``If-None-Match`` revalidations collapse to empty 304s — and all of
-  it invalidates exactly when ingest commits a new checkpoint.
+  (:mod:`repro.serve.cache`); a page asked for again is kept and then
+  served from memory, and ``If-None-Match`` revalidations collapse to
+  empty 304s — and all of it invalidates exactly when ingest commits a
+  new checkpoint.
 * **Snapshot-consistent reads.** A request renders inside one SQLite
   read transaction (:meth:`EtlStore.read_snapshot`), so a multi-query
   page can never mix rows from two ingest commits; the checkpoint in
@@ -52,9 +53,12 @@ Routes: ``/stats``, ``/hotspots``, ``/hotspot/<id>[/witnesses]``,
 queue and cache state) and ``/metrics``; ``/`` lists them. List responses
 carry ``checkpoint`` and ``next_cursor``. Errors are ``{"error": …}``
 with a 4xx: 404 for unknown resources, 400 for a negative or
-non-integer ``limit``/``offset`` (an oversized ``limit`` clamps to
-:data:`repro.etl.store.MAX_PAGE_LIMIT`). ``HEAD`` mirrors ``GET``
-headers; every other method is 405 with ``Allow: GET, HEAD``.
+non-integer ``limit``/``offset``, an ``offset`` or cursor position past
+SQLite's largest integer, or a bad cursor (an oversized ``limit``
+clamps to :data:`repro.etl.store.MAX_PAGE_LIMIT`); a handler fault is a
+JSON 500. ``HEAD`` mirrors ``GET`` headers; every other method is 405
+with ``Allow: GET, HEAD``. ``If-None-Match: *`` turns only a 200 into a
+304.
 
 Observability (:mod:`repro.obs`): ``serve.requests{route=,status=}``
 counters, ``serve.latency_s{route=}`` histograms,
@@ -85,7 +89,9 @@ from repro.errors import EtlError
 from repro.etl.server import event_to_json, owner_to_json, page_to_json
 from repro.etl.store import MAX_PAGE_LIMIT, EtlStore, ReadReplicas
 from repro.serve.cache import ResponseCache, etag_for, etag_matches
-from repro.serve.cursor import CursorError, decode_cursor, encode_cursor
+from repro.serve.cursor import (
+    MAX_POSITION, CursorError, decode_cursor, encode_cursor,
+)
 
 __all__ = ["ServeServer", "create_server", "default_workers", "serve"]
 
@@ -106,7 +112,7 @@ _HTTP_VERSION = re.compile(rb"HTTP/(\d)\.(\d)")
 _REASONS = {
     200: "OK", 304: "Not Modified", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 414: "URI Too Long",
-    431: "Request Header Fields Too Large",
+    431: "Request Header Fields Too Large", 500: "Internal Server Error",
     505: "HTTP Version Not Supported",
 }
 
@@ -434,6 +440,11 @@ class ServeHandler(socketserver.BaseRequestHandler):
             )
         if max_value is not None and value > max_value:
             return max_value
+        if value > MAX_POSITION:  # SQLite could not bind it
+            raise ValueError(
+                f"query parameter {name!r} must be <= {MAX_POSITION}, "
+                f"got {value}"
+            )
         return value
 
     # -- dispatch ----------------------------------------------------------
@@ -454,7 +465,7 @@ class ServeHandler(socketserver.BaseRequestHandler):
     def _dispatch(self) -> None:
         server: "ServeServer" = self.server  # type: ignore[assignment]
         route = "unknown"
-        self._status = 200
+        self._status: Optional[int] = None  # set when a reply starts
         started = perf_counter()
         try:
             # urlparse raises ValueError on a malformed authority
@@ -492,6 +503,14 @@ class ServeHandler(socketserver.BaseRequestHandler):
             self._error(str(exc), status=400)
         except (ValueError, KeyError) as exc:
             self._error(f"bad request: {exc}", status=400)
+        except Exception:
+            # A fault before any reply is a JSON 500, and the connection
+            # closes once the worker records the error. A reply whose
+            # write failed (the peer left) keeps the status it carried.
+            if self._status is None:
+                self._close = True
+                self._error("internal server error", status=500)
+            raise
         finally:
             elapsed = perf_counter() - started
             obs.counter("serve.requests", route=route, status=self._status)
@@ -555,6 +574,7 @@ class ServeHandler(socketserver.BaseRequestHandler):
         params: Dict[str, List[str]],
     ) -> None:
         canonical = _canonical(parts, params)
+        condition = self.headers.get("if-none-match")
         # The snapshot ends before the lease does, so no handle goes
         # back to the pool with a read transaction open.
         with server.replicas.lease() as store, store.read_snapshot():
@@ -564,28 +584,41 @@ class ServeHandler(socketserver.BaseRequestHandler):
             checkpoint = store.checkpoint_height
             etag = etag_for(canonical, checkpoint)
             if route not in _UNCACHED:
-                if etag_matches(self.headers.get("if-none-match"), etag):
-                    obs.counter("serve.cache.revalidated")
-                    self._send(
-                        b"", "application/json", 304,
-                        {"ETag": etag, "X-Checkpoint": str(checkpoint)},
-                    )
+                # A listed tag was issued with a 200 of this request, so
+                # it can match before the render; "*" matches only a
+                # page that exists (RFC 9110 13.1.2), which takes a 200.
+                if (condition and "*" not in condition
+                        and etag_matches(condition, etag)):
+                    self._not_modified(etag, checkpoint)
                     return
                 entry = server.cache.get(canonical, checkpoint)
                 if entry is not None:
-                    self._send(
-                        entry.body, entry.content_type, 200,
-                        {"ETag": entry.etag,
-                         "X-Checkpoint": str(entry.checkpoint)},
-                    )
+                    if etag_matches(condition, entry.etag):
+                        self._not_modified(etag, checkpoint)
+                    else:
+                        self._send(
+                            entry.body, entry.content_type, 200,
+                            {"ETag": entry.etag,
+                             "X-Checkpoint": str(entry.checkpoint)},
+                        )
                     return
             payload, status = self._render(store, parts, params, checkpoint)
         body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         headers = {"X-Checkpoint": str(checkpoint)}
         if status == 200 and route not in _UNCACHED:
             server.cache.put(canonical, checkpoint, body, "application/json")
+            if etag_matches(condition, etag):
+                self._not_modified(etag, checkpoint)
+                return
             headers["ETag"] = etag
         self._send(body, "application/json", status, headers)
+
+    def _not_modified(self, etag: str, checkpoint: int) -> None:
+        obs.counter("serve.cache.revalidated")
+        self._send(
+            b"", "application/json", 304,
+            {"ETag": etag, "X-Checkpoint": str(checkpoint)},
+        )
 
     def _render(
         self,
@@ -733,8 +766,6 @@ class ServeServer(socketserver.TCPServer):
         db_path: str,
         workers: Optional[int] = None,
         queue_depth: int = 128,
-        cache_entries: int = 1024,
-        cache_ttl_s: float = 30.0,
         retry_after_s: int = 1,
         keepalive_idle_s: float = 5.0,
         verbose: bool = False,
@@ -751,9 +782,7 @@ class ServeServer(socketserver.TCPServer):
         self.keepalive_idle_s = float(keepalive_idle_s)
         self.verbose = verbose
         self.test_routes = test_routes
-        self.cache = ResponseCache(
-            max_entries=cache_entries, ttl_s=cache_ttl_s
-        )
+        self.cache = ResponseCache()
         self.replicas = ReadReplicas(self.db_path)  # fails fast on a bad db
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.queue_depth)
         self._threads: List[threading.Thread] = []
@@ -771,8 +800,9 @@ class ServeServer(socketserver.TCPServer):
     def _ensure_worker(self) -> None:
         """Start a worker for a just-queued item unless one is idle."""
         # unfinished_tasks counts the items queued or in a worker's
-        # hands (task_done follows the connection's close): more of
-        # them than workers started leaves no worker idle for this one.
+        # hands (task_done comes just before the connection's close):
+        # more of them than workers started leaves no worker idle for
+        # this one.
         started = len(self._threads)
         if self._queue.unfinished_tasks > started and started < self.workers:
             thread = threading.Thread(
@@ -793,19 +823,20 @@ class ServeServer(socketserver.TCPServer):
     def _worker_loop(self) -> None:
         while True:
             item = self._queue.get()
-            try:
-                if item is _STOP:
-                    return
-                request, client_address = item
-                obs.gauge("serve.queue_depth", self._queue.qsize())
-                try:
-                    self.finish_request(request, client_address)
-                except Exception:  # noqa: BLE001 - peer may vanish anytime
-                    self.handle_error(request, client_address)
-                finally:
-                    self.shutdown_request(request)
-            finally:
+            if item is _STOP:
                 self._queue.task_done()
+                return
+            request, client_address = item
+            obs.gauge("serve.queue_depth", self._queue.qsize())
+            try:
+                self.finish_request(request, client_address)
+            except Exception:  # noqa: BLE001 - peer may vanish anytime
+                self.handle_error(request, client_address)
+            finally:
+                # Done before the close: a client that reconnects once
+                # it reads EOF then finds this worker idle.
+                self._queue.task_done()
+                self.shutdown_request(request)
 
     # -- accept path -------------------------------------------------------
 
@@ -891,8 +922,6 @@ def create_server(
     port: int = 8700,
     workers: Optional[int] = None,
     queue_depth: int = 128,
-    cache_entries: int = 1024,
-    cache_ttl_s: float = 30.0,
     keepalive_idle_s: float = 5.0,
     verbose: bool = False,
     test_routes: bool = False,
@@ -910,8 +939,6 @@ def create_server(
         db_path,
         workers=workers,
         queue_depth=queue_depth,
-        cache_entries=cache_entries,
-        cache_ttl_s=cache_ttl_s,
         keepalive_idle_s=keepalive_idle_s,
         verbose=verbose,
         test_routes=test_routes,
@@ -924,8 +951,6 @@ def serve(
     port: int = 8700,
     workers: Optional[int] = None,
     queue_depth: int = 128,
-    cache_entries: int = 1024,
-    cache_ttl_s: float = 30.0,
     verbose: bool = True,
 ) -> None:
     """Serve until SIGTERM/SIGINT, then drain gracefully.
@@ -939,8 +964,7 @@ def serve(
 
     server = create_server(
         db_path, host=host, port=port, workers=workers,
-        queue_depth=queue_depth, cache_entries=cache_entries,
-        cache_ttl_s=cache_ttl_s, verbose=verbose,
+        queue_depth=queue_depth, verbose=verbose,
     )
     bound_host, bound_port = server.server_address[:2]
     print(

@@ -20,24 +20,32 @@ and the four behaviours that let :mod:`repro.serve` take traffic:
 
 from __future__ import annotations
 
+import base64
 import http.client
 import json
+import socket
 import threading
 import time
 from urllib.parse import quote
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro import obs
 from repro.errors import EtlError
 from repro.etl import EtlStore, ingest_chain
 from repro.etl.server import owner_to_json, page_to_json
 from repro.etl.store import MAX_PAGE_LIMIT
 from repro.experiments import context
-from repro.serve.cache import ResponseCache, etag_for, etag_matches
+from repro.serve import cache as cache_module
+from repro.serve.cache import (
+    MAX_ENTRIES, ResponseCache, etag_for, etag_matches,
+)
 from repro.serve.cli import _open_or_ingest
-from repro.serve.cursor import CursorError, decode_cursor, encode_cursor
-from repro.serve.server import create_server, default_workers
+from repro.serve.cursor import (
+    MAX_POSITION, CursorError, _tag, decode_cursor, encode_cursor,
+)
+from repro.serve.server import ServeHandler, create_server, default_workers
 
 from tests.etl_chains import ChainBuilder
 from tests.reference_twins import ChainExplorer
@@ -77,6 +85,11 @@ class LiveServer:
         self.server.shutdown()
         self.server.server_close()
         self.thread.join(timeout=5)
+
+
+def _counter(name):
+    """A counter of the process registry the in-process servers share."""
+    return obs.snapshot()["counters"].get(name, 0)
 
 
 def _build_db(path, seed=21, n_hotspots=8, blocks=12):
@@ -130,6 +143,35 @@ def _walk_cursor(live, limit):
     raise AssertionError("cursor walk did not terminate")
 
 
+def _mint(payload: bytes) -> str:
+    """A token with a valid integrity tag around any payload bytes: the
+    tag is no secret, so any client can make one."""
+    raw = payload + b"." + _tag(payload).encode("ascii")
+    return base64.urlsafe_b64encode(raw).decode("ascii").rstrip("=")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+    | st.integers(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+#: Tokens with a valid tag around JSON payloads: right or wrong version
+#: and kind, and positions of every JSON type, SQLite's bound included.
+_MINTED = st.builds(
+    lambda fields: _mint(json.dumps(fields).encode("utf-8")),
+    _JSON | st.fixed_dictionaries({
+        "v": st.just(2) | _JSON,
+        "k": st.just("hotspots") | _JSON,
+        "a": st.integers(min_value=MAX_POSITION - 2,
+                         max_value=MAX_POSITION + 2)
+        | st.integers(min_value=-2**70, max_value=2**70) | _JSON,
+    }),
+)
+
+
 # -- ETag / caching --------------------------------------------------------
 
 
@@ -153,12 +195,65 @@ class TestEtagCaching:
 
     def test_repeat_request_is_a_cache_hit(self, live):
         live.server.cache.clear()
-        live.get_json("/coverage/dots")
-        entries_before, _ = live.server.cache.stats()
-        assert entries_before >= 1
         _, _, first = live.get_json("/coverage/dots")
+        assert live.server.cache.stats()[0] == 0  # seen once: no body
         _, _, second = live.get_json("/coverage/dots")
-        assert first == second
+        assert live.server.cache.stats()[0] == 1  # asked again: stored
+        hits = _counter("serve.cache.hit")
+        _, _, third = live.get_json("/coverage/dots")
+        assert _counter("serve.cache.hit") == hits + 1
+        assert first == second == third
+
+    def test_first_render_carries_its_etag_and_revalidates(self, live):
+        live.server.cache.clear()
+        status, headers, _ = live.request("/hotspots?limit=3")
+        assert status == 200
+        checkpoint = int(headers["X-Checkpoint"])
+        assert headers["ETag"] == etag_for("/hotspots?limit=3", checkpoint)
+        assert live.server.cache.stats()[0] == 0
+        status, headers_304, body = live.request(
+            "/hotspots?limit=3", headers={"If-None-Match": headers["ETag"]}
+        )
+        assert (status, body) == (304, b"")
+        assert headers_304["ETag"] == headers["ETag"]
+
+    def test_page_seen_before_a_commit_is_stored_on_its_first_render_after(
+        self, live
+    ):
+        live.server.cache.clear()
+        live.get_json("/stats")  # a marker
+        live.get_json("/hotspots")
+        live.get_json("/hotspots")  # a body
+        assert live.server.cache.stats()[0] == 1
+        live.builder.grow(2)
+        with EtlStore(live.db_path) as writer:
+            ingest_chain(live.builder.chain, writer)
+        invalidated = _counter("serve.cache.invalidated")
+        for path in ("/stats", "/hotspots"):
+            live.get_json(path)
+        assert _counter("serve.cache.invalidated") == invalidated + 1
+        assert live.server.cache.stats()[0] == 2
+        hits = _counter("serve.cache.hit")
+        for path in ("/stats", "/hotspots"):
+            _, headers, _ = live.get_json(path)
+            assert int(headers["X-Checkpoint"]) == live.builder.chain.height
+        assert _counter("serve.cache.hit") == hits + 2
+
+    @pytest.mark.parametrize("path, status", [
+        ("/hotspot/nope", 404),
+        ("/hotspots?limit=abc", 400),
+        ("/stats", 304),
+    ])
+    def test_star_matches_only_a_page_that_exists(self, live, path, status):
+        # Three times: a first render, a stored render and, for a 200,
+        # a cache hit.
+        live.server.cache.clear()
+        for _ in range(3):
+            got, headers, body = live.request(
+                path, headers={"If-None-Match": "*"}
+            )
+            assert got == status, body
+            assert ("ETag" in headers) == (status == 304)
 
     def test_checkpoint_advance_invalidates_stale_etag(self, live):
         """The acceptance-criteria staleness test: grow the chain, ingest
@@ -208,25 +303,36 @@ class TestCacheUnit:
         assert not etag_matches(etag_for("/stats", 8), etag)
 
     def test_checkpoint_mismatch_drops_entry(self):
-        cache = ResponseCache(max_entries=4, ttl_s=60.0)
-        cache.put("/a", 1, b"{}", "application/json")
+        cache = ResponseCache()
+        for _ in range(2):
+            cache.put("/a", 1, b"{}", "application/json")
         assert cache.get("/a", 2) is None
         assert cache.get("/a", 1) is None  # dropped, not resurrected
 
-    def test_ttl_expiry_bounds_memory(self):
-        cache = ResponseCache(max_entries=4, ttl_s=10.0)
-        cache.put("/a", 1, b"{}", "application/json", now=0.0)
-        assert cache.get("/a", 1, now=5.0) is not None
-        assert cache.get("/a", 1, now=20.0) is None
-
-    def test_lru_eviction_at_capacity(self):
-        cache = ResponseCache(max_entries=2, ttl_s=60.0)
-        cache.put("/a", 1, b"a", "t")
-        cache.put("/b", 1, b"b", "t")
+    def test_lru_eviction_at_capacity(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 2)
+        cache = ResponseCache()
+        for _ in range(2):
+            cache.put("/a", 1, b"a", "t")
+        for _ in range(2):
+            cache.put("/b", 1, b"b", "t")
         cache.get("/a", 1)  # touch /a so /b is the LRU victim
-        cache.put("/c", 1, b"c", "t")
+        for _ in range(2):
+            cache.put("/c", 1, b"c", "t")
         assert cache.get("/b", 1) is None
         assert cache.get("/a", 1) is not None
+
+    def test_one_hit_scan_holds_no_body(self):
+        cache = ResponseCache()
+        scan = MAX_ENTRIES + 500
+        declined = _counter("serve.cache.declined")
+        for index in range(scan):
+            canonical = f"/hotspot/hs_{index}"
+            assert cache.get(canonical, 1) is None
+            assert cache.put(canonical, 1, b"{}", "application/json") is None
+        assert cache.stats() == (0, MAX_ENTRIES)
+        assert len(cache._entries) <= MAX_ENTRIES
+        assert _counter("serve.cache.declined") == declined + scan
 
 
 # -- cursor pagination -----------------------------------------------------
@@ -261,6 +367,7 @@ class TestCursorPagination:
         encode_cursor("witnesses", 3),  # wrong kind
         "",
         "x" * 300,  # oversized
+        encode_cursor("hotspots", 2**63),  # a position SQLite cannot bind
     ])
     def test_invalid_cursor_is_400(self, live, token):
         status, _, payload = live.get_json(f"/hotspots?cursor={token}")
@@ -318,6 +425,16 @@ class TestCursorUnit:
     def test_negative_position_rejected(self):
         with pytest.raises(CursorError):
             decode_cursor(encode_cursor("hotspots", -1), "hotspots")
+
+    @given(token=st.one_of(st.text(max_size=64), _MINTED))
+    @example(token=encode_cursor("hotspots", MAX_POSITION + 1))
+    @settings(max_examples=300, deadline=None)
+    def test_any_token_is_a_position_or_a_cursor_error(self, token):
+        try:
+            after = decode_cursor(token, "hotspots")
+        except CursorError:
+            return
+        assert type(after) is int and 0 <= after <= MAX_POSITION
 
 
 class TestStoreCursorRows:
@@ -516,6 +633,7 @@ class TestExplorerErrors:
         "/hotspots?offset=-1",
         "/hotspots?limit=notanint",
         "/hotspots?offset=notanint",
+        "/hotspots?offset=9223372036854775808",  # 2**63: SQLite overflows
         "/hotspots?limit=banana",
         "/search?q=a&limit=-5",
         "/search?q=a&limit=nan",
@@ -538,6 +656,44 @@ class TestExplorerErrors:
 
     def test_zero_limit_is_an_empty_page(self, explorer):
         assert _ok(explorer, "/hotspots?limit=0")["hotspots"] == []
+
+    def test_largest_offset_is_an_empty_page(self, explorer):
+        path = f"/hotspots?offset={MAX_POSITION}"
+        assert _ok(explorer, path)["hotspots"] == []
+
+    @given(token=st.one_of(st.text(max_size=64), _MINTED))
+    @example(token=encode_cursor("hotspots", MAX_POSITION))
+    @example(token=encode_cursor("hotspots", MAX_POSITION + 1))
+    @settings(max_examples=60, deadline=None)
+    def test_any_cursor_is_a_page_or_a_json_400(self, explorer, token):
+        errors = _counter("serve.handler_errors")
+        status, headers, body = explorer.request(
+            f"/hotspots?cursor={quote(token)}"
+        )
+        assert status in (200, 400), body
+        assert headers["Content-Type"] == "application/json"
+        assert "error" in json.loads(body) or status == 200
+        assert _counter("serve.handler_errors") == errors
+
+    def test_a_handler_fault_is_a_json_500_never_a_200(
+        self, live, monkeypatch
+    ):
+        def _fault(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(ServeHandler, "_render", _fault)
+        ok = _counter("serve.requests{route=stats,status=200}")
+        failed = _counter("serve.requests{route=stats,status=500}")
+        errors = _counter("serve.handler_errors")
+        status, headers, payload = live.get_json("/stats")
+        assert status == 500 and "error" in payload
+        assert headers["Connection"] == "close"
+        live.server._queue.join()  # the worker has recorded the error
+        assert _counter("serve.requests{route=stats,status=200}") == ok
+        assert _counter("serve.requests{route=stats,status=500}") == (
+            failed + 1
+        )
+        assert _counter("serve.handler_errors") == errors + 1
 
 
 class TestMetricsRoute:
@@ -803,6 +959,16 @@ class TestPoolSizing:
         gauges = live.get_json("/metrics")[2]["gauges"]
         assert gauges["serve.workers_started"] == 1
         assert gauges["serve.replicas_open"] == 1
+
+    def test_clients_that_read_to_eof_find_their_worker_idle(self, live):
+        for _ in range(200):
+            with socket.create_connection(
+                (live.host, live.port), timeout=10
+            ) as sock:
+                sock.sendall(b"GET /stats HTTP/1.0\r\n\r\n")
+                while sock.recv(65536):
+                    pass
+        assert live.server.workers_started == 1
 
     def test_concurrent_requests_start_one_worker_each(self, live):
         workers = live.server.workers
