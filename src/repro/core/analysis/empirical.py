@@ -14,13 +14,7 @@ import numpy as np
 
 from repro.errors import AnalysisError
 from repro.field.counter_app import CounterAppExperiment
-from repro.field.reconcile import (
-    AckTable,
-    Hip15Accuracy,
-    MissRunStats,
-    ack_table,
-    hip15_accuracy,
-)
+from repro.field.reconcile import AckTable, Hip15Accuracy, MissRunStats
 from repro.field.walks import WalkExperiment, generate_walk
 from repro.geo.geodesy import LatLon, haversine_km_many, latlon_arrays
 from repro.lorawan.network import NetworkHotspot
@@ -145,6 +139,6 @@ def run_walk(
     return WalkReport(
         prr=result.prr,
         packets_sent=result.packets_sent,
-        acks=ack_table(result.records),
-        hip15=hip15_accuracy(result.records),
+        acks=result.tally.ack_table(),
+        hip15=result.hip15.accuracy(),
     )

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,9 +36,16 @@ from repro.geo.geodesy import (
     destination,
     destination_many,
     haversine_km_many,
+    latlon_arrays,
 )
 from repro.geo.landmass import Landmass
-from repro.geo.polygon import Polygon, convex_hull, disk_area_km2
+from repro.geo.polygon import (
+    Polygon,
+    convex_hull,
+    disk_area_km2,
+    ring_contains,
+    ring_contains_many,
+)
 from repro.radio.propagation import FSPL_SENSITIVITY_DBM, fspl_range_growth_m
 
 __all__ = [
@@ -62,14 +70,29 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class WitnessGeometry:
-    """One challenge reduced to the geometry the coverage models use."""
+    """One challenge reduced to the geometry the coverage models use.
+
+    The witness columns are parallel, one entry per chain-valid
+    witness: ``locations[i]`` heard the challengee ``distances_km[i]``
+    away at ``rssi_dbm[i]``.
+    """
 
     challengee: LatLon
-    #: (witness location, witness distance km, witness RSSI dBm) for each
-    #: chain-valid witness.
-    witnesses: Tuple[Tuple[LatLon, float, float], ...]
+    locations: Tuple[LatLon, ...]
+    distances_km: np.ndarray
+    rssi_dbm: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WitnessGeometry):
+            return NotImplemented
+        return (
+            self.challengee == other.challengee
+            and self.locations == other.locations
+            and np.array_equal(self.distances_km, other.distances_km)
+            and np.array_equal(self.rssi_dbm, other.rssi_dbm)
+        )
 
 
 def build_witness_geometry(
@@ -79,6 +102,11 @@ def build_witness_geometry(
 ) -> List[WitnessGeometry]:
     """Convert PoC receipts into witness geometries.
 
+    Each distinct location token is located once, so every geometry
+    that names it shares one :class:`LatLon` (at ``paper``, 112,815
+    witness reports name 5,548 tokens); a receipt's distances and RSSI
+    values are kept as float arrays.
+
     Args:
         receipts: ``(challengee location token, [(witness location
             token, RSSI dBm), …])`` per receipt, its chain-valid witness
@@ -87,27 +115,42 @@ def build_witness_geometry(
             yields them.
         locate: callable mapping a hex token to :class:`LatLon` (usually
             ``HexCell.from_token(...).center()``; injected so analyses can
-            substitute historical ledgers).
+            substitute historical ledgers), or to None for a location to
+            skip.
         max_witness_km: optional plausibility cutoff — witnesses farther
             than this from the challengee are dropped (the paper's 25 km
             refinement).
     """
+    located: Dict[str, Optional[LatLon]] = {}
+
+    def lookup(token: str) -> Optional[LatLon]:
+        try:
+            return located[token]
+        except KeyError:
+            location = located[token] = locate(token)
+            return location
+
     geometries: List[WitnessGeometry] = []
     for challengee_token, reports in receipts:
-        challengee = locate(challengee_token)
+        challengee = lookup(challengee_token)
         if challengee is None:
             continue
-        witnesses: List[Tuple[LatLon, float, float]] = []
+        locations: List[LatLon] = []
+        distances: List[float] = []
+        rssis: List[float] = []
         for witness_token, rssi_dbm in reports:
-            location = locate(witness_token)
+            location = lookup(witness_token)
             if location is None:
                 continue
             distance = challengee.distance_km(location)
             if max_witness_km is not None and distance > max_witness_km:
                 continue
-            witnesses.append((location, distance, rssi_dbm))
+            locations.append(location)
+            distances.append(distance)
+            rssis.append(rssi_dbm)
         geometries.append(WitnessGeometry(
-            challengee=challengee, witnesses=tuple(witnesses)
+            challengee, tuple(locations),
+            np.array(distances, dtype=float), np.array(rssis, dtype=float),
         ))
     return geometries
 
@@ -119,6 +162,8 @@ def build_witness_geometry(
 
 class Shape:
     """A covered region: supports contains/area/sample/extent."""
+
+    __slots__ = ()
 
     def contains(self, point: LatLon) -> bool:
         raise NotImplementedError
@@ -298,99 +343,75 @@ class Disk(Shape):
 
 
 class HullShape(Shape):
-    """A convex hull, sampled via fan triangulation."""
+    """A convex hull, sampled via fan triangulation.
+
+    The ring is one ``(2, n)`` array of vertex latitudes and
+    longitudes; fan triangle ``i`` is vertices ``0``, ``i + 1`` and
+    ``i + 2``, and ``_cum[i]`` is the area of triangles ``0..i``. With
+    the area and the extent, that is all a hull holds: the centroid is
+    computed from the ring when read.
+    """
+
+    __slots__ = ("_ring", "_cum", "_area", "_extent")
 
     def __init__(self, polygon: Polygon) -> None:
-        self.polygon = polygon
-        self._centroid = polygon.centroid()
-        self._extent = polygon.max_radius_km()
-        self._area = polygon.area_km2()
-        self._triangles = self._triangulate()
-        # Parallel arrays over the fan triangles for batch sampling.
-        self._tri_b = np.array(
-            [(b.lat, b.lon) for _, b, _, _ in self._triangles]
-        ).reshape(len(self._triangles), 2)
-        self._tri_c = np.array(
-            [(c.lat, c.lon) for _, _, c, _ in self._triangles]
-        ).reshape(len(self._triangles), 2)
-        self._tri_cum = np.cumsum([t[3] for t in self._triangles])
-
-    def _triangulate(self) -> List[Tuple[LatLon, LatLon, LatLon, float]]:
-        vertices = self.polygon.vertices
+        vertices = polygon.vertices
         anchor = vertices[0]
-        triangles = []
-        for i in range(1, len(vertices) - 1):
-            b, c = vertices[i], vertices[i + 1]
-            area = _triangle_area_km2(anchor, b, c)
-            triangles.append((anchor, b, c, area))
-        return triangles
+        self._ring = np.array(
+            [[v.lat for v in vertices], [v.lon for v in vertices]]
+        )
+        self._cum = np.cumsum([
+            _triangle_area_km2(anchor, b, c)
+            for b, c in zip(vertices[1:-1], vertices[2:])
+        ])
+        self._area = polygon.area_km2()
+        self._extent = polygon.max_radius_km()
 
     def contains(self, point: LatLon) -> bool:
-        return self.polygon.contains(point)
+        return ring_contains(*self._ring.tolist(), point.lat, point.lon)
 
     def area_km2(self) -> float:
         return self._area
 
     def sample(self, rng: np.random.Generator) -> LatLon:
-        areas = [t[3] for t in self._triangles]
-        total = sum(areas)
-        if total <= 0:
-            return self._centroid
-        roll = float(rng.random()) * total
-        cumulative = 0.0
-        chosen = self._triangles[-1]
-        for triangle in self._triangles:
-            cumulative += triangle[3]
-            if roll <= cumulative:
-                chosen = triangle
-                break
-        a, b, c, _ = chosen
-        u, v = float(rng.random()), float(rng.random())
-        if u + v > 1.0:
-            u, v = 1.0 - u, 1.0 - v
-        lat = a.lat + u * (b.lat - a.lat) + v * (c.lat - a.lat)
-        lon = a.lon + u * (b.lon - a.lon) + v * (c.lon - a.lon)
-        return LatLon(lat, lon)
+        lats, lons = self.sample_many(rng, 1)
+        return LatLon(float(lats[0]), float(lons[0]))
 
     def sample_many(
         self, rng: np.random.Generator, n: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        # Stream-compatible with n sequential sample() calls: each point
-        # consumes (roll, u, v), so one draw of 3n uniforms sliced by
-        # stride matches the scalar path bitwise.
-        total = float(self._tri_cum[-1]) if len(self._triangles) else 0.0
+        # Each point consumes (roll, u, v), so one draw of 3n uniforms
+        # sliced by stride is n sequential draws of three.
+        total = float(self._cum[-1])
         if total <= 0:
-            return (
-                np.full(n, self._centroid.lat),
-                np.full(n, self._centroid.lon),
-            )
+            center = self.centroid
+            return np.full(n, center.lat), np.full(n, center.lon)
         draws = rng.random(3 * n)
         rolls = draws[0::3] * total
         chosen = np.minimum(
-            np.searchsorted(self._tri_cum, rolls, side="left"),
-            len(self._triangles) - 1,
+            np.searchsorted(self._cum, rolls, side="left"), len(self._cum) - 1
         )
         u, v = draws[1::3], draws[2::3]
         reflect = u + v > 1.0
         u = np.where(reflect, 1.0 - u, u)
         v = np.where(reflect, 1.0 - v, v)
-        anchor = self._triangles[0][0]
-        b_lat = self._tri_b[chosen, 0]
-        b_lon = self._tri_b[chosen, 1]
-        c_lat = self._tri_c[chosen, 0]
-        c_lon = self._tri_c[chosen, 1]
-        lats = anchor.lat + u * (b_lat - anchor.lat) + v * (c_lat - anchor.lat)
-        lons = anchor.lon + u * (b_lon - anchor.lon) + v * (c_lon - anchor.lon)
+        ring_lats, ring_lons = self._ring
+        a_lat, a_lon = float(ring_lats[0]), float(ring_lons[0])
+        b, c = chosen + 1, chosen + 2
+        lats = a_lat + u * (ring_lats[b] - a_lat) + v * (ring_lats[c] - a_lat)
+        lons = a_lon + u * (ring_lons[b] - a_lon) + v * (ring_lons[c] - a_lon)
         return lats, lons
 
     def contains_many(
         self, lats: np.ndarray, lons: np.ndarray
     ) -> np.ndarray:
-        return self.polygon.contains_many(lats, lons)
+        return ring_contains_many(*self._ring.tolist(), lats, lons)
 
     @property
     def centroid(self) -> LatLon:
-        return self._centroid
+        """Arithmetic mean of the vertices, as :meth:`Polygon.centroid`."""
+        lats, lons = self._ring.tolist()
+        return LatLon(sum(lats) / len(lats), sum(lons) / len(lons))
 
     @property
     def extent_km(self) -> float:
@@ -473,7 +494,10 @@ class CoverageModel:
         candidate shapes are swept in ascending index order — one batch
         ``contains_many`` per shape over every point still unresolved in
         that shape's bins, retiring points as soon as a cover is found.
-        Returns the covering shape index per point, −1 when uncovered.
+        One argsort groups the points by bin and one more groups the
+        (shape, bin) candidate pairs by shape, so the sweep holds a few
+        flat index arrays. Returns the covering shape index per point,
+        −1 when uncovered.
         """
         lats = np.asarray(lats, dtype=float)
         lons = np.asarray(lons, dtype=float)
@@ -483,24 +507,44 @@ class CoverageModel:
         bin_deg = self._index.bin_deg
         lat_bins = np.floor(lats / bin_deg).astype(np.int64)
         lon_bins = np.floor(lons / bin_deg).astype(np.int64)
-        combined = np.stack([lat_bins, lon_bins], axis=1)
-        uniq, inverse, counts = np.unique(
-            combined, axis=0, return_inverse=True, return_counts=True
+        # One key per point, ordered as (lat bin, lon bin).
+        lon_lo = int(lon_bins.min())
+        width = int(lon_bins.max()) - lon_lo + 1
+        keys = lat_bins * width + (lon_bins - lon_lo)
+        del lat_bins, lon_bins
+        by_bin = np.argsort(keys, kind="stable")
+        keys = keys[by_bin]
+        bin_starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        bin_ends = np.r_[bin_starts[1:], keys.size]
+        bin_keys = keys[bin_starts].tolist()
+        del keys
+        candidates = self._index.bins(
+            (key // width, key % width + lon_lo) for key in bin_keys
         )
-        order = np.argsort(inverse, kind="stable")
-        groups = np.split(order, np.cumsum(counts)[:-1])
-        # Invert bin→candidates into shape→points so each shape is
-        # tested once, over one large batch.
-        shape_points: Dict[int, List[np.ndarray]] = {}
-        for group, candidates in zip(groups, self._index.bins(uniq.tolist())):
-            for shape_index in candidates.tolist():
-                shape_points.setdefault(shape_index, []).append(group)
+        # Invert bin→candidates into shape→bins so each shape is tested
+        # once, over one batch of its bins' points.
+        pair_shapes = np.concatenate(candidates)
+        if pair_shapes.size == 0:
+            return owners
+        pair_bins = np.repeat(
+            np.arange(len(candidates)), [len(c) for c in candidates]
+        )
+        by_shape = np.argsort(pair_shapes, kind="stable")
+        pair_shapes = pair_shapes[by_shape]
+        pair_bins = pair_bins[by_shape]
+        runs = np.flatnonzero(
+            np.r_[True, pair_shapes[1:] != pair_shapes[:-1], True]
+        ).tolist()
         unowned = np.ones(lats.shape, dtype=bool)
-        for shape_index in sorted(shape_points):
-            pts = np.concatenate(shape_points[shape_index])
+        for start, end in zip(runs[:-1], runs[1:]):
+            pts = np.concatenate([
+                by_bin[bin_starts[b]:bin_ends[b]]
+                for b in pair_bins[start:end].tolist()
+            ])
             pts = pts[unowned[pts]]
             if pts.size == 0:
                 continue
+            shape_index = int(pair_shapes[start])
             hit = self.shapes[shape_index].contains_many(
                 lats[pts], lons[pts]
             )
@@ -511,6 +555,20 @@ class CoverageModel:
         return owners
 
     # -- union area ----------------------------------------------------------
+
+    @staticmethod
+    def _samples(
+        shapes: Sequence[Shape], rng: np.random.Generator, per_shape: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``per_shape`` uniform points from each shape in turn, drawn
+        into two preallocated arrays (shape ``i``'s are rows
+        ``i * per_shape`` onwards)."""
+        lats = np.empty(len(shapes) * per_shape)
+        lons = np.empty(len(shapes) * per_shape)
+        for i, shape in enumerate(shapes):
+            rows = slice(i * per_shape, (i + 1) * per_shape)
+            lats[rows], lons[rows] = shape.sample_many(rng, per_shape)
+        return lats, lons
 
     def union_area_km2(
         self,
@@ -532,14 +590,9 @@ class CoverageModel:
         n_shapes = len(self.shapes)
         if n_shapes == 0:
             return 0.0, {}
-        lat_parts = []
-        lon_parts = []
-        for shape in self.shapes:
-            lats, lons = shape.sample_many(rng, samples_per_shape)
-            lat_parts.append(lats)
-            lon_parts.append(lons)
-        all_lats = np.concatenate(lat_parts)
-        all_lons = np.concatenate(lon_parts)
+        all_lats, all_lons = self._samples(
+            self.shapes, rng, samples_per_shape
+        )
         owners = self.first_covering_many(all_lats, all_lons)
         source = np.repeat(np.arange(n_shapes), samples_per_shape)
         credited_mask = (owners == -1) | (owners == source)
@@ -577,34 +630,22 @@ class CoverageModel:
         if n_shapes == 0:
             fraction = 0.0
         else:
-            cen_lats = np.fromiter(
-                (s.centroid.lat for s in self.shapes),
-                dtype=float,
-                count=n_shapes,
-            )
-            cen_lons = np.fromiter(
-                (s.centroid.lon for s in self.shapes),
-                dtype=float,
-                count=n_shapes,
-            )
+            cen_lats, cen_lons = latlon_arrays(s.centroid for s in self.shapes)
             kept = np.flatnonzero(landmass.contains_many(cen_lats, cen_lons))
-            lat_parts = []
-            lon_parts = []
-            for i in kept:
-                lats, lons = self.shapes[i].sample_many(
-                    rng, samples_per_shape
+            if kept.size:
+                all_lats, all_lons = self._samples(
+                    [self.shapes[i] for i in kept.tolist()],
+                    rng,
+                    samples_per_shape,
                 )
-                lat_parts.append(lats)
-                lon_parts.append(lons)
-            if lat_parts:
-                all_lats = np.concatenate(lat_parts)
-                all_lons = np.concatenate(lon_parts)
-                source = np.repeat(kept, samples_per_shape)
                 on_land = landmass.contains_many(all_lats, all_lons)
-                owners = self.first_covering_many(
-                    all_lats[on_land], all_lons[on_land]
-                )
-                land_source = source[on_land]
+                all_lats, all_lons = all_lats[on_land], all_lons[on_land]
+                # Sample j came from shape kept[j // samples_per_shape].
+                land_source = kept[
+                    np.flatnonzero(on_land) // samples_per_shape
+                ]
+                del on_land
+                owners = self.first_covering_many(all_lats, all_lons)
                 credited_mask = (owners == -1) | (owners == land_source)
                 credited = np.bincount(
                     land_source[credited_mask], minlength=n_shapes
@@ -730,18 +771,31 @@ def _dedup_hulls(
     The same challengee is challenged many times with the same witnesses;
     identical point sets give identical hulls, so deduplication changes
     nothing about the union while cutting shape count dramatically.
+
+    A point set's key is its distinct points rounded to 5 decimals,
+    sorted and packed as float64 bytes, so two keys are equal exactly
+    when the sets are (``+ 0.0`` folds −0.0 into 0.0). At ``paper`` the
+    9,286 no-cutoff keys take ~2 MB as bytes, ~16 MB as frozensets of
+    tuples.
     """
     shapes: List[HullShape] = []
     seen = set()
     for geometry in geometries:
-        points = [geometry.challengee] + [
-            w[0] for w in geometry.witnesses
-            if max_witness_km is None or w[1] <= max_witness_km
-        ]
-        key = frozenset(
-            (round(p.lat, 5), round(p.lon, 5)) for p in points
-        )
-        if len(key) < 3 or key in seen:
+        points = [geometry.challengee]
+        if max_witness_km is None:
+            points.extend(geometry.locations)
+        else:
+            points.extend(compress(
+                geometry.locations,
+                (geometry.distances_km <= max_witness_km).tolist(),
+            ))
+        distinct = sorted({
+            (round(p.lat, 5) + 0.0, round(p.lon, 5) + 0.0) for p in points
+        })
+        if len(distinct) < 3:
+            continue
+        key = np.array(distinct).tobytes()
+        if key in seen:
             continue
         seen.add(key)
         try:
@@ -805,7 +859,11 @@ class RevisedModel(CoverageModel):
         best_radius: Dict[Tuple[float, float], Tuple[LatLon, float]] = {}
         rssi_ring_area = 0.0
         for geometry in geometries:
-            for location, distance, rssi in geometry.witnesses:
+            for location, distance, rssi in zip(
+                geometry.locations,
+                geometry.distances_km.tolist(),
+                geometry.rssi_dbm.tolist(),
+            ):
                 if distance > max_witness_km:
                     continue
                 radial = max(distance, 0.05)

@@ -12,6 +12,7 @@ from repro.field.counter_app import CounterAppExperiment, CounterAppResult
 from repro.field.reconcile import (
     AckTable,
     Hip15Accuracy,
+    Hip15Tally,
     MissRunStats,
     ReceptionTally,
     ack_table,
@@ -36,4 +37,5 @@ __all__ = [
     "AckTable",
     "hip15_accuracy",
     "Hip15Accuracy",
+    "Hip15Tally",
 ]

@@ -4,8 +4,9 @@ The paper logs packets on the device's SD card and compares against the
 cloud log. These functions compute every statistic that comparison
 yields: PRR, the single/double/longest miss-run structure, the ACK/NACK
 validity tables, and HIP-15 prediction accuracy. The first three come
-from :class:`ReceptionTally`, which folds records in one at a time, so
-a long run can drop each record once it is counted.
+from :class:`ReceptionTally` and the last from :class:`Hip15Tally`;
+both fold records in one at a time, so a run can drop each record once
+it is counted.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "AckTable",
     "ack_table",
     "Hip15Accuracy",
+    "Hip15Tally",
     "hip15_accuracy",
 ]
 
@@ -175,29 +177,49 @@ class Hip15Accuracy:
     outside_missed_fraction: float    # accuracy of "uncovered ⇒ missed"
 
 
+@dataclass
+class Hip15Tally:
+    """One-pass HIP-15 scoring: the packets sent within ``radius_km`` of
+    a hotspot and beyond it, and how often each verdict held."""
+
+    radius_km: float = 0.3
+    packets_inside: int = 0
+    inside_received: int = 0
+    packets_outside: int = 0
+    outside_missed: int = 0
+
+    def add(self, record: TransmissionRecord) -> None:
+        """Fold in the next record."""
+        nearest = record.nearest_hotspot_km
+        if nearest is not None and nearest <= self.radius_km:
+            self.packets_inside += 1
+            self.inside_received += record.delivered_to_cloud
+        else:
+            self.packets_outside += 1
+            self.outside_missed += not record.delivered_to_cloud
+
+    def accuracy(self) -> Hip15Accuracy:
+        """The scores so far."""
+        inside, outside = self.packets_inside, self.packets_outside
+        if not inside + outside:
+            raise AnalysisError("no transmission records")
+        return Hip15Accuracy(
+            packets_inside=inside,
+            packets_outside=outside,
+            inside_received_fraction=(
+                self.inside_received / inside if inside else 0.0
+            ),
+            outside_missed_fraction=(
+                self.outside_missed / outside if outside else 0.0
+            ),
+        )
+
+
 def hip15_accuracy(
     records: Sequence[TransmissionRecord], radius_km: float = 0.3
 ) -> Hip15Accuracy:
     """Score the 300 m disk model against walk ground truth."""
-    if not records:
-        raise AnalysisError("no transmission records")
-    inside = [
-        r for r in records
-        if r.nearest_hotspot_km is not None and r.nearest_hotspot_km <= radius_km
-    ]
-    outside = [
-        r for r in records
-        if r.nearest_hotspot_km is None or r.nearest_hotspot_km > radius_km
-    ]
-    inside_received = sum(1 for r in inside if r.delivered_to_cloud)
-    outside_missed = sum(1 for r in outside if not r.delivered_to_cloud)
-    return Hip15Accuracy(
-        packets_inside=len(inside),
-        packets_outside=len(outside),
-        inside_received_fraction=(
-            inside_received / len(inside) if inside else 0.0
-        ),
-        outside_missed_fraction=(
-            outside_missed / len(outside) if outside else 0.0
-        ),
-    )
+    tally = Hip15Tally(radius_km)
+    for record in records:
+        tally.add(record)
+    return tally.accuracy()

@@ -13,12 +13,12 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.field import reconcile
+from repro.field.reconcile import Hip15Tally, ReceptionTally
 from repro.geo.geodesy import LatLon, destination
 from repro.lorawan.console import Console
 from repro.lorawan.device import DeviceConfig, EdgeDevice
 from repro.lorawan.keys import DeviceCredentials
-from repro.lorawan.network import LoraWanNetwork, NetworkHotspot, TransmissionRecord
+from repro.lorawan.network import LoraWanNetwork, NetworkHotspot
 from repro.radio.propagation import Environment
 
 __all__ = ["WalkTrace", "generate_walk", "WalkExperiment", "WalkResult"]
@@ -85,22 +85,24 @@ def generate_walk(
 
 @dataclass
 class WalkResult:
-    """Everything one walk produced."""
+    """Everything one walk produced, as running counts: the uplinks'
+    :class:`ReceptionTally` and their HIP-15 scoring, not the records."""
 
-    records: List[TransmissionRecord]
+    tally: ReceptionTally
+    hip15: Hip15Tally
     trace: WalkTrace
 
     @property
     def packets_sent(self) -> int:
         """Uplinks attempted during the walk."""
-        return len(self.records)
+        return self.tally.packets_sent
 
     @property
     def prr(self) -> float:
         """Cloud-side packet reception ratio of the walk."""
-        if not self.records:
+        if not self.tally.packets_sent:
             raise SimulationError("walk produced no packets")
-        return reconcile.prr(self.records)
+        return self.tally.prr()
 
 
 class WalkExperiment:
@@ -131,9 +133,12 @@ class WalkExperiment:
         device = EdgeDevice(credentials, DeviceConfig(confirmed=True))
         device.accept_join(self.console.join(credentials))
         now = 0.0
-        records: List[TransmissionRecord] = []
+        tally = ReceptionTally()
+        hip15 = Hip15Tally()
         while now < trace.duration_s:
             device.location = trace.position_at(now)
-            records.append(self.network.send_uplink(device, rng, now))
+            record = self.network.send_uplink(device, rng, now)
+            tally.add(record)
+            hip15.add(record)
             now = device.last_uplink.next_send_at_s
-        return WalkResult(records=records, trace=trace)
+        return WalkResult(tally=tally, hip15=hip15, trace=trace)

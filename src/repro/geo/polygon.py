@@ -17,7 +17,13 @@ import numpy as np
 from repro.errors import GeoError
 from repro.geo.geodesy import EARTH_RADIUS_KM, LatLon, local_project_km
 
-__all__ = ["Polygon", "convex_hull", "disk_area_km2"]
+__all__ = [
+    "Polygon",
+    "convex_hull",
+    "disk_area_km2",
+    "ring_contains",
+    "ring_contains_many",
+]
 
 
 @dataclass(frozen=True)
@@ -56,57 +62,18 @@ class Polygon:
         """Bounding box as ``(south, west, north, east)``."""
         return self._bbox
 
+    def _ring(self) -> Tuple[List[float], List[float]]:
+        return (
+            [v.lat for v in self.vertices], [v.lon for v in self.vertices]
+        )
+
     def contains(self, point: LatLon) -> bool:
         """Ray-casting point-in-polygon test (boundary counts as inside)."""
-        south, west, north, east = self._bbox
-        if not (south <= point.lat <= north and west <= point.lon <= east):
-            return False
-        inside = False
-        n = len(self.vertices)
-        x, y = point.lon, point.lat
-        for i in range(n):
-            x1, y1 = self.vertices[i].lon, self.vertices[i].lat
-            x2, y2 = self.vertices[(i + 1) % n].lon, self.vertices[(i + 1) % n].lat
-            if (y1 > y) != (y2 > y):
-                x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-                if x < x_cross:
-                    inside = not inside
-                elif x == x_cross:
-                    return True
-        return inside
+        return ring_contains(*self._ring(), point.lat, point.lon)
 
     def contains_many(self, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`contains` over parallel lat/lon arrays.
-
-        Applies the same ray-casting rule (boundary counts as inside) to
-        every point in one pass over the edges, so the per-point cost is
-        a handful of numpy operations instead of a Python loop over the
-        ring.
-        """
-        lats = np.asarray(lats, dtype=float)
-        lons = np.asarray(lons, dtype=float)
-        south, west, north, east = self._bbox
-        in_bbox = (
-            (south <= lats) & (lats <= north) & (west <= lons) & (lons <= east)
-        )
-        inside = np.zeros(lats.shape, dtype=bool)
-        if not in_bbox.any():
-            return inside
-        x, y = lons, lats
-        on_edge = np.zeros(lats.shape, dtype=bool)
-        n = len(self.vertices)
-        for i in range(n):
-            x1, y1 = self.vertices[i].lon, self.vertices[i].lat
-            x2, y2 = self.vertices[(i + 1) % n].lon, self.vertices[(i + 1) % n].lat
-            if y1 == y2:
-                continue  # horizontal edge never satisfies the crossing rule
-            crosses = (y1 > y) != (y2 > y)
-            if not crosses.any():
-                continue
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            inside ^= crosses & (x < x_cross)
-            on_edge |= crosses & (x == x_cross)
-        return (inside | on_edge) & in_bbox
+        """Vectorised :meth:`contains` over parallel lat/lon arrays."""
+        return ring_contains_many(*self._ring(), lats, lons)
 
     def area_km2(self) -> float:
         """Spherical polygon area (Chamberlain–Duquette approximation).
@@ -135,6 +102,68 @@ class Polygon:
         """Distance from the centroid to the farthest vertex."""
         center = self.centroid()
         return max(center.distance_km(v) for v in self.vertices)
+
+
+def ring_contains(
+    ring_lats: Sequence[float], ring_lons: Sequence[float],
+    lat: float, lon: float,
+) -> bool:
+    """Ray-casting point-in-polygon test over a ring of vertices
+    ``(ring_lats[i], ring_lons[i])``; the boundary counts as inside."""
+    if not (
+        min(ring_lats) <= lat <= max(ring_lats)
+        and min(ring_lons) <= lon <= max(ring_lons)
+    ):
+        return False
+    inside = False
+    n = len(ring_lats)
+    x, y = lon, lat
+    for i in range(n):
+        x1, y1 = ring_lons[i], ring_lats[i]
+        x2, y2 = ring_lons[(i + 1) % n], ring_lats[(i + 1) % n]
+        if (y1 > y) != (y2 > y):
+            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            if x < x_cross:
+                inside = not inside
+            elif x == x_cross:
+                return True
+    return inside
+
+
+def ring_contains_many(
+    ring_lats: Sequence[float], ring_lons: Sequence[float],
+    lats: np.ndarray, lons: np.ndarray,
+) -> np.ndarray:
+    """Vectorised :func:`ring_contains` over parallel lat/lon arrays.
+
+    Applies the same ray-casting rule (boundary counts as inside) to
+    every point in one pass over the edges, so the per-point cost is a
+    handful of numpy operations instead of a Python loop over the ring.
+    """
+    lats = np.asarray(lats, dtype=float)
+    lons = np.asarray(lons, dtype=float)
+    in_bbox = (
+        (min(ring_lats) <= lats) & (lats <= max(ring_lats))
+        & (min(ring_lons) <= lons) & (lons <= max(ring_lons))
+    )
+    inside = np.zeros(lats.shape, dtype=bool)
+    if not in_bbox.any():
+        return inside
+    x, y = lons, lats
+    on_edge = np.zeros(lats.shape, dtype=bool)
+    n = len(ring_lats)
+    for i in range(n):
+        x1, y1 = ring_lons[i], ring_lats[i]
+        x2, y2 = ring_lons[(i + 1) % n], ring_lats[(i + 1) % n]
+        if y1 == y2:
+            continue  # horizontal edge never satisfies the crossing rule
+        crosses = (y1 > y) != (y2 > y)
+        if not crosses.any():
+            continue
+        x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= crosses & (x < x_cross)
+        on_edge |= crosses & (x == x_cross)
+    return (inside | on_edge) & in_bbox
 
 
 def convex_hull(points: Sequence[LatLon]) -> Polygon:

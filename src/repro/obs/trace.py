@@ -26,7 +26,6 @@ import json
 import os
 import threading
 import time
-import uuid
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -52,7 +51,9 @@ class TraceWriter:
         self, path: Union[str, Path], trace_id: Optional[str] = None
     ) -> None:
         self.path = str(path)
-        self.trace_id = trace_id or uuid.uuid4().hex[:16]
+        # 16 random hex digits; os.urandom keeps uuid (and the platform
+        # module it imports) out of every process.
+        self.trace_id = trace_id or os.urandom(8).hex()
         parent = Path(self.path).resolve().parent
         parent.mkdir(parents=True, exist_ok=True)
         self._fd = os.open(

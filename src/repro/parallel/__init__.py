@@ -23,19 +23,17 @@ it was measured slower than serial on a 2-vCPU host (DESIGN.md §11).
 All worker entry points are module-level functions taking picklable
 tuples, so the farm works under every multiprocessing start method
 (``fork``, ``spawn``, ``forkserver``).
+
+The re-exports resolve lazily: a cold build takes only
+:func:`~repro.parallel.locks.build_lock`, so it loads neither the farm
+nor ``multiprocessing``.
 """
 
-from repro.parallel.costs import longest_first, task_cost
-from repro.parallel.farm import FarmOutcome, run_farm
-from repro.parallel.locks import build_lock
-from repro.parallel.sweep import format_sweep, run_sweep
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FarmOutcome",
-    "build_lock",
-    "format_sweep",
-    "longest_first",
-    "run_farm",
-    "run_sweep",
-    "task_cost",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.parallel.costs": ["longest_first", "task_cost"],
+    "repro.parallel.farm": ["FarmOutcome", "run_farm"],
+    "repro.parallel.locks": ["build_lock"],
+    "repro.parallel.sweep": ["format_sweep", "run_sweep"],
+})

@@ -33,7 +33,6 @@ spelled. This digest is the scenario-cache entry key
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import hashlib
 import json
 from typing import Any, Dict, Mapping, Tuple
@@ -168,6 +167,8 @@ def spec_digest(config: ScenarioConfig) -> str:
 
 
 def _suggest(key: str) -> str:
+    import difflib  # only a misspelt key pays for it
+
     matches = difflib.get_close_matches(
         key, list(_FIELDS) + list(FIELD_GROUPS), n=1
     )

@@ -254,7 +254,7 @@ class ServeHandler(socketserver.BaseRequestHandler):
 
         Buffers ``recv`` output until a blank line ends the head; bytes
         beyond it stay in ``_pending``. ``None`` when the client closes
-        or the head is not complete ``keepalive_idle_s`` after the call;
+        (or resets) or the head is not complete ``keepalive_idle_s`` after the call;
         the latter counts as a ``serve.head_timeouts`` when part of a
         head had come (a connection idle between requests is not one).
         Blank lines before the request line are skipped (RFC 9112 2.2);
@@ -278,6 +278,8 @@ class ServeHandler(socketserver.BaseRequestHandler):
                     chunk = self.connection.recv(_RECV_BYTES)
                 except TimeoutError:
                     return self._head_timeout(lines)
+                except ConnectionError:
+                    return None  # a reset is a close
                 if not chunk:
                     return None
                 pending += chunk
@@ -395,9 +397,16 @@ class ServeHandler(socketserver.BaseRequestHandler):
             lines.append("Connection: close")
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
         self.connection.settimeout(self.server.keepalive_idle_s)
-        self.connection.sendall(
-            head if self.command == "HEAD" else head + body
-        )
+        try:
+            self.connection.sendall(
+                head if self.command == "HEAD" else head + body
+            )
+        except (ConnectionError, TimeoutError):
+            # The peer left, or stopped reading, mid-reply: a client
+            # abort, not a handler fault. Nothing more goes out on it.
+            obs.counter("serve.client_aborts")
+            self._close = True
+            return
         if self.server.verbose:
             sys.stderr.write(
                 f"{self.client_address[0]} - - "
@@ -830,7 +839,7 @@ class ServeServer(socketserver.TCPServer):
             obs.gauge("serve.queue_depth", self._queue.qsize())
             try:
                 self.finish_request(request, client_address)
-            except Exception:  # noqa: BLE001 - peer may vanish anytime
+            except Exception:  # noqa: BLE001 - a handler fault
                 self.handle_error(request, client_address)
             finally:
                 # Done before the close: a client that reconnects once
@@ -877,7 +886,8 @@ class ServeServer(socketserver.TCPServer):
             self.shutdown_request(request)
 
     def handle_error(self, request, client_address) -> None:
-        # Client disconnects are traffic, not stack traces.
+        # A handler fault; a peer that leaves mid-reply is counted in
+        # serve.client_aborts instead (ServeHandler._send).
         if self.verbose:
             super().handle_error(request, client_address)
         obs.counter("serve.handler_errors")

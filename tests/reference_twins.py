@@ -14,6 +14,13 @@ production code replaced, kept as test oracles and timing baselines.
   ``union_area_km2_reference``, ``landmass_fraction_reference`` and
   ``within_radius_reference`` replay the pre-vectorisation arithmetic
   and RNG order of their production kernels.
+* **Object-per-point forms.** :class:`PolygonHullShape` is the hull
+  that holds a :class:`~repro.geo.polygon.Polygon` of ``LatLon``s and a
+  list of fan-triangle tuples, ``build_witness_geometry_reference``
+  locates every witness report anew and keeps ``(location, distance,
+  RSSI)`` triples, and ``walk_reference`` keeps every uplink's record
+  and scores the walk from the list. The compact production forms must
+  match them bit for bit.
 * **Chain walks.** The analyses and the explorer read the ETL replica
   (:class:`~repro.etl.store.EtlStore`). :class:`ChainRows` derives every
   row the analyses read by walking a :class:`Blockchain` and its ledger
@@ -45,11 +52,23 @@ from repro.chain.transactions import (
     TransferHotspot,
     WitnessReport,
 )
-from repro.core.coverage import CoverageEstimate, CoverageModel
+from repro.core.coverage import (
+    CoverageEstimate,
+    CoverageModel,
+    Shape,
+    _triangle_area_km2,
+)
 from repro.core.analysis.incentives import SilentMoverFinding
 from repro.core.explorer import HotspotPage, OwnerPage, WitnessEvent
 from repro.economics.rewards import PocEvent
 from repro.errors import AnalysisError, GeoError
+from repro.field.reconcile import AckTable, Hip15Accuracy
+from repro.field.walks import WalkExperiment, WalkTrace
+from repro.geo.polygon import Polygon
+from repro.lorawan.device import DeviceConfig, EdgeDevice
+from repro.lorawan.keys import DeviceCredentials
+from repro.lorawan.mac import AckOutcome
+from repro.lorawan.network import TransmissionRecord
 from repro.geo.geodesy import LatLon, haversine_km
 from repro.geo.hexgrid import HexCell, encode_cell_uncached
 from repro.geo.landmass import Landmass
@@ -75,6 +94,9 @@ __all__ = [
     "union_area_km2_reference",
     "landmass_fraction_reference",
     "within_radius_reference",
+    "PolygonHullShape",
+    "build_witness_geometry_reference",
+    "walk_reference",
     "ChainRows",
     "find_silent_movers_reference",
     "ChainExplorer",
@@ -398,6 +420,169 @@ def within_radius_reference(
             ):
                 results.append((point, item))
     return results
+
+
+class PolygonHullShape(Shape):
+    """Object-per-point twin of :class:`repro.core.coverage.HullShape`:
+    a :class:`Polygon` of ``LatLon``s, fan triangles as ``(anchor, b, c,
+    area)`` tuples and a scalar sampling loop."""
+
+    def __init__(self, polygon: Polygon) -> None:
+        self.polygon = polygon
+        self._centroid = polygon.centroid()
+        self._extent = polygon.max_radius_km()
+        self._area = polygon.area_km2()
+        vertices = polygon.vertices
+        anchor = vertices[0]
+        self._triangles = [
+            (anchor, b, c, _triangle_area_km2(anchor, b, c))
+            for b, c in zip(vertices[1:-1], vertices[2:])
+        ]
+        self._tri_b = np.array([(b.lat, b.lon) for _, b, _, _ in self._triangles])
+        self._tri_c = np.array([(c.lat, c.lon) for _, _, c, _ in self._triangles])
+        self._tri_cum = np.cumsum([t[3] for t in self._triangles])
+
+    def contains(self, point: LatLon) -> bool:
+        return self.polygon.contains(point)
+
+    def area_km2(self) -> float:
+        return self._area
+
+    def sample(self, rng: np.random.Generator) -> LatLon:
+        total = sum(t[3] for t in self._triangles)
+        if total <= 0:
+            return self._centroid
+        roll = float(rng.random()) * total
+        cumulative = 0.0
+        chosen = self._triangles[-1]
+        for triangle in self._triangles:
+            cumulative += triangle[3]
+            if roll <= cumulative:
+                chosen = triangle
+                break
+        a, b, c, _ = chosen
+        u, v = float(rng.random()), float(rng.random())
+        if u + v > 1.0:
+            u, v = 1.0 - u, 1.0 - v
+        lat = a.lat + u * (b.lat - a.lat) + v * (c.lat - a.lat)
+        lon = a.lon + u * (b.lon - a.lon) + v * (c.lon - a.lon)
+        return LatLon(lat, lon)
+
+    def sample_many(
+        self, rng: np.random.Generator, n: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        total = float(self._tri_cum[-1])
+        if total <= 0:
+            return (
+                np.full(n, self._centroid.lat),
+                np.full(n, self._centroid.lon),
+            )
+        draws = rng.random(3 * n)
+        rolls = draws[0::3] * total
+        chosen = np.minimum(
+            np.searchsorted(self._tri_cum, rolls, side="left"),
+            len(self._triangles) - 1,
+        )
+        u, v = draws[1::3], draws[2::3]
+        reflect = u + v > 1.0
+        u = np.where(reflect, 1.0 - u, u)
+        v = np.where(reflect, 1.0 - v, v)
+        anchor = self._triangles[0][0]
+        b_lat, b_lon = self._tri_b[chosen, 0], self._tri_b[chosen, 1]
+        c_lat, c_lon = self._tri_c[chosen, 0], self._tri_c[chosen, 1]
+        lats = anchor.lat + u * (b_lat - anchor.lat) + v * (c_lat - anchor.lat)
+        lons = anchor.lon + u * (b_lon - anchor.lon) + v * (c_lon - anchor.lon)
+        return lats, lons
+
+    def contains_many(
+        self, lats: np.ndarray, lons: np.ndarray
+    ) -> np.ndarray:
+        return self.polygon.contains_many(lats, lons)
+
+    @property
+    def centroid(self) -> LatLon:
+        return self._centroid
+
+    @property
+    def extent_km(self) -> float:
+        return self._extent
+
+
+def build_witness_geometry_reference(
+    receipts, locate, max_witness_km: Optional[float] = None
+) -> List[Tuple[LatLon, Tuple[Tuple[LatLon, float, float], ...]]]:
+    """Twin of :func:`repro.core.coverage.build_witness_geometry` that
+    calls ``locate`` for every report and keeps ``(challengee,
+    ((location, distance km, RSSI dBm), …))`` per receipt."""
+    geometries = []
+    for challengee_token, reports in receipts:
+        challengee = locate(challengee_token)
+        if challengee is None:
+            continue
+        witnesses = []
+        for witness_token, rssi_dbm in reports:
+            location = locate(witness_token)
+            if location is None:
+                continue
+            distance = challengee.distance_km(location)
+            if max_witness_km is not None and distance > max_witness_km:
+                continue
+            witnesses.append((location, distance, rssi_dbm))
+        geometries.append((challengee, tuple(witnesses)))
+    return geometries
+
+
+def walk_reference(
+    experiment: WalkExperiment,
+    trace: WalkTrace,
+    rng: np.random.Generator,
+    radius_km: float = 0.3,
+) -> Tuple[float, AckTable, Hip15Accuracy]:
+    """Twin of :meth:`repro.field.walks.WalkExperiment.run` that keeps
+    every uplink's :class:`TransmissionRecord` and scores the walk's
+    PRR, ACK table and HIP-15 accuracy from the list."""
+    credentials = DeviceCredentials.generate("walk-app")
+    experiment.console.register_user_device("wal_walker", credentials)
+    experiment.console.open_channel(at_block=0)
+    device = EdgeDevice(credentials, DeviceConfig(confirmed=True))
+    device.accept_join(experiment.console.join(credentials))
+    now = 0.0
+    records: List[TransmissionRecord] = []
+    while now < trace.duration_s:
+        device.location = trace.position_at(now)
+        records.append(experiment.network.send_uplink(device, rng, now))
+        now = device.last_uplink.next_send_at_s
+    delivered = [r.delivered_to_cloud for r in records]
+    outcomes = [AckOutcome.classify(r.acked, r.delivered_to_cloud)
+                for r in records]
+    acks = AckTable(
+        packets_sent=len(records),
+        correct_ack=outcomes.count(AckOutcome.CORRECT_ACK),
+        correct_nack=outcomes.count(AckOutcome.CORRECT_NACK),
+        incorrect_ack=outcomes.count(AckOutcome.INCORRECT_ACK),
+        incorrect_nack=outcomes.count(AckOutcome.INCORRECT_NACK),
+    )
+    inside = [
+        r for r in records
+        if r.nearest_hotspot_km is not None and r.nearest_hotspot_km <= radius_km
+    ]
+    outside = [
+        r for r in records
+        if r.nearest_hotspot_km is None or r.nearest_hotspot_km > radius_km
+    ]
+    inside_received = sum(1 for r in inside if r.delivered_to_cloud)
+    outside_missed = sum(1 for r in outside if not r.delivered_to_cloud)
+    hip15 = Hip15Accuracy(
+        packets_inside=len(inside),
+        packets_outside=len(outside),
+        inside_received_fraction=(
+            inside_received / len(inside) if inside else 0.0
+        ),
+        outside_missed_fraction=(
+            outside_missed / len(outside) if outside else 0.0
+        ),
+    )
+    return sum(delivered) / len(records), acks, hip15
 
 
 def _walk(chain: Blockchain, kind) -> Iterator[Tuple[int, int, Any]]:

@@ -17,6 +17,8 @@ from repro.field.walks import WalkExperiment, generate_walk
 from repro.geo.geodesy import LatLon, destination
 from repro.lorawan.network import NetworkHotspot, TransmissionRecord
 
+from tests.reference_twins import walk_reference
+
 
 def _field(n=6, center=LatLon(32.75, -117.15)):
     return [
@@ -95,6 +97,40 @@ class TestWalks:
         result = experiment.run(trace, rng)
         assert result.packets_sent > 50
         assert 0.0 <= result.prr <= 1.0
+
+    @pytest.mark.parametrize("seed", [3, 11, 2021])
+    def test_tallies_match_the_records_twin(self, seed):
+        trace = generate_walk(
+            LatLon(32.75, -117.15), default_rng(seed), n_legs=6
+        )
+        result = WalkExperiment(_field()).run(trace, default_rng(seed + 1))
+        prr_, acks, hip15 = walk_reference(
+            WalkExperiment(_field()), trace, default_rng(seed + 1)
+        )
+        assert result.packets_sent == acks.packets_sent
+        assert result.prr == prr_
+        assert result.tally.ack_table() == acks
+        assert result.hip15.accuracy() == hip15
+        assert hip15.packets_inside and hip15.packets_outside
+
+    def test_memory_per_uplink_is_bounded(self):
+        # A walk folds each uplink into running counts. What it still
+        # grows is the network's ~50 m position cache, by the distance
+        # walked (10-30 B per uplink); keeping each record costs ~500 B.
+        def peak(legs):
+            trace = generate_walk(
+                LatLon(32.75, -117.15), default_rng(7), n_legs=legs
+            )
+            tracemalloc.start()
+            try:
+                result = WalkExperiment(_field()).run(trace, default_rng(8))
+                return tracemalloc.get_traced_memory()[1], result.packets_sent
+            finally:
+                tracemalloc.stop()
+
+        (short_peak, short_sent), (long_peak, long_sent) = peak(2), peak(8)
+        per_uplink = (long_peak - short_peak) / (long_sent - short_sent)
+        assert per_uplink < 64
 
     def test_walk_needs_legs(self, rng):
         with pytest.raises(SimulationError):

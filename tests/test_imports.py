@@ -1,11 +1,14 @@
-"""Import budget of the serving process.
+"""Import budgets of the serving process and of a reproduction.
 
 ``python -m repro.serve serve`` must load only what serving needs: the
 package re-exports resolve lazily, the scalar geodesy is numpy-free,
 nothing maps OpenSSL (no ``ssl``, no ``hashlib``, no ``http.server``
 or ``http.client``, which import ``ssl``), and read-only replicas keep
-a small page cache. A fresh interpreter is the only place to see an
-import closure, so the closure checks run in a subprocess.
+a small page cache. A reproduction loads no module that none of its
+steps uses: a cold build's lock loads no farm (``multiprocessing``),
+trace ids need no ``uuid`` and a spec loads ``difflib`` only to
+suggest a fix for a misspelt key. A fresh interpreter is the only place
+to see an import closure, so the closure checks run in a subprocess.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ NO_OPENSSL = (
 )
 LAZY_PACKAGES = (
     "repro", "repro.chain", "repro.core", "repro.etl", "repro.geo",
-    "repro.serve",
+    "repro.parallel", "repro.serve",
 )
 
 
@@ -72,6 +75,50 @@ def test_serving_imports_no_numpy_simulation_or_experiments(serve_closure):
 
 def test_serving_imports_nothing_that_maps_openssl(serve_closure):
     assert not _pulled(serve_closure, NO_OPENSSL)
+
+
+def test_serving_imports_no_uuid_or_platform(serve_closure):
+    assert not _pulled(serve_closure, ("uuid", "platform"))
+
+
+@pytest.mark.parametrize("statement, unused", [
+    ("import repro.parallel.locks", "multiprocessing"),
+    ("import repro.obs", "uuid"),
+    ("import repro.scenarios", "difflib"),
+])
+def test_a_module_loads_nothing_its_callers_do_not_use(statement, unused):
+    loaded = _loaded_after(statement)
+    assert statement.split()[1] in loaded
+    assert not _pulled(loaded, (unused,))
+
+
+def test_a_trace_id_is_sixteen_lowercase_hex_digits(tmp_path):
+    from repro.obs.trace import TraceWriter
+
+    ids = set()
+    for index in range(8):
+        writer = TraceWriter(tmp_path / f"trace{index}.jsonl")
+        writer.close()
+        assert len(writer.trace_id) == 16
+        assert set(writer.trace_id) <= set("0123456789abcdef")
+        ids.add(writer.trace_id)
+    assert len(ids) == 8
+
+
+def test_a_misspelt_spec_key_still_gets_its_suggestion():
+    # In a fresh interpreter: pytest itself imports difflib.
+    loaded = _loaded_after(
+        "from repro.errors import ScenarioSpecError\n"
+        "from repro.scenarios import apply_overrides\n"
+        "from repro.simulation.scenario import ScenarioConfig\n"
+        "try:\n"
+        "    apply_overrides(ScenarioConfig(), {'sed': 3}, 'unit-test')\n"
+        "except ScenarioSpecError as exc:\n"
+        "    assert \"did you mean 'seed'\" in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('a misspelt key was accepted')"
+    )
+    assert "difflib" in loaded
 
 
 #: Drives a live server in the fresh interpreter over raw sockets (an

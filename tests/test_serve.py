@@ -24,6 +24,7 @@ import base64
 import http.client
 import json
 import socket
+import struct
 import threading
 import time
 from urllib.parse import quote
@@ -694,6 +695,45 @@ class TestExplorerErrors:
             failed + 1
         )
         assert _counter("serve.handler_errors") == errors + 1
+
+    def test_a_client_that_leaves_mid_reply_is_an_abort_not_a_fault(
+        self, live, monkeypatch
+    ):
+        # An 8 MB body outgrows the socket buffers, so the write is
+        # still going when the client resets the connection.
+        monkeypatch.setattr(
+            ServeHandler, "_render",
+            lambda *args: ({"blob": "x" * (8 << 20)}, 200),
+        )
+        aborts = _counter("serve.client_aborts")
+        errors = _counter("serve.handler_errors")
+        with socket.create_connection((live.host, live.port)) as sock:
+            sock.sendall(b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert sock.recv(64).startswith(b"HTTP/1.1 200 ")
+            # Linger 0: close resets the connection with the body unread.
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+        live.server._queue.join()  # the worker is done with it
+        assert _counter("serve.client_aborts") == aborts + 1
+        assert _counter("serve.handler_errors") == errors
+        status, _, payload = live.get_json("/healthz")
+        assert (status, payload["status"]) == (200, "ok")
+
+    def test_a_reset_before_a_whole_head_is_a_close_not_a_fault(self, live):
+        aborts = _counter("serve.client_aborts")
+        errors = _counter("serve.handler_errors")
+        with socket.create_connection((live.host, live.port)) as sock:
+            sock.sendall(b"GET /sta")
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+        # Accepted after the reset one, so by its reply that one is
+        # queued, and the join waits for it too.
+        assert live.get_json("/healthz")[0] == 200
+        live.server._queue.join()
+        assert _counter("serve.client_aborts") == aborts
+        assert _counter("serve.handler_errors") == errors
 
 
 class TestMetricsRoute:
