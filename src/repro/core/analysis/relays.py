@@ -7,6 +7,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.analysis.quantiles import median
 from repro.errors import AnalysisError
 from repro.geo.geodesy import LatLon
 from repro.p2p.peerbook import Peerbook
@@ -115,8 +116,8 @@ def relay_distances(
     return RelayDistanceComparison(
         actual_km=tuple(actual),
         randomized_trials_km=tuple(trials),
-        actual_median_km=float(np.median(actual_sorted)),
-        randomized_median_km=float(np.median(pooled)),
+        actual_median_km=median(actual_sorted),
+        randomized_median_km=median(pooled),
         ks_statistic=ks,
     )
 

@@ -19,6 +19,7 @@ import numpy as np
 from repro import units
 from repro.chain.crypto import Address
 from repro.chain.transactions import RewardType
+from repro.core.analysis.quantiles import median, percentile
 from repro.errors import AnalysisError
 from repro.etl.store import EtlStore
 
@@ -55,8 +56,8 @@ def hotspot_earnings(store: EtlStore) -> EarningsStats:
     return EarningsStats(
         n_hotspots=len(values),
         total_hnt=float(values.sum()),
-        median_hnt=float(np.median(values)),
-        p90_hnt=float(np.percentile(values, 90)),
+        median_hnt=median(values),
+        p90_hnt=percentile(values, 90),
         max_hnt=float(values[-1]),
         by_reward_type_hnt={
             k: units.bones_to_hnt(v) for k, v in by_type.items()
@@ -120,8 +121,8 @@ def payback_analysis(
         hotspot_cost_usd=hotspot_cost_usd,
         hnt_price_usd=hnt_price_usd,
         n_hotspots=len(added_block),
-        median_payback_days=float(np.median(array)),
-        p25_payback_days=float(np.percentile(array, 25)),
+        median_payback_days=median(array),
+        p25_payback_days=percentile(array, 25),
         paid_back_fraction=len(array) / len(added_block),
     )
 

@@ -11,6 +11,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.analysis.quantiles import median, percentile
 from repro.errors import AnalysisError
 from repro.etl.store import EtlStore
 
@@ -49,8 +50,8 @@ def witness_distance_cdf(
     array = np.sort(np.array(distances))
     return WitnessDistanceStats(
         distances_km=tuple(float(d) for d in array),
-        median_km=float(np.median(array)),
-        p95_km=float(np.percentile(array, 95)),
+        median_km=median(array),
+        p95_km=percentile(array, 95),
         max_km=float(array[-1]),
         beyond_25km_fraction=float((array > 25.0).mean()),
         beyond_60km_count=int((array > 60.0).sum()),
@@ -85,9 +86,9 @@ def witness_rssi_cdf(
     array = np.sort(np.array(rssis))
     return WitnessRssiStats(
         rssis_dbm=tuple(float(r) for r in array),
-        median_dbm=float(np.median(array)),
-        p5_dbm=float(np.percentile(array, 5)),
-        p95_dbm=float(np.percentile(array, 95)),
+        median_dbm=median(array),
+        p5_dbm=percentile(array, 5),
+        p95_dbm=percentile(array, 95),
     )
 
 
@@ -119,7 +120,7 @@ def witnesses_per_challenge(store: EtlStore) -> WitnessCountStats:
         challenges=len(counts),
         histogram=tuple(sorted(histogram.items())),
         zero_witness_fraction=float((array == 0).mean()),
-        median_witnesses=float(np.median(array)),
+        median_witnesses=median(array),
         max_witnesses=int(array.max()),
     )
 

@@ -137,8 +137,8 @@ def ingest_chain(
         obs.observe("etl.ingest.batch_s", perf_counter() - batch_started)
         obs.counter("etl.ingest.blocks", high - low)
         obs.counter("etl.ingest.transactions", batch_txns)
-        # Blocks committed but not yet caught up to the chain tip.
-        obs.gauge("etl.ingest.checkpoint_lag", chain.height - height)
+        # Blocks the chain holds past the committed checkpoint.
+        obs.gauge("etl.ingest.checkpoint_lag", total - high)
     # Folded ledger state + tip marker, in one final transaction. Always
     # refreshed: the ledger is the chain's current state even when no
     # new history rows landed.

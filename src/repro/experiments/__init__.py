@@ -7,23 +7,19 @@ ledger state). The registry maps experiment ids (``fig02`` ...
 ``table1`` ...) to these functions; ``python -m repro.experiments``
 runs them all and prints a comparison against the paper's reported
 values.
+
+The re-exported names resolve on first use (:mod:`repro._exports`):
+``from repro.experiments.context import get_result`` loads the scenario
+cache and the numpy-free checkpoint checks, not the analyses, and a
+warm result's chain half loads no numpy.
 """
 
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    ExperimentReport,
-    Row,
-    format_report,
-    run_experiment,
-)
-from repro.experiments.context import get_result, result_store
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentReport",
-    "Row",
-    "run_experiment",
-    "format_report",
-    "get_result",
-    "result_store",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.experiments.registry": [
+        "EXPERIMENTS", "ExperimentReport", "Row", "run_experiment",
+        "format_report",
+    ],
+    "repro.experiments.context": ["get_result", "result_store"],
+})

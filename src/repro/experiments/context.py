@@ -64,8 +64,8 @@ from repro.etl.ingest import ingest_chain
 from repro.etl.store import EtlStore
 from repro.experiments import snapshot
 from repro.scenarios import ResolvedScenario, resolve_any, spec_digest
-from repro.simulation import SimulationEngine, SimulationResult, WorldState
-from repro.simulation.state import CHECKPOINT_SCHEMA_VERSION
+from repro.simulation.checkpoint import CHECKPOINT_SCHEMA_VERSION, read_meta
+from repro.simulation.engine import SimulationEngine, SimulationResult
 
 __all__ = [
     "ensure_snapshot",
@@ -264,7 +264,7 @@ def _build_result(
     engine = None
     if ckpt is not None and (ckpt / "meta.json").exists():
         try:
-            meta = WorldState.read_meta(ckpt)
+            meta = read_meta(ckpt)
             if meta.get("config_digest") != resolved.digest:
                 raise ReproError("checkpoint built from a different config")
             engine = SimulationEngine.resume(ckpt)

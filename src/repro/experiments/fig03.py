@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.analysis.moves import (
     collect_move_records,
     long_moves,
     move_distance_cdf,
     null_island_stats,
 )
+from repro.core.analysis.quantiles import median
 from repro.etl.store import EtlStore
 from repro.experiments.registry import ExperimentReport, Row
 from repro.simulation.engine import SimulationResult
@@ -38,7 +37,7 @@ def run(result: SimulationResult, store: EtlStore) -> ExperimentReport:
     short_share = float((distances <= 50.0).mean())
     report.rows = [
         Row("total relocations", None, len(records)),
-        Row("median move distance", None, float(np.median(distances)), unit="km",
+        Row("median move distance", None, median(distances), unit="km",
             note="Fig. 3b: short test-then-deploy hops dominate"),
         Row("moves ≤50 km (short mode)", None, short_share,
             note="bimodal: the rest are long-distance flows"),

@@ -5,14 +5,15 @@ and examples all want the same result. A result is persisted as the
 final day-boundary state of the run that produced it, written by
 :meth:`~repro.simulation.state.WorldState.save` — the one on-disk run
 format, shared with mid-run checkpoints (``chain.log``, ``state.json``,
-``meta.json``; see :mod:`repro.simulation.state`). So a second process
-reloads a scenario in seconds instead of re-simulating, every file of
-the entry is digest-checked on load, and a warm result equals the cold
-one in everything it carries, the stale spatial index included.
+``meta.json``; see :mod:`repro.simulation.state`) and checked by
+:mod:`repro.simulation.checkpoint`. So a second process reloads a
+scenario in seconds instead of re-simulating, every file of the entry
+is digest-checked on load, and a warm result equals the cold one in
+everything it carries, the stale spatial index included.
 
 * :func:`save_result` writes a result's final state.
 * :func:`load_result` runs every integrity check of the entry up front
-  (:meth:`~repro.simulation.state.Checkpoint.open`: the meta schema,
+  (:meth:`~repro.simulation.checkpoint.Checkpoint.open`: the meta schema,
   the config digest, the finished run, and the SHA-256 of both files
   plus the chain log's frame digest chain and count), decoding no block
   and parsing no world. The
@@ -20,8 +21,8 @@ one in everything it carries, the stale spatial index included.
   each half once, on first read: the chain half (log-backed, only the
   tip resident, its blocks read from the entry's own ``chain.log``) on
   ``result.chain``, the world half on any world field. An ETL ingest
-  builds only the first; analyses that read the replica build only the
-  second.
+  builds only the first, and loads no numpy; analyses that read the
+  replica build only the second.
 * :func:`result_digest` hashes a result's canonical bytes.
 """
 
@@ -33,9 +34,8 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
-from repro.poc.cheats import GossipClique
+from repro.simulation.checkpoint import Checkpoint
 from repro.simulation.engine import SimulationResult
-from repro.simulation.state import Checkpoint, hotspot_payload, owner_payload
 
 __all__ = [
     "ETL_DB_FILE",
@@ -72,6 +72,9 @@ def result_digest(result: SimulationResult) -> str:
 
 def _canonical_text(result: SimulationResult) -> str:
     """Everything but the chain, as the one canonical JSON text."""
+    from repro.poc.cheats import GossipClique
+    from repro.simulation.state import hotspot_payload, owner_payload
+
     cliques: Dict[int, List[str]] = {}
     hotspots: List[Dict[str, Any]] = []
     for hotspot in result.world.hotspots.values():

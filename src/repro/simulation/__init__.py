@@ -20,20 +20,20 @@ and owns the per-phase timings; and
 
 Every marginal the paper reports is a *calibration target*; EXPERIMENTS.md
 records how close the defaults land.
+
+The re-exported names resolve on first use (:mod:`repro._exports`), and
+checking and loading a saved run (:mod:`repro.simulation.checkpoint`)
+needs no numpy: a process that follows a cached run's chain, such as
+``python -m repro.etl ingest``, imports neither the world state nor the
+day loop.
 """
 
-from repro.simulation.engine import SimulationEngine, SimulationResult
-from repro.simulation.scenario import ScenarioConfig
-from repro.simulation.scheduler import PhaseScheduler
-from repro.simulation.state import WorldState
-from repro.simulation.world import SimHotspot, World
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ScenarioConfig",
-    "World",
-    "SimHotspot",
-    "SimulationEngine",
-    "SimulationResult",
-    "WorldState",
-    "PhaseScheduler",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.simulation.scenario": ["ScenarioConfig"],
+    "repro.simulation.world": ["World", "SimHotspot"],
+    "repro.simulation.engine": ["SimulationEngine", "SimulationResult"],
+    "repro.simulation.state": ["WorldState"],
+    "repro.simulation.scheduler": ["PhaseScheduler"],
+})

@@ -18,6 +18,11 @@ peerbook), so a saved final state reloads as the same result without
 running a day: a scenario-cache entry is that saved state, and
 :meth:`SimulationResult.from_checkpoint` builds each of its halves when
 first read.
+
+The day loop's modules (the state, its phases and their numpy stack)
+are imported where a run or a world half needs them, so loading a
+cached result and reading its chain half, as a chain follower does,
+loads none of them.
 """
 
 from __future__ import annotations
@@ -25,23 +30,25 @@ from __future__ import annotations
 from functools import cached_property
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from repro import obs
-from repro.chain.block import Block
-from repro.chain.blockchain import Blockchain
-from repro.chain.crypto import Address
-from repro.economics.oracle import PriceOracle
 from repro.errors import SimulationError
-from repro.p2p.peerbook import Peerbook
-from repro.rng import RngHub
-from repro.simulation.phases import Phase
-from repro.simulation.scenario import ScenarioConfig
-from repro.simulation.scheduler import PhaseScheduler
-from repro.simulation.state import Checkpoint, GrowthLogRow, WorldState
-from repro.simulation.world import World
 
-__all__ = ["GrowthLogRow", "SimulationResult", "SimulationEngine"]
+if TYPE_CHECKING:
+    from repro.chain.block import Block
+    from repro.chain.blockchain import Blockchain
+    from repro.chain.crypto import Address
+    from repro.economics.oracle import PriceOracle
+    from repro.p2p.peerbook import Peerbook
+    from repro.rng import RngHub
+    from repro.simulation.checkpoint import Checkpoint
+    from repro.simulation.phases import Phase
+    from repro.simulation.scenario import ScenarioConfig
+    from repro.simulation.state import GrowthLogRow, WorldState
+    from repro.simulation.world import World
+
+__all__ = ["SimulationResult", "SimulationEngine"]
 
 
 class SimulationResult:
@@ -186,6 +193,9 @@ class SimulationEngine:
         state: Optional[WorldState] = None,
         phases: Optional[List[Phase]] = None,
     ) -> None:
+        from repro.simulation.scheduler import PhaseScheduler
+        from repro.simulation.state import WorldState
+
         if state is None:
             if config is None:
                 raise SimulationError(
@@ -207,6 +217,8 @@ class SimulationEngine:
         phases: Optional[List[Phase]] = None,
     ) -> "SimulationEngine":
         """Engine positioned at a checkpoint's next unsimulated day."""
+        from repro.simulation.state import WorldState
+
         return cls(state=WorldState.load(checkpoint_dir), phases=phases)
 
     # Back-compat accessors: the run state used to live directly on the
@@ -341,6 +353,9 @@ def _build_peerbook(state: WorldState) -> Peerbook:
     loop never draws that stream, so the draws equal the run hub's,
     and a reloaded final state rebuilds the same peerbook.
     """
+    from repro.p2p.peerbook import Peerbook
+    from repro.rng import RngHub
+
     rng = RngHub(state.config.seed).stream("relay")
     peerbook = Peerbook()
     publics: List[Address] = []

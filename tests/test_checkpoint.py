@@ -22,7 +22,8 @@ from repro.errors import SimulationError
 from repro.experiments.snapshot import result_digest
 from repro.scenarios import resolve
 from repro.simulation import SimulationEngine
-from repro.simulation.state import CHECKPOINT_SCHEMA_VERSION, WorldState
+from repro.simulation.checkpoint import CHECKPOINT_SCHEMA_VERSION, read_meta
+from repro.simulation.state import WorldState
 
 from tests.test_engine_hotpath import SMALL_SEED7_DIGEST, _trimmed_config
 
@@ -65,7 +66,7 @@ class TestResumeEqualsFresh:
         assert result_digest(result) == fresh
         # n_days=60, every 20 → saves at day 20 and 40 (never at the
         # final day); the last one wins.
-        meta = WorldState.read_meta(ckpt)
+        meta = read_meta(ckpt)
         assert meta["day"] == 40
         assert meta["seed"] == config.seed
         # And resuming from that periodic checkpoint is still exact.

@@ -7,6 +7,7 @@ import hashlib
 
 import pytest
 
+from repro import obs
 from repro.chain import serialize
 from repro.chain.chainlog import ChainLog
 from repro.errors import EtlError
@@ -84,6 +85,35 @@ class TestResumeEqualsFresh:
             store._set_meta("checkpoint_height", "3")
         ingest_chain(builder.chain, store)
         assert store.content_digest() == digest
+
+
+class TestCheckpointLag:
+    def test_a_fresh_ingest_counts_down_the_blocks_left(
+        self, small_result, monkeypatch
+    ):
+        """``etl.ingest.checkpoint_lag`` counts blocks, never heights:
+        on a chain whose heights skip (a simulated one) it starts at the
+        blocks to load and only falls, to 0."""
+        published = []
+        gauge = obs.gauge
+
+        def spy(name, value, **labels):
+            if name == "etl.ingest.checkpoint_lag":
+                published.append(value)
+            gauge(name, value, **labels)
+
+        monkeypatch.setattr(obs, "gauge", spy)
+        chain = small_result.chain
+        assert chain.height > len(chain.blocks)  # heights skip
+        report = ingest_chain(chain, EtlStore(), batch_blocks=2000)
+        assert report.blocks_ingested == len(chain.blocks)
+        assert published[0] == report.blocks_ingested
+        assert published[-1] == 0
+        assert len(published) > 3  # several batches
+        assert all(
+            later <= earlier
+            for earlier, later in zip(published, published[1:])
+        )
 
 
 class TestLedgerFold:

@@ -7,8 +7,11 @@ or ``http.client``, which import ``ssl``), and read-only replicas keep
 a small page cache. A reproduction loads no module that none of its
 steps uses: a cold build's lock loads no farm (``multiprocessing``),
 trace ids need no ``uuid`` and a spec loads ``difflib`` only to
-suggest a fix for a misspelt key. A fresh interpreter is the only place
-to see an import closure, so the closure checks run in a subprocess.
+suggest a fix for a misspelt key, and no analysis loads ``numpy.ma``.
+A chain follower (a warm ``get_result``, its chain, ``ingest_chain``)
+loads no numpy: the checkpoint checks and the chain replay need none.
+A fresh interpreter is the only place to see an import closure, so the
+closure checks run in a subprocess.
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ NO_OPENSSL = (
     "email",
 )
 LAZY_PACKAGES = (
-    "repro", "repro.chain", "repro.core", "repro.etl", "repro.geo",
-    "repro.parallel", "repro.serve",
+    "repro", "repro.chain", "repro.core", "repro.etl", "repro.experiments",
+    "repro.geo", "repro.parallel", "repro.serve", "repro.simulation",
 )
 
 
-def _loaded_after(statement: str) -> set:
+def _loaded_after(statement: str, timeout: float = 60) -> set:
     """Module names a fresh interpreter holds after running ``statement``."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(
@@ -51,7 +54,7 @@ def _loaded_after(statement: str) -> set:
     script = f"{statement}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True,
-        text=True, timeout=60, check=True,
+        text=True, timeout=timeout, check=True,
     ).stdout
     return set(json.loads(out.splitlines()[-1]))
 
@@ -85,11 +88,81 @@ def test_serving_imports_no_uuid_or_platform(serve_closure):
     ("import repro.parallel.locks", "multiprocessing"),
     ("import repro.obs", "uuid"),
     ("import repro.scenarios", "difflib"),
+    ("from repro.simulation import SimulationEngine", "numpy"),
+    ("from repro.experiments import snapshot", "numpy"),
+    ("from repro.experiments.context import get_result", "numpy"),
 ])
 def test_a_module_loads_nothing_its_callers_do_not_use(statement, unused):
     loaded = _loaded_after(statement)
     assert statement.split()[1] in loaded
     assert not _pulled(loaded, (unused,))
+
+
+@pytest.fixture()
+def warm_small(small_result, tmp_path, monkeypatch):
+    """A scenario cache, in ``REPRO_SCENARIO_CACHE``, that holds the
+    ``small`` entry."""
+    from repro.experiments import context, snapshot
+    from repro.scenarios import resolve
+
+    monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path / "cache"))
+    resolved = resolve("small")
+    snapshot.save_result(
+        small_result, context._entry_dir(resolved.config.seed, resolved.digest)
+    )
+
+
+def test_a_warm_chain_follower_loads_no_numpy(
+    warm_small, small_store, tmp_path
+):
+    """Checking the entry, replaying its chain and ingesting it needs
+    neither numpy nor the world state, and loads the same rows as a
+    cold ingest."""
+    digest = tmp_path / "digest"
+    loaded = _loaded_after(
+        "from repro.etl.ingest import ingest_chain\n"
+        "from repro.etl.store import EtlStore\n"
+        "from repro.experiments.context import get_result\n"
+        "from repro.scenarios import resolve\n"
+        "store = EtlStore()\n"
+        "report = ingest_chain(get_result(resolve('small')).chain, store)\n"
+        "assert report.blocks_ingested > 0\n"
+        f"open({str(digest)!r}, 'w').write(store.content_digest())"
+    )
+    assert "repro.simulation.checkpoint" in loaded
+    assert not _pulled(loaded, ("numpy", "repro.simulation.state"))
+    assert digest.read_text() == small_store.content_digest()
+
+
+def test_serving_a_missing_store_ingests_a_warm_entry_without_numpy(
+    warm_small, tmp_path
+):
+    db = str(tmp_path / "etl.db")
+    loaded = _loaded_after(
+        "from repro.serve.cli import _open_or_ingest\n"
+        f"store = _open_or_ingest({db!r}, 'small', None)\n"
+        "assert store.checkpoint_height > 0"
+    )
+    assert "repro.etl.ingest" in loaded
+    assert not _pulled(loaded, ("numpy",))
+
+
+def test_a_reproduction_never_imports_numpy_ma():
+    """The analyses' medians and percentiles are numpy's numbers
+    without ``numpy.ma``, which ``np.median`` and ``np.percentile``
+    import to look for NaNs."""
+    loaded = _loaded_after(
+        "import os\n"
+        "os.environ['REPRO_SCENARIO_CACHE'] = 'off'\n"
+        "from repro.experiments.context import get_result\n"
+        "from repro.experiments.registry import EXPERIMENTS, run_experiment\n"
+        "result = get_result('small')\n"
+        "for experiment_id in EXPERIMENTS.ids():\n"
+        "    run_experiment(experiment_id, result)",
+        timeout=300,
+    )
+    assert "repro.experiments.s8_1" in loaded
+    assert not _pulled(loaded, ("numpy.ma",))
 
 
 def test_a_trace_id_is_sixteen_lowercase_hex_digits(tmp_path):
@@ -193,6 +266,17 @@ def test_every_exported_name_resolves(package):
         assert getattr(module, name) is not None, name
     with pytest.raises(AttributeError):
         getattr(module, "no_such_export")
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_a_lazy_package_binds_each_name_when_first_read(package):
+    loaded = _loaded_after(
+        f"import {package} as package\n"
+        "bound = [name for name in package.__all__\n"
+        "         if not name.startswith('__') and name in vars(package)]\n"
+        "assert not bound, bound"
+    )
+    assert package in loaded
 
 
 def test_read_only_replica_caps_its_page_cache(tmp_path):

@@ -34,7 +34,7 @@ from repro.experiments.registry import (
 from repro.parallel import longest_first, run_farm, run_sweep, task_cost
 from repro.parallel.locks import build_lock
 from repro.scenarios import resolve
-from repro.simulation.state import CHECKPOINT_SCHEMA_VERSION
+from repro.simulation.checkpoint import CHECKPOINT_SCHEMA_VERSION
 
 #: A fast cross-section: chain-walking, RNG-drawing (fig12), and the
 #: tie-break-sensitive resale analysis (fig07). The full suite runs in

@@ -29,7 +29,7 @@ from repro.experiments.snapshot import (
 )
 from repro.poc.cheats import GossipClique
 from repro.scenarios import resolve, spec_digest
-from repro.simulation.state import CHECKPOINT_SCHEMA_VERSION
+from repro.simulation.checkpoint import CHECKPOINT_SCHEMA_VERSION
 
 from tests.test_engine_hotpath import SMALL_SEED7_DIGEST
 
