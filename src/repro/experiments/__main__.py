@@ -23,19 +23,26 @@ import time
 
 from repro import obs
 from repro.experiments.context import get_result
-from repro.experiments.registry import EXPERIMENTS, format_report, run_experiment
+from repro.experiments.registry import EXPERIMENTS, format_report
+from repro.parallel.farm import run_farm
 from repro.simulation.__main__ import positive_int
 
 
 def _parse_seeds(spec: str):
-    """``A..B`` (inclusive) or a comma list -> [int, ...]."""
+    """``A..B`` (inclusive) or a comma list of distinct seeds ->
+    [int, ...]."""
     if ".." in spec:
         low, _, high = spec.partition("..")
         start, stop = int(low), int(high)
         if stop < start:
             raise argparse.ArgumentTypeError(f"empty seed range {spec!r}")
         return list(range(start, stop + 1))
-    return [int(part) for part in spec.split(",") if part.strip()]
+    seeds = [int(part) for part in spec.split(",") if part.strip()]
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seeds in {spec!r}")
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"duplicate seeds in {spec!r}")
+    return seeds
 
 
 def _sweep_main(argv) -> int:
@@ -53,7 +60,7 @@ def _sweep_main(argv) -> int:
         help="registry name (see --list-scenarios) or a path to a "
         ".json/.toml scenario spec file",
     )
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
+    parser.add_argument("--jobs", type=positive_int, default=1, metavar="N")
     parser.add_argument(
         "--checkpoint-every", type=positive_int, default=None, metavar="N",
         help="save resumable day-level checkpoints every N days while "
@@ -130,7 +137,7 @@ def main(argv=None) -> int:
         help="override the spec's own seed (default: keep it)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="run experiments in N worker processes (workers rehydrate "
         "the scenario from the persistent cache; output is identical "
         "to the serial path)",
@@ -200,36 +207,12 @@ def main(argv=None) -> int:
     print(f"scenario ready in {scenario_ready_s:.1f}s\n")
 
     experiments_started = time.time()
-    timings = {}
-    if args.jobs > 1:
-        from repro.parallel import run_farm
-
-        outcomes = run_farm(
-            resolved, None, ids, jobs=args.jobs,
-            checkpoint_every=args.checkpoint_every,
-        )
-        reports = [outcome.report for outcome in outcomes]
-        timings = {
-            outcome.experiment_id: {
-                "wall_s": outcome.wall_s, "cpu_s": outcome.cpu_s,
-                "rss_hwm_bytes": outcome.rss_hwm_bytes,
-            }
-            for outcome in outcomes
-        }
-    else:
-        reports = []
-        for experiment_id in ids:
-            wall0 = time.perf_counter()
-            cpu0 = time.process_time()
-            reports.append(run_experiment(experiment_id, result))
-            timings[experiment_id] = {
-                "wall_s": time.perf_counter() - wall0,
-                "cpu_s": time.process_time() - cpu0,
-                # The process high-water mark so far: the step from
-                # the previous experiment is what this one added.
-                "rss_hwm_bytes": obs.peak_rss_bytes(),
-            }
+    outcomes = run_farm(
+        resolved, None, ids, jobs=args.jobs,
+        checkpoint_every=args.checkpoint_every,
+    )
     experiments_wall_s = time.time() - experiments_started
+    reports = [outcome.report for outcome in outcomes]
 
     for report in reports:
         print(format_report(report))
@@ -237,14 +220,12 @@ def main(argv=None) -> int:
     if args.export:
         from repro.experiments.export import export_all
 
-        written = export_all(result, args.export, experiment_ids=ids,
-                             reports=reports)
+        written = export_all(reports, args.export)
         print(f"exported {len(written)} files to {args.export}")
     if args.figures:
         from repro.experiments.figures import render_figures
 
-        figure_ids = None if not args.ids else args.ids
-        rendered = render_figures(result, args.figures, figure_ids)
+        rendered = render_figures(result, reports, args.figures)
         print(f"rendered {len(rendered)} figures to {args.figures}")
     if args.profile:
         from pathlib import Path
@@ -258,7 +239,13 @@ def main(argv=None) -> int:
             # Per-phase day-loop seconds; null when the scenario came
             # from the cache (no day loop ran in this process).
             "day_loop_phases": result.day_loop_timings,
-            "experiments": timings,
+            "experiments": {
+                outcome.experiment_id: {
+                    "wall_s": outcome.wall_s, "cpu_s": outcome.cpu_s,
+                    "rss_hwm_bytes": outcome.rss_hwm_bytes,
+                }
+                for outcome in outcomes
+            },
             "experiments_wall_s": experiments_wall_s,
             # High-water-mark RSS: this process, plus the max over
             # reaped farm workers when any ran.

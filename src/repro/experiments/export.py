@@ -1,11 +1,15 @@
-"""Figure-data export: write every experiment's rows and series to disk.
+"""Figure-data export: write a run's reports and series to disk.
 
-``python -m repro.experiments`` prints paper-vs-measured tables; this
-module writes the underlying data (CSV for series, JSON for reports) so
-the figures can be re-plotted with any tool:
+``python -m repro.experiments`` prints paper-vs-measured tables; with
+``--export DIR`` it also hands the reports it just computed to
+:func:`export_all`, which writes the underlying data (CSV for series,
+JSON for reports) so the figures can be re-plotted with any tool:
 
     from repro.experiments.export import export_all
-    export_all(result, "out/")
+    from repro.parallel import run_farm
+
+    outcomes = run_farm("small", None, ["fig02", "fig13"])
+    export_all([outcome.report for outcome in outcomes], "out/")
 
 Layout::
 
@@ -20,13 +24,9 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Sequence, Union
 
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    ExperimentReport,
-    run_experiment,
-)
+from repro.experiments.registry import ExperimentReport
 
 __all__ = ["export_report", "export_all"]
 
@@ -84,37 +84,20 @@ def export_report(report: ExperimentReport, out_dir: Union[str, Path]) -> List[P
 
 
 def export_all(
-    result,
-    out_dir: Union[str, Path],
-    experiment_ids: Optional[List[str]] = None,
-    reports: Optional[List[ExperimentReport]] = None,
+    reports: Sequence[ExperimentReport], out_dir: Union[str, Path]
 ) -> List[Path]:
-    """Run and export every experiment (or a subset) for one result.
-
-    Pass ``reports`` (parallel to ``experiment_ids``) to export already
-    computed reports — e.g. from the experiment farm — instead of
-    re-running each experiment here. A ``summary.csv`` with every
-    paper-vs-measured row is written last.
-    """
+    """Export already computed reports, in order, then a ``summary.csv``
+    with every paper-vs-measured row. Returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ids = experiment_ids if experiment_ids is not None else EXPERIMENTS.ids()
-    if reports is not None and len(reports) != len(ids):
-        raise ValueError(
-            f"got {len(reports)} reports for {len(ids)} experiment ids"
-        )
     written: List[Path] = []
     summary_rows: List[List] = [["experiment", "label", "paper", "measured", "unit"]]
-    for position, experiment_id in enumerate(ids):
-        report = (
-            reports[position]
-            if reports is not None
-            else run_experiment(experiment_id, result)
-        )
+    for report in reports:
         written.extend(export_report(report, out))
         for row in report.rows:
             summary_rows.append([
-                experiment_id, row.label, row.paper, row.measured, row.unit,
+                report.experiment_id, row.label, row.paper, row.measured,
+                row.unit,
             ])
     summary_path = out / "summary.csv"
     with summary_path.open("w", newline="") as handle:

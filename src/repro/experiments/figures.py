@@ -1,17 +1,21 @@
 """Figure renderers: every re-plottable paper figure as SVG.
 
-``render_figures(result, out_dir)`` writes one SVG per figure whose data
-the experiments expose as series — the CDFs, histograms, time series and
-maps of Figures 2–5, 7–15. Rendering is dependency-free (see
+``render_figures(result, reports, out_dir)`` writes one SVG per figure
+whose data the run's reports expose as series — the CDFs, histograms,
+time series and maps of Figures 2–5, 7–15 — for each report that has a
+renderer. It computes nothing: ``python -m repro.experiments
+--figures DIR`` hands it the reports it has just printed. Only the
+Fig. 12 dot map reads ``result`` itself, for the hotspots' asserted
+locations in the world half. Rendering is dependency-free (see
 :mod:`repro.experiments.svg`).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, List, Union
+from typing import Callable, Dict, List, Sequence, Union
 
-from repro.experiments.registry import run_experiment
+from repro.experiments.registry import ExperimentReport
 from repro.experiments.svg import Chart
 from repro.geo.landmass import _US_BOUNDARY
 
@@ -23,8 +27,7 @@ _US_OUTLINE = [(lon, lat) for lat, lon in _US_BOUNDARY]
 _US_DOMAIN = (-126.0, -66.0, 24.0, 50.0)
 
 
-def _fig02(result) -> Dict[str, str]:
-    report = run_experiment("fig02", result)
+def _fig02(report, result) -> Dict[str, str]:
     histogram = dict(report.series["moves_histogram"])
     chart = Chart(title="Fig. 2 — Location changes per hotspot",
                   x_label="moves", y_label="hotspots")
@@ -34,8 +37,7 @@ def _fig02(result) -> Dict[str, str]:
     return {"fig02": chart.render()}
 
 
-def _fig03(result) -> Dict[str, str]:
-    report = run_experiment("fig03", result)
+def _fig03(report, result) -> Dict[str, str]:
     distances = report.series["distance_cdf_km"]
     out: Dict[str, str] = {}
 
@@ -58,8 +60,7 @@ def _fig03(result) -> Dict[str, str]:
     return out
 
 
-def _fig04(result) -> Dict[str, str]:
-    report = run_experiment("fig04", result)
+def _fig04(report, result) -> Dict[str, str]:
     intervals = report.series["interval_blocks"]
     chart = Chart(title="Fig. 4 — blocks between relocations",
                   x_label="blocks", y_label="CDF", log_x=True)
@@ -72,8 +73,7 @@ def _fig04(result) -> Dict[str, str]:
     return {"fig04": chart.render()}
 
 
-def _fig05(result) -> Dict[str, str]:
-    report = run_experiment("fig05", result)
+def _fig05(report, result) -> Dict[str, str]:
     cumulative = report.series["cumulative_connected"]
     daily = report.series["daily_added"]
     online = report.series["online"]
@@ -89,8 +89,7 @@ def _fig05(result) -> Dict[str, str]:
     return {"fig05": chart.render()}
 
 
-def _fig07(result) -> Dict[str, str]:
-    report = run_experiment("fig07", result)
+def _fig07(report, result) -> Dict[str, str]:
     out: Dict[str, str] = {}
     histogram = dict(report.series["transfers_per_hotspot"])
     bars = Chart(title="Fig. 7a — ownership transfers per hotspot",
@@ -112,8 +111,7 @@ def _fig07(result) -> Dict[str, str]:
     return out
 
 
-def _fig08(result) -> Dict[str, str]:
-    report = run_experiment("fig08", result)
+def _fig08(report, result) -> Dict[str, str]:
     rows = report.series["packets_by_close"]
     chart = Chart(width=720, title="Fig. 8 — packets per channel closing",
                   x_label="block", y_label="packets")
@@ -127,8 +125,7 @@ def _fig08(result) -> Dict[str, str]:
     return {"fig08": chart.render()}
 
 
-def _fig09(result) -> Dict[str, str]:
-    report = run_experiment("fig09", result)
+def _fig09(report, result) -> Dict[str, str]:
     counts = [count for _, count in report.series["asn_distribution"]]
     chart = Chart(title="Fig. 9 — hotspots per ASN (ranked)",
                   x_label="ASN rank", y_label="hotspots")
@@ -139,8 +136,7 @@ def _fig09(result) -> Dict[str, str]:
     return {"fig09": chart.render()}
 
 
-def _fig10(result) -> Dict[str, str]:
-    report = run_experiment("fig10", result)
+def _fig10(report, result) -> Dict[str, str]:
     histogram = dict(report.series["relay_load_histogram"])
     chart = Chart(title="Fig. 10 — relay nodes with n peers",
                   x_label="peers relayed", y_label="relay nodes")
@@ -150,8 +146,7 @@ def _fig10(result) -> Dict[str, str]:
     return {"fig10": chart.render()}
 
 
-def _fig11(result) -> Dict[str, str]:
-    report = run_experiment("fig11", result)
+def _fig11(report, result) -> Dict[str, str]:
     actual = report.series["actual_km"]
     chart = Chart(title="Fig. 11 — relay↔peer distance",
                   x_label="distance (km)", y_label="CDF")
@@ -160,7 +155,7 @@ def _fig11(result) -> Dict[str, str]:
     return {"fig11": chart.render()}
 
 
-def _fig12(result) -> Dict[str, str]:
+def _fig12(report, result) -> Dict[str, str]:
     chart = Chart(width=720, height=460,
                   title="Fig. 12a — hotspot dot map", x_label="lon",
                   y_label="lat")
@@ -180,8 +175,7 @@ def _fig12(result) -> Dict[str, str]:
     return {"fig12a": chart.render()}
 
 
-def _fig13(result) -> Dict[str, str]:
-    report = run_experiment("fig13", result)
+def _fig13(report, result) -> Dict[str, str]:
     distances = report.series["distances_km"]
     chart = Chart(title="Fig. 13 — valid witness distances",
                   x_label="distance (km)", y_label="CDF", log_x=True)
@@ -192,8 +186,7 @@ def _fig13(result) -> Dict[str, str]:
     return {"fig13": chart.render()}
 
 
-def _fig14(result) -> Dict[str, str]:
-    report = run_experiment("fig14", result)
+def _fig14(report, result) -> Dict[str, str]:
     rssis = [r for r in report.series["rssis_dbm"] if r < 0]
     chart = Chart(title="Fig. 14 — witness RSSI", x_label="RSSI (dBm)",
                   y_label="CDF")
@@ -220,19 +213,19 @@ FIGURE_RENDERERS: Dict[str, Callable] = {
 
 def render_figures(
     result,
+    reports: Sequence[ExperimentReport],
     out_dir: Union[str, Path],
-    figure_ids: Union[List[str], None] = None,
 ) -> List[Path]:
-    """Render every (or selected) figure to ``out_dir`` as SVG files."""
+    """Render the figures of ``reports``, computed on ``result``, to
+    ``out_dir`` as SVG files; a report without a figure is skipped."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ids = figure_ids if figure_ids is not None else sorted(FIGURE_RENDERERS)
     written: List[Path] = []
-    for figure_id in ids:
-        renderer = FIGURE_RENDERERS.get(figure_id)
+    for report in reports:
+        renderer = FIGURE_RENDERERS.get(report.experiment_id)
         if renderer is None:
             continue
-        for name, svg_text in renderer(result).items():
+        for name, svg_text in renderer(report, result).items():
             path = out / f"{name}.svg"
             path.write_text(svg_text)
             written.append(path)

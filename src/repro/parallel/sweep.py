@@ -2,68 +2,34 @@
 
 The paper reports one number per marginal; the reproduction can do
 better and report how stable that number is across simulation seeds.
-``run_sweep`` builds one scenario per seed — in parallel workers, each
-publishing into the shared scenario cache under the build lock — runs
-the selected experiments against each, and aggregates every
-paper-vs-measured row across seeds into mean / sample stddev / 95% CI.
+``run_sweep`` fans the seeds out through the experiment runner
+(:func:`repro.parallel.farm.fan_out`), one task per seed, and
+aggregates every paper-vs-measured row across seeds into mean / sample
+stddev / 95% CI.
+
+A task is one whole seed: the seed's experiments, in order, in one
+process. Its worker loads the seed's cache entry or cold-builds it
+under the build lock (publishing it for later warm runs), and its first
+analysis ingests the seed's ETL replica, so each ``etl.db`` has one
+writer. Nothing else is built up front: an experiment that never reads
+the world half never builds it.
 
 The output dict is deterministic for a given (scenario, seeds,
 experiment set): no timestamps, sorted keys, plain Python numbers — so
-re-running a sweep (now warm from cache) must produce byte-identical
-JSON, which the tests assert.
+re-running a sweep (now warm from cache), at any job count, must
+produce byte-identical JSON, which the tests assert.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro import obs
 from repro.errors import AnalysisError
-from repro.experiments.registry import (
-    report_payload,
-    run_experiment,
-)
+from repro.experiments.registry import report_payload
+from repro.parallel.farm import Task, fan_out
 
 __all__ = ["format_sweep", "run_sweep"]
-
-
-def _sweep_task(
-    task: Tuple[Dict, Tuple[str, ...], Optional[int]]
-) -> Tuple[int, List[Dict]]:
-    """Worker entry point: build one seed's scenario, run all experiments.
-
-    The task carries the parent's serialised resolved spec (one payload
-    per seed), so spawn workers rehydrate what the parent validated
-    instead of re-reading any file or registry. ``get_result`` consults
-    the persistent cache first, takes the build lock on a miss, and
-    publishes the built scenario for everyone else — so concurrent
-    sweep workers never duplicate a cold build and the entries remain
-    available for later warm runs. A non-``None`` ``checkpoint_every``
-    additionally makes each cold build resumable across sweep
-    invocations.
-    """
-    payload, experiment_ids, checkpoint_every = task
-    from repro.experiments.context import get_result
-    from repro.scenarios import from_payload
-
-    resolved = from_payload(payload)
-    seed = resolved.config.seed
-    started = time.perf_counter()
-    result = get_result(resolved, checkpoint_every=checkpoint_every)
-    payloads = [
-        report_payload(run_experiment(eid, result)) for eid in experiment_ids
-    ]
-    wall_s = time.perf_counter() - started
-    obs.counter("sweep.seeds")
-    obs.observe("sweep.seed_s", wall_s)
-    obs.trace_event(
-        "worker.sweep_seed", scenario=resolved.label, seed=seed,
-        experiments=len(experiment_ids), wall_s=round(wall_s, 4),
-    )
-    return seed, payloads
 
 
 def run_sweep(
@@ -71,19 +37,20 @@ def run_sweep(
     seeds: Sequence[int],
     experiment_ids: Sequence[str],
     jobs: int = 1,
-    start_method: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
 ) -> Dict:
     """Cross-seed robustness report for one scenario.
 
     ``scenario`` is anything :func:`repro.scenarios.resolve_any`
     accepts — registry name, spec-file path, or a resolved scenario;
-    it is resolved once and re-seeded per sweep point. Returns a
-    JSON-ready dict: per experiment, each comparison row with its
-    per-seed values, cross-seed ``mean``, sample ``stddev`` (0.0 for a
-    single seed) and normal-approximation 95% confidence half-width
-    ``ci95``. Rows are keyed by label in first-seed order; a row
-    missing for some seed is an analysis bug and raises.
+    it is resolved once and re-seeded per sweep point. Seeds run over
+    ``jobs`` processes, and ``checkpoint_every`` makes each seed's cold
+    build resumable across sweep invocations. Returns a JSON-ready
+    dict: per experiment, each comparison row with its per-seed values,
+    cross-seed ``mean``, sample ``stddev`` (0.0 for a single seed) and
+    normal-approximation 95% confidence half-width ``ci95``. Rows are
+    keyed by label in first-seed order; a row missing for some seed is
+    an analysis bug and raises.
     """
     from repro.scenarios import resolve_any, with_seed
 
@@ -94,40 +61,29 @@ def run_sweep(
     if len(set(seed_list)) != len(seed_list):
         raise AnalysisError(f"duplicate seeds in sweep: {seed_list}")
     ids = tuple(experiment_ids)
-    tasks = [
-        (with_seed(resolved, seed).payload(), ids, checkpoint_every)
+    pairs = tuple((experiment_id, None) for experiment_id in ids)
+    tasks: List[Task] = [
+        (None, with_seed(resolved, seed).payload(), checkpoint_every, pairs)
         for seed in seed_list
     ]
-
-    sweep_started = time.perf_counter()
-    obs.trace_event(
-        "sweep.start", scenario=resolved.label, seeds=seed_list, jobs=jobs,
+    raw = fan_out(
+        tasks, jobs, scenario=resolved.label, seeds=seed_list,
         experiments=len(ids),
     )
-    if jobs <= 1:
-        raw = [_sweep_task(task) for task in tasks]
-    else:
-        context = (
-            multiprocessing.get_context(start_method)
-            if start_method
-            else multiprocessing.get_context()
-        )
-        with context.Pool(processes=jobs) as pool:
-            raw = list(pool.imap(_sweep_task, tasks))
-    obs.trace_event(
-        "sweep.done", scenario=resolved.label, seeds=seed_list, jobs=jobs,
-        wall_s=round(time.perf_counter() - sweep_started, 4),
-    )
 
-    by_seed = dict(raw)
+    by_seed: Dict[int, Dict[str, Dict]] = {}
+    for item in raw:
+        by_seed.setdefault(item["seed"], {})[item["experiment_id"]] = (
+            report_payload(item["report"])
+        )
     experiments: Dict[str, Dict] = {}
-    for position, experiment_id in enumerate(ids):
-        first = by_seed[seed_list[0]][position]
+    for experiment_id in ids:
+        first = by_seed[seed_list[0]][experiment_id]
         rows = []
         for row_index, row in enumerate(first["rows"]):
             values = {}
             for seed in seed_list:
-                other = by_seed[seed][position]["rows"][row_index]
+                other = by_seed[seed][experiment_id]["rows"][row_index]
                 if other["label"] != row["label"]:
                     raise AnalysisError(
                         f"{experiment_id} row {row_index} label differs "

@@ -44,7 +44,10 @@ JSON, built for sustained concurrent traffic:
   connection closes. The API takes no request bodies: a request that
   declares one (``Content-Length`` above zero, or any
   ``Transfer-Encoding``) is answered and the connection closed, so an
-  unread body is never parsed as the next request. Every response
+  unread body is never parsed as the next request. A connection that
+  closes with input left unread (a rejected head, a body, requests
+  pipelined behind a closing one) is half-closed and drained first,
+  so the client reads its reply rather than a reset. Every response
   leaves as one write carrying ``Content-Length``, ``Server`` and
   ``Date``.
 
@@ -243,7 +246,7 @@ class ServeHandler(socketserver.BaseRequestHandler):
             else:
                 self._method_not_allowed()
             if self._close:
-                if self._drain:
+                if self._drain or self._input_left():
                     self._linger()
                 return
 
@@ -355,14 +358,29 @@ class ServeHandler(socketserver.BaseRequestHandler):
             self.path = "/" + self.path.lstrip("/")
         self.headers = headers
 
+    def _input_left(self) -> bool:
+        """Whether bytes past the last head were read or wait unread.
+
+        A client may pipeline more requests behind one that closes the
+        connection (HTTP/1.0, ``Connection: close``); those bytes are
+        never answered, but must not be left unread either.
+        """
+        if self._pending:
+            return True
+        self.connection.settimeout(0.0)
+        try:
+            return bool(self.connection.recv(1, socket.MSG_PEEK))
+        except OSError:  # nothing waiting, or a reset
+            return False
+
     def _linger(self) -> None:
         """Close the write side, then read until the client hangs up.
 
         Closing a socket with unread bytes resets the connection, and a
         reset can destroy a reply the client has not read yet. So after
-        a reply that leaves bytes unread (a rejected head, a body) the
-        worker reads and drops input until EOF, for at most
-        ``keepalive_idle_s``.
+        a reply that leaves bytes unread (a rejected head, a body,
+        requests pipelined behind a closing one) the worker reads and
+        drops input until EOF, for at most ``keepalive_idle_s``.
         """
         deadline = monotonic() + self.server.keepalive_idle_s
         try:

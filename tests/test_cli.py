@@ -1,6 +1,10 @@
 """CLI entry-point tests (in-process)."""
 
 import json
+import re
+import shlex
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -77,20 +81,116 @@ class TestDayCountValidation:
         ["--scenario", "small", "--checkpoint-every", "-1", "fig02"],
         ["sweep", "--scenario", "small", "--seeds", "7",
          "--checkpoint-every", "0", "fig02"],
+        ["--scenario", "small", "--jobs", "0", "fig02"],
+        ["--scenario", "small", "--jobs", "-2", "fig02"],
+        ["sweep", "--scenario", "small", "--seeds", "7", "--jobs", "0",
+         "fig02"],
     ])
     def test_experiments_cli(self, argv, capsys, monkeypatch):
-        import repro.experiments.__main__ as experiments_module
-        import repro.parallel
-
-        def must_not_build(*args, **kwargs):
-            pytest.fail("a rejected day count must not build a scenario")
-
-        monkeypatch.setattr(experiments_module, "get_result", must_not_build)
-        monkeypatch.setattr(repro.parallel, "run_sweep", must_not_build)
+        _forbid_builds(monkeypatch)
         with pytest.raises(SystemExit) as exc:
             experiments_main(argv)
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds, message", [
+        ("3,3", "duplicate seeds"),
+        ("7,8,7", "duplicate seeds"),
+        (",", "no seeds"),
+        ("9..8", "empty seed range"),
+    ])
+    def test_experiments_cli_seeds(self, seeds, message, capsys, monkeypatch):
+        _forbid_builds(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            experiments_main(
+                ["sweep", "--scenario", "small", "--seeds", seeds, "fig02"]
+            )
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def _forbid_builds(monkeypatch):
+    import repro.experiments.__main__ as experiments_module
+    import repro.parallel
+
+    def must_not_build(*args, **kwargs):
+        pytest.fail("a usage error must not build a scenario")
+
+    monkeypatch.setattr(experiments_module, "get_result", must_not_build)
+    monkeypatch.setattr(experiments_module, "run_farm", must_not_build)
+    monkeypatch.setattr(repro.parallel, "run_sweep", must_not_build)
+
+
+def _readme_experiment_commands():
+    """Every ``python -m repro.experiments`` command in README.md's code
+    blocks, continuation lines joined, as argument lists."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = []
+    for block in re.findall(r"```[a-z]*\n(.*?)```", readme.read_text(), re.S):
+        for line in re.sub(r"\\\n\s*", " ", block).splitlines():
+            if line.startswith("python -m repro.experiments"):
+                commands.append(shlex.split(line, comments=True)[3:])
+    return commands
+
+
+README_COMMANDS = _readme_experiment_commands()
+
+
+class TestReadmeCommands:
+    """The README's commands parse: none is a usage error (exit 2).
+    Scenario resolution and every build are stubbed out."""
+
+    def test_the_readme_has_commands(self):
+        assert len(README_COMMANDS) >= 10
+        assert any(argv[:1] == ["sweep"] for argv in README_COMMANDS)
+
+    @pytest.mark.parametrize(
+        "argv", README_COMMANDS,
+        ids=[" ".join(argv) or "no-arguments" for argv in README_COMMANDS],
+    )
+    def test_command_parses(self, argv, tmp_path, monkeypatch, capsys):
+        import repro.experiments.__main__ as experiments_module
+        import repro.experiments.export
+        import repro.experiments.figures
+        import repro.parallel
+        import repro.scenarios
+        from repro import obs
+        from repro.experiments.registry import ExperimentReport
+        from repro.parallel import FarmOutcome
+
+        monkeypatch.chdir(tmp_path)  # --export/--out/--trace write here
+        for name in ("REPRO_TRACE", "REPRO_TRACE_ID"):
+            monkeypatch.setenv(name, "")  # restored after the test
+        resolved = repro.scenarios.resolve("small")
+        monkeypatch.setattr(
+            repro.scenarios, "resolve", lambda *args, **kwargs: resolved
+        )
+        monkeypatch.setattr(
+            experiments_module, "get_result",
+            lambda *args, **kwargs: SimpleNamespace(day_loop_timings=None),
+        )
+        monkeypatch.setattr(
+            experiments_module, "run_farm",
+            lambda scenario, seed, ids, **kwargs: [
+                FarmOutcome(eid, ExperimentReport(eid, eid), 0.0, 0.0, 0)
+                for eid in ids
+            ],
+        )
+        monkeypatch.setattr(
+            repro.parallel, "run_sweep",
+            lambda scenario, seeds, ids, **kwargs: {
+                "scenario": str(scenario), "seeds": list(seeds),
+                "experiment_ids": [], "experiments": {},
+            },
+        )
+        monkeypatch.setattr(
+            repro.experiments.figures, "render_figures",
+            lambda result, reports, out_dir: [],
+        )
+        try:
+            assert experiments_main(argv) == 0
+        finally:
+            obs.close_trace(clear_env=True)
 
 
 class TestExperimentsListFlag:

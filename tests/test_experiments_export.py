@@ -32,9 +32,11 @@ class TestExportReport:
 
 class TestExportAll:
     def test_subset_with_summary(self, small_result, tmp_path):
-        written = export_all(
-            small_result, tmp_path, experiment_ids=["fig02", "fig04"]
-        )
+        reports = [
+            run_experiment(experiment_id, small_result)
+            for experiment_id in ("fig02", "fig04")
+        ]
+        written = export_all(reports, tmp_path)
         summary = tmp_path / "summary.csv"
         assert summary in written
         rows = list(csv.reader(summary.open()))

@@ -1,10 +1,49 @@
 """SVG chart and figure-rendering tests."""
 
+import hashlib
+
 import pytest
 
+import repro.experiments.context as context
 from repro.errors import AnalysisError
 from repro.experiments.figures import FIGURE_RENDERERS, render_figures
+from repro.experiments.registry import ExperimentReport
 from repro.experiments.svg import Chart, SvgCanvas
+from repro.parallel import run_farm
+from repro.scenarios import resolve
+
+#: SHA-256 of every SVG at ``small`` seed 7, as written when each
+#: renderer still re-ran its own experiment: rendering the run's reports
+#: must draw the same bytes.
+SVG_SHA256 = {
+    "fig02": "87f74067d27bf55da01fdcda2a529e50527c41d8511c0525bd6dca84e6bb8c3b",
+    "fig03a": "a86c9486ff94ecb08ffa9fa7717333eb8a8cc564c0c54dfc15652c64023fbf3a",
+    "fig03c": "731d8e40e919791635b97d5339728043d68c1056dd90c63277c58e3223180c5e",
+    "fig04": "32f3bce92e2d841d1f883b31e6b0ef772d5dba328831979e15e912b0fdb5919a",
+    "fig05": "63690eb8b2320ce24e09039962dc493ecb7a8c650f58978c3e07e8050cd83ad2",
+    "fig07a": "6b6ce2bb6ef1d4feb95dc8bbcfcad4faa12c06bd7b995787eee0cf71e4b11a1c",
+    "fig07c": "24ee93587a8ef05752f5f3a1fb21147a131153fa86e6bcf89fd5337722783989",
+    "fig08": "728e2527076a1af78c83cd31e24149009c59b4b281157cc3f854817bc0be63fb",
+    "fig09": "bc2519634c2154ee48be1dd9412141016afe0ec4f886892ae4d81a9dc488c8d2",
+    "fig10": "0ac3419321271bca0ecd0338c45e2b9dbdb86f04a05c686bf57f61effc757013",
+    "fig11": "6f2069402f1a0e948a95c7b07dac548fa1c46605415ade4c13f90d539ab20364",
+    "fig12a": "689065408e7e2ed7e3b564769cb31146a5c15cd47d27b73c4c9c487bd3e04646",
+    "fig13": "e403026831a5cb05b13a847e4f9b7c0b336a6e10ad6a599cee6a96e367f85907",
+    "fig14": "ad0df5abe7f55d818a86d36ef56fe56099e4e3f5367b8521484d9a362ea4e3f3",
+}
+
+
+@pytest.fixture(scope="module")
+def figure_reports(small_result):
+    """The reports of every experiment with a figure, in the form
+    ``python -m repro.experiments`` hands them over: from the runner."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_SCENARIO_CACHE", "off")
+        patch.setattr(
+            context, "_CACHE", {resolve("small", seed=7).digest: small_result}
+        )
+        outcomes = run_farm("small", 7, sorted(FIGURE_RENDERERS))
+    return [outcome.report for outcome in outcomes]
 
 
 class TestSvgCanvas:
@@ -73,17 +112,27 @@ class TestChart:
 
 
 class TestFigureRendering:
-    def test_all_figures_render(self, small_result, tmp_path):
-        written = render_figures(small_result, tmp_path)
+    def test_all_figures_render(self, small_result, figure_reports, tmp_path):
+        written = render_figures(small_result, figure_reports, tmp_path)
         assert len(written) >= len(FIGURE_RENDERERS)
         for path in written:
             content = path.read_text()
             assert content.startswith("<svg")
             assert content.rstrip().endswith("</svg>")
 
-    def test_subset_rendering(self, small_result, tmp_path):
-        written = render_figures(small_result, tmp_path, ["fig02"])
+    def test_subset_rendering(self, small_result, figure_reports, tmp_path):
+        fig02 = [r for r in figure_reports if r.experiment_id == "fig02"]
+        written = render_figures(small_result, fig02, tmp_path)
         assert [p.name for p in written] == ["fig02.svg"]
 
     def test_unknown_figure_skipped(self, small_result, tmp_path):
-        assert render_figures(small_result, tmp_path, ["fig99"]) == []
+        report = ExperimentReport(experiment_id="fig99", title="no figure")
+        assert render_figures(small_result, [report], tmp_path) == []
+
+    def test_svg_bytes_are_pinned(self, small_result, figure_reports, tmp_path):
+        written = render_figures(small_result, figure_reports, tmp_path)
+        digests = {
+            path.stem: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in written
+        }
+        assert digests == SVG_SHA256

@@ -5,7 +5,8 @@ package re-exports resolve lazily, the scalar geodesy is numpy-free,
 nothing maps OpenSSL (no ``ssl``, no ``hashlib``, no ``http.server``
 or ``http.client``, which import ``ssl``), and read-only replicas keep
 a small page cache. A reproduction loads no module that none of its
-steps uses: a cold build's lock loads no farm (``multiprocessing``),
+steps uses: a cold build's lock loads no farm and a serial run no pool
+(``multiprocessing``),
 trace ids need no ``uuid`` and a spec loads ``difflib`` only to
 suggest a fix for a misspelt key, and no analysis loads ``numpy.ma``.
 A chain follower (a warm ``get_result``, its chain, ``ingest_chain``)
@@ -132,6 +133,18 @@ def test_a_warm_chain_follower_loads_no_numpy(
     assert "repro.simulation.checkpoint" in loaded
     assert not _pulled(loaded, ("numpy", "repro.simulation.state"))
     assert digest.read_text() == small_store.content_digest()
+
+
+def test_a_serial_farm_imports_no_multiprocessing(warm_small):
+    """``--jobs 1`` runs its experiments in-process: only a pool needs
+    ``multiprocessing``."""
+    loaded = _loaded_after(
+        "from repro.parallel import run_farm\n"
+        "outcomes = run_farm('small', None, ['fig02'], jobs=1)\n"
+        "assert outcomes[0].report.rows"
+    )
+    assert "repro.parallel.farm" in loaded
+    assert not _pulled(loaded, ("multiprocessing",))
 
 
 def test_serving_a_missing_store_ingests_a_warm_entry_without_numpy(

@@ -1,4 +1,5 @@
-"""The multi-process layer: farm, sweep, and cache build locks.
+"""The multi-process layer: the experiment runner, sweeps, and cache
+build locks.
 
 The determinism contracts under test:
 
@@ -6,8 +7,13 @@ The determinism contracts under test:
   the serial path — workers rehydrate from the scenario cache, and the
   experiments draw only from seed-derived named streams; §8.1's four
   farm units merge into the serial report;
-* re-running a sweep produces byte-identical JSON (warm cache included);
+* re-running a sweep, at any job count, produces byte-identical JSON
+  (warm cache included);
 * two processes racing one cold build perform exactly one simulation.
+
+And the runner's shape: a serial run works in-process, in the order
+given, on the result the process already holds; a pool never starts
+more workers than it has tasks; a sweep task is one whole seed.
 """
 
 from __future__ import annotations
@@ -40,6 +46,25 @@ from repro.simulation.checkpoint import CHECKPOINT_SCHEMA_VERSION
 #: tie-break-sensitive resale analysis (fig07). The full suite runs in
 #: the CI parallel-e2e job.
 FARM_IDS = ["fig02", "fig07", "fig12", "fig13", "s7_1", "table1"]
+
+
+@pytest.fixture()
+def traced(tmp_path, monkeypatch):
+    """Trace this process and its workers into a fresh file; yields a
+    reader of the events written so far."""
+    path = tmp_path / "trace.jsonl"
+    monkeypatch.setenv("REPRO_TRACE", str(path))
+    monkeypatch.setenv("REPRO_TRACE_ID", "paralleltest")
+    obs.close_trace()  # re-arm the lazy env activation
+
+    def events():
+        obs.close_trace()
+        if not path.exists():
+            return []
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    yield events
+    obs.close_trace()
 
 
 @pytest.fixture()
@@ -78,11 +103,48 @@ class TestFarm:
         assert outcomes[0].report.experiment_id == "fig02"
         assert outcomes[0].wall_s >= 0.0
 
+    def test_one_task_starts_one_worker(self, seeded_cache, traced):
+        run_farm("small", 7, ["fig02"], jobs=4)
+        events = traced()
+        starts = [e for e in events if e["kind"] == "farm.start"]
+        assert [(e["jobs"], e["workers"]) for e in starts] == [(4, 1)]
+        pids = {e["pid"] for e in events if e["kind"] == "worker.task"}
+        assert len(pids) == 1 and os.getpid() not in pids
+
     def test_outcomes_carry_costs(self, seeded_cache):
         outcomes = run_farm("small", 7, ["fig12"], jobs=2)
         assert outcomes[0].wall_s > 0.0
         assert outcomes[0].cpu_s > 0.0
         assert outcomes[0].rss_hwm_bytes > 0
+
+
+class TestSerialFarm:
+    def test_runs_on_the_loaded_result(
+        self, seeded_cache, monkeypatch, traced
+    ):
+        """After ``get_result``, a serial farm loads nothing more: the
+        entry is loaded once and no task rehydrates it again."""
+        context.ensure_snapshot("small", 7)  # publish the memoised result
+        monkeypatch.setattr(context, "_CACHE", {})
+        context.get_result("small", 7)
+        run_farm("small", 7, ["fig02", "fig07"], jobs=1)
+        events = traced()
+        kinds = [e["kind"] for e in events]
+        assert kinds.count("cache.load") == 1
+        assert "worker.rehydrate" not in kinds
+        halves = [e["half"] for e in events if e["kind"] == "cache.half_load"]
+        assert "world" not in halves  # fig02 and fig07 never read it
+
+    def test_runs_in_the_order_given(self, seeded_cache, traced):
+        ids = ["table1", "fig02", "s7_1"]  # longest-first: s7_1 leads
+        outcomes = run_farm("small", 7, ids, jobs=1)
+        events = traced()
+        ran = [e["experiment"] for e in events if e["kind"] == "worker.task"]
+        assert ran == ids
+        assert {e["pid"] for e in events if e["kind"] == "worker.task"} == {
+            os.getpid()
+        }
+        assert [o.experiment_id for o in outcomes] == ids
 
 
 class TestS8UnitDecomposition:
@@ -137,6 +199,31 @@ class TestSweep:
         second = run_sweep("small", [11, 12], ["fig02", "fig07"], jobs=2)
         dumps = lambda s: json.dumps(s, sort_keys=True)  # noqa: E731
         assert dumps(first) == dumps(second)
+
+    def test_serial_and_pooled_sweeps_are_byte_identical(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path))
+        monkeypatch.setattr(context, "_CACHE", {})
+        pooled = run_sweep("small", [11, 12], ["fig02", "fig07"], jobs=2)
+        monkeypatch.setattr(context, "_CACHE", {})
+        serial = run_sweep("small", [11, 12], ["fig02", "fig07"], jobs=1)
+        dumps = lambda s: json.dumps(s, sort_keys=True)  # noqa: E731
+        assert dumps(serial) == dumps(pooled)
+
+    def test_cold_seeds_build_once_each_in_their_own_worker(
+        self, monkeypatch, tmp_path, traced
+    ):
+        monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path / "cache"))
+        monkeypatch.setattr(context, "_CACHE", {})
+        run_sweep("small", [13, 14], ["fig02"], jobs=2)
+        events = traced()
+        starts = [e for e in events if e["kind"] == "farm.start"]
+        assert [(e["workers"], e["tasks"]) for e in starts] == [(2, 2)]
+        builds = [e for e in events if e["kind"] == "cache.build.start"]
+        assert sorted(e["seed"] for e in builds) == [13, 14]
+        pids = {e["pid"] for e in builds}
+        assert len(pids) == 2 and os.getpid() not in pids
 
     def test_aggregates(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path))

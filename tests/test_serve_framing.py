@@ -116,6 +116,25 @@ class TestBodies:
         assert headers["connection"] == "close"
         assert json.loads(body)
 
+    @pytest.mark.parametrize("closing", [
+        b"GET /stats HTTP/1.0\r\n\r\n",
+        b"GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n",
+    ], ids=["http10", "connection-close"])
+    def test_requests_behind_a_closing_one_do_not_reset_it(
+        self, live, closing
+    ):
+        """Closing with a pipelined request still unread reset the
+        connection: the client's half-close failed with ENOTCONN about
+        half the time, and its reply could be lost."""
+        behind = b"GET /stats HTTP/1.1\r\nX: " + b"a" * MAX_LINE + b"\r\n\r\n"
+        for _ in range(8):
+            [(status, headers, body)] = _responses(
+                _exchange(live, closing + behind)
+            )
+            assert status == 200
+            assert headers["connection"] == "close"
+            assert "checkpoint_height" in json.loads(body)
+
     def test_zero_length_body_keeps_the_connection(self, live):
         data = _exchange(
             live,
