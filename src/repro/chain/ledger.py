@@ -39,7 +39,7 @@ from repro.errors import (
 __all__ = ["WalletState", "HotspotRecord", "ChannelState", "Ledger"]
 
 
-@dataclass
+@dataclass(slots=True)
 class WalletState:
     """Balances of one wallet."""
 
@@ -52,7 +52,7 @@ class WalletState:
         return units.bones_to_hnt(self.hnt_bones)
 
 
-@dataclass
+@dataclass(slots=True)
 class HotspotRecord:
     """Current chain state of one hotspot."""
 

@@ -23,7 +23,7 @@ from repro.geo.geodesy import LatLon, destination
 __all__ = ["City", "CityDatabase", "SEED_CITIES"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class City:
     """A populated place hotspots can be deployed in.
 

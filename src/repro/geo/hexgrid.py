@@ -25,11 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import GeoError
-from repro.geo.sphere import EARTH_RADIUS_KM, LatLon, validate_lat_lon
+from repro.geo.sphere import (
+    EARTH_RADIUS_KM,
+    LatLon,
+    haversine_km,
+    validate_lat_lon,
+)
 
 __all__ = [
     "MIN_RESOLUTION",
@@ -39,8 +43,6 @@ __all__ = [
     "ResolutionInfo",
     "HexCell",
     "HexGrid",
-    "encode_cell_uncached",
-    "pentagon_distorted_uncached",
 ]
 
 MIN_RESOLUTION: int = 0
@@ -140,7 +142,7 @@ def _cube_round(qf: float, rf: float) -> Tuple[int, int]:
     return int(q), int(r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HexCell:
     """One cell of the hierarchical hex grid.
 
@@ -294,57 +296,13 @@ class HexCell:
         H3 places 12 pentagons per resolution at icosahedron vertices;
         distance computations across them are distorted, and PoC witness
         validation rejects "pentagonally distorted" witnesses (§8.2.1).
-
-        Cells are value objects, so the answer is memoised per cell —
-        witness validation asks this for the same asserted cells on
-        every challenge.
         """
-        return _pentagon_distorted(self)
-
-
-def pentagon_distorted_uncached(cell: HexCell) -> bool:
-    """The icosahedron-vertex proximity test behind
-    :meth:`HexCell.is_pentagon_distorted`, recomputed on every call.
-
-    The memo wraps this function; the scalar validity check
-    (:meth:`repro.poc.validity.WitnessValidityChecker.check`) calls it
-    directly, and the property tests pin the memo to it.
-    """
-    center = cell.center()
-    threshold_km = max(5.0 * cell.edge_km, 1.0)
-    for lat, lon in _ICOSA_VERTICES:
-        if center.distance_km(LatLon(lat, lon)) <= threshold_km:
-            return True
-    return False
-
-
-_pentagon_distorted = lru_cache(maxsize=65536)(pentagon_distorted_uncached)
-
-
-def encode_cell_uncached(
-    point: LatLon, resolution: int = HOTSPOT_RESOLUTION
-) -> HexCell:
-    """The axial-rounding math behind :meth:`HexGrid.encode_cell`,
-    recomputed on every call.
-
-    :class:`LatLon` and :class:`HexCell` are both frozen value objects,
-    so the public path memoises point→cell over this function — the PoC
-    engine encodes the same asserted locations on every challenge. The
-    scalar twin of the challenge kernel in the test suite calls it
-    directly, to keep the original cost as a benchmark baseline.
-    """
-    _check_resolution(resolution)
-    validate_lat_lon(point.lat, point.lon)
-    size = RESOLUTION_TABLE[resolution].edge_km
-    x_km = point.lon * _KM_PER_DEG
-    y_km = point.lat * _KM_PER_DEG
-    qf = (math.sqrt(3.0) / 3.0 * x_km - y_km / 3.0) / size
-    rf = (2.0 / 3.0 * y_km) / size
-    q, r = _cube_round(qf, rf)
-    return HexCell(resolution, q, r)
-
-
-_encode_cell = lru_cache(maxsize=1 << 17)(encode_cell_uncached)
+        center = self.center()
+        threshold_km = max(5.0 * self.edge_km, 1.0)
+        for lat, lon in _ICOSA_VERTICES:
+            if haversine_km(center.lat, center.lon, lat, lon) <= threshold_km:
+                return True
+        return False
 
 
 def _split_signed(body: str) -> Tuple[str, str, str]:
@@ -375,8 +333,16 @@ class HexGrid:
 
     @staticmethod
     def encode_cell(point: LatLon, resolution: int = HOTSPOT_RESOLUTION) -> HexCell:
-        """The cell containing ``point`` at ``resolution`` (memoised)."""
-        return _encode_cell(point, resolution)
+        """The cell containing ``point`` at ``resolution``."""
+        _check_resolution(resolution)
+        validate_lat_lon(point.lat, point.lon)
+        size = RESOLUTION_TABLE[resolution].edge_km
+        x_km = point.lon * _KM_PER_DEG
+        y_km = point.lat * _KM_PER_DEG
+        qf = (math.sqrt(3.0) / 3.0 * x_km - y_km / 3.0) / size
+        rf = (2.0 / 3.0 * y_km) / size
+        q, r = _cube_round(qf, rf)
+        return HexCell(resolution, q, r)
 
     @staticmethod
     def decode_center(cell: HexCell) -> LatLon:

@@ -42,7 +42,7 @@ def validate_lat_lon(lat: float, lon: float) -> None:
         raise GeoError(f"longitude out of range [-180, 180]: {lon}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatLon:
     """A point on the Earth's surface in decimal degrees.
 

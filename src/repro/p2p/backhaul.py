@@ -35,7 +35,7 @@ class AccessType(Enum):
     CLOUD = "cloud"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IspProfile:
     """One ISP/organisation with its ASN and behaviour."""
 
@@ -262,7 +262,7 @@ def _within_city_weight(isp: IspProfile, digest: bytes, index: int) -> float:
     return weight
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BackhaulAssignment:
     """One hotspot's backhaul: ISP, IP and NAT status."""
 

@@ -22,7 +22,7 @@ from repro.p2p.multiaddr import (
 __all__ = ["PeerEntry", "Peerbook"]
 
 
-@dataclass
+@dataclass(slots=True)
 class PeerEntry:
     """One hotspot's peerbook row."""
 

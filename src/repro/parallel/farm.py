@@ -14,13 +14,13 @@ read-only, builds the world half up front and memoises both, so it
 pays the load once however many tasks it draws; its chain half is
 never decoded.
 
-``jobs <= 1`` runs the tasks in the order given, in-process, without
-importing ``multiprocessing``; otherwise a pool of
-``min(jobs, len(tasks))`` processes draws them in queue order and sends
-each report back as its plain payload. Experiments seed their own named
-streams, rehydration is bit-identical to a cold build, and callers
-reassemble results by key, so the output is byte-identical at any
-``jobs``, under ``fork``, ``forkserver`` and ``spawn``.
+With ``jobs <= 1`` or a single task, the tasks run in the order
+given, in-process, without importing ``multiprocessing``; otherwise a
+pool of ``min(jobs, len(tasks))`` processes draws them in queue order
+and sends each report back as its plain payload. Experiments seed
+their own named streams, rehydration is bit-identical to a cold build,
+and callers reassemble results by key, so the output is byte-identical
+at any ``jobs``, under ``fork``, ``forkserver`` and ``spawn``.
 """
 
 from __future__ import annotations
@@ -168,13 +168,15 @@ def fan_out(
 ) -> List[Dict]:
     """Run ``tasks`` and return every pair's item, in completion order.
 
-    ``jobs <= 1`` runs them in the order given, in this process.
-    Otherwise a pool of ``min(jobs, len(tasks))`` processes, started
-    with ``start_method`` (the platform default when ``None``), draws
-    them in the order given. ``fields`` label the ``farm.start`` and
-    ``farm.done`` trace events.
+    With ``jobs <= 1`` or one task they run in the order given, in this
+    process. Otherwise a pool of ``min(jobs, len(tasks))`` processes,
+    started with ``start_method`` (the platform default when ``None``),
+    draws them in the order given. ``fields`` label the ``farm.start``
+    and ``farm.done`` trace events.
     """
-    workers = min(jobs, len(tasks)) if jobs > 1 else 0
+    workers = min(jobs, len(tasks))
+    if workers < 2:
+        workers = 0
     started = time.perf_counter()
     obs.trace_event(
         "farm.start", jobs=jobs, workers=workers, tasks=len(tasks), **fields
@@ -278,12 +280,13 @@ def run_farm(
     accepts — registry name, spec-file path, or a resolved scenario;
     ``seed=None`` keeps the spec's own seed. Returns outcomes in
     ``experiment_ids`` order regardless of worker scheduling.
-    ``jobs <= 1`` runs each experiment in that order, in-process, on
-    ``get_result``'s memoised result. A larger ``jobs`` materialises
-    the cache entry and its replica first, then queues one task per
-    experiment or ``s8_1`` unit, longest-first. ``start_method``
-    overrides the platform default (``"spawn"`` / ``"fork"`` /
-    ``"forkserver"``) — mainly for portability tests.
+    With ``jobs <= 1``, or a single task after ``s8_1``'s unit split,
+    each experiment runs in that order, in-process, on ``get_result``'s
+    memoised result. Otherwise the cache entry and its replica are
+    materialised first, then one task per experiment or ``s8_1`` unit
+    is queued, longest-first. ``start_method`` overrides the platform
+    default (``"spawn"`` / ``"fork"`` / ``"forkserver"``) — mainly for
+    portability tests.
     ``checkpoint_every`` makes a cold scenario build resumable (see
     :func:`repro.experiments.context.get_result`); pool workers only
     ever rehydrate the finished entry.
@@ -293,14 +296,16 @@ def run_farm(
     resolved = resolve_any(scenario, seed=seed)
     ids = list(experiment_ids)
     snapshot_dir = None
-    pairs: List[Pair] = [(eid, None) for eid in ids]
-    if jobs > 1:
+    pairs: List[Pair] = _expand(ids) if jobs > 1 else []
+    if len(pairs) > 1:
         from repro.experiments.context import ensure_snapshot
         from repro.parallel.costs import longest_first
 
         entry = ensure_snapshot(resolved, checkpoint_every=checkpoint_every)
         snapshot_dir = None if entry is None else str(entry)
-        pairs = longest_first(_expand(ids))
+        pairs = longest_first(pairs)
+    else:
+        pairs = [(eid, None) for eid in ids]
     payload = resolved.payload()
     tasks = [
         (snapshot_dir, payload, checkpoint_every, (pair,)) for pair in pairs

@@ -37,7 +37,7 @@ WITNESS_QUERY_RADIUS_KM: float = 120.0
 DEMOD_FLOOR_DBM: float = -139.0
 
 
-@dataclass
+@dataclass(slots=True)
 class PocParticipant:
     """A hotspot as the PoC engine sees it.
 

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.geo.geodesy import LatLon, haversine_km_many
-from repro.geo.hexgrid import HexCell, pentagon_distorted_uncached
+from repro.geo.hexgrid import HexCell
 from repro.radio.lora import MAX_EIRP_DBM_US
 from repro.radio.propagation import fspl_db, fspl_db_many
 
@@ -98,10 +98,9 @@ class WitnessValidityChecker:
         """Judge one witness report.
 
         This is the scalar reference twin of :meth:`check_many`: it
-        replays the pre-vectorisation implementation — including the
-        uncached pentagon test — one report at a time, so the property
-        tests and benchmark baselines measure against the original cost
-        and semantics.
+        replays the pre-vectorisation implementation one report at a
+        time, so the property tests and benchmark baselines measure
+        against the original cost and semantics.
 
         Args:
             challengee_location: challengee's *asserted* location.
@@ -114,7 +113,7 @@ class WitnessValidityChecker:
         """
         if channel_index < 0:
             return ValidityVerdict(False, InvalidReason.WRONG_CHANNEL)
-        if pentagon_distorted_uncached(witness_cell):
+        if witness_cell.is_pentagon_distorted():
             return ValidityVerdict(False, InvalidReason.PENTAGON_DISTORTION)
         distance_km = challengee_location.distance_km(witness_location)
         if distance_km < self.min_distance_km:

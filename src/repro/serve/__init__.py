@@ -6,9 +6,10 @@ Layers a traffic-worthy HTTP explorer API on :mod:`repro.etl`:
   workers on demand and leases each request a read-only WAL
   connection; sheds with 503 + ``Retry-After`` at saturation and
   drains gracefully on SIGTERM.
-* :mod:`repro.serve.cache` — ETag/TTL response caching keyed on the
-  ingest checkpoint, so cached bodies are never stale relative to the
-  replica and ``If-None-Match`` revalidations collapse to 304s.
+* :mod:`repro.serve.cache` — ETag response caching keyed on the
+  ingest checkpoint, storing a body only for a request seen before, so
+  cached bodies are never stale relative to the replica and
+  ``If-None-Match`` revalidations collapse to 304s.
 * :mod:`repro.serve.cursor` — opaque keyset-pagination tokens for the
   list endpoints (``next_cursor``), stable under concurrent ingest.
 * :mod:`repro.serve.loadgen` — a zipf/bursty synthetic traffic

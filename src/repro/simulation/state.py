@@ -101,7 +101,7 @@ __all__ = [
 _BLOCKS_PER_DAY = units.BLOCKS_PER_DAY
 
 
-@dataclass
+@dataclass(slots=True)
 class GrowthLogRow:
     """Daily fleet snapshot (drives the Figure 5 reproduction)."""
 

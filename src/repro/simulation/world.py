@@ -29,7 +29,7 @@ from repro.radio.propagation import Environment
 __all__ = ["SimHotspot", "SimOwner", "World"]
 
 
-@dataclass
+@dataclass(slots=True)
 class SimHotspot:
     """Ground truth + chain identity for one hotspot."""
 
@@ -75,7 +75,7 @@ class SimHotspot:
         return self.city.is_us
 
 
-@dataclass
+@dataclass(slots=True)
 class SimOwner:
     """One owner wallet and its behavioural archetype.
 

@@ -70,7 +70,7 @@ from repro.lorawan.keys import DeviceCredentials
 from repro.lorawan.mac import AckOutcome
 from repro.lorawan.network import TransmissionRecord
 from repro.geo.geodesy import LatLon, haversine_km
-from repro.geo.hexgrid import HexCell, encode_cell_uncached
+from repro.geo.hexgrid import HexCell, HexGrid
 from repro.geo.landmass import Landmass
 from repro.geo.spatialindex import SpatialIndex
 from repro.poc.challenge import (
@@ -203,8 +203,8 @@ def run_challenge_reference(
     draw of the same length). Kept as the oracle for the property tests
     and as the baseline the performance benchmarks measure speedups
     against — so it deliberately replays the pre-vectorisation costs
-    too: uncached cell encoding, the uncached pentagon test (via
-    :meth:`WitnessValidityChecker.check`), and one
+    too: a cell encoding and a pentagon test (via
+    :meth:`WitnessValidityChecker.check`) per report, and one
     :class:`PropagationModel` per link.
     """
     if checker is None:
@@ -277,8 +277,8 @@ def run_challenge_reference(
         candidate = eligible[pos]
         # The pre-vectorisation code encoded the cell separately for the
         # validity check and again for the report token; replay both.
-        cell = encode_cell_uncached(candidate.asserted_location)
-        cells.append(encode_cell_uncached(candidate.asserted_location))
+        cell = HexGrid.encode_cell(candidate.asserted_location)
+        cells.append(HexGrid.encode_cell(candidate.asserted_location))
         verdicts.append(checker.check(
             challengee_location=challengee.asserted_location,
             witness_location=candidate.asserted_location,
@@ -318,7 +318,7 @@ def run_challenge_reference(
     receipts = PocReceipts(
         challenger=challenger.gateway,
         challengee=challengee.gateway,
-        challengee_location_token=encode_cell_uncached(
+        challengee_location_token=HexGrid.encode_cell(
             challengee.asserted_location
         ).token,
         witnesses=tuple(reports),

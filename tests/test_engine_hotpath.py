@@ -111,9 +111,11 @@ class TestPinnedDigests:
         result = SimulationEngine(config).run()
         assert result_digest(result) == PAPER10X_CAPPED120_DIGEST
         assert len(result.world.hotspots) == 44_000
-        # Halved from the pre-chain-log 4 GiB ceiling: finalized
-        # blocks spill to the log, so the object graph stays bounded.
-        assert obs.peak_rss_bytes() < 2 * 1024**3
+        # Finalized blocks spill to the log and the per-hotspot
+        # records carry no instance dict: 271 MiB measured on a 2-vCPU
+        # host under Python 3.11.7 (343 MiB with dicts and the hex
+        # memos), plus half again. The ceiling was 2 GiB.
+        assert obs.peak_rss_bytes() < 410 * 1024**2
 
     @pytest.mark.skipif(
         not os.environ.get("REPRO_SCALE_DIGEST"),

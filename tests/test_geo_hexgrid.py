@@ -1,5 +1,7 @@
 """Hex-grid tests: H3-compatible semantics."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import GeoError
@@ -147,6 +149,22 @@ class TestPentagonDistortion:
     def test_ordinary_cells_not_flagged(self):
         cell = HexGrid.encode_cell(LatLon(40.0, -100.0), 12)
         assert not cell.is_pentagon_distorted()
+
+
+class TestNoMemo:
+    def test_encoding_keeps_no_point_or_cell(self):
+        """Encoding and the pentagon test compute; neither keeps a
+        point or a cell alive after it returns."""
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for i in range(100_000):
+                point = LatLon(-50.0 + i * 1e-3, -170.0 + (i % 997) * 0.3)
+                HexGrid.encode_cell(point).is_pentagon_distorted()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 256 * 1024
 
 
 class TestBboxCover:

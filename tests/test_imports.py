@@ -5,8 +5,8 @@ package re-exports resolve lazily, the scalar geodesy is numpy-free,
 nothing maps OpenSSL (no ``ssl``, no ``hashlib``, no ``http.server``
 or ``http.client``, which import ``ssl``), and read-only replicas keep
 a small page cache. A reproduction loads no module that none of its
-steps uses: a cold build's lock loads no farm and a serial run no pool
-(``multiprocessing``),
+steps uses: a cold build's lock loads no farm, and a serial run or a
+queue of one task no pool (``multiprocessing``),
 trace ids need no ``uuid`` and a spec loads ``difflib`` only to
 suggest a fix for a misspelt key, and no analysis loads ``numpy.ma``.
 A chain follower (a warm ``get_result``, its chain, ``ingest_chain``)
@@ -144,6 +144,18 @@ def test_a_serial_farm_imports_no_multiprocessing(warm_small):
         "assert outcomes[0].report.rows"
     )
     assert "repro.parallel.farm" in loaded
+    assert not _pulled(loaded, ("multiprocessing",))
+
+
+def test_a_single_task_pool_imports_no_multiprocessing(warm_small):
+    """A farm with one task and a one-seed sweep run it in-process at
+    any ``jobs``."""
+    loaded = _loaded_after(
+        "from repro.parallel import run_farm, run_sweep\n"
+        "outcomes = run_farm('small', None, ['fig02'], jobs=4)\n"
+        "assert outcomes[0].report.rows\n"
+        "assert run_sweep('small', [7], ['fig02'], jobs=2)['seeds'] == [7]"
+    )
     assert not _pulled(loaded, ("multiprocessing",))
 
 

@@ -11,9 +11,10 @@ The determinism contracts under test:
   (warm cache included);
 * two processes racing one cold build perform exactly one simulation.
 
-And the runner's shape: a serial run works in-process, in the order
-given, on the result the process already holds; a pool never starts
-more workers than it has tasks; a sweep task is one whole seed.
+And the runner's shape: a serial run, or a queue of one task, works
+in-process, in the order given, on the result the process already
+holds; a pool never starts more workers than it has tasks; a sweep
+task is one whole seed.
 """
 
 from __future__ import annotations
@@ -103,16 +104,22 @@ class TestFarm:
         assert outcomes[0].report.experiment_id == "fig02"
         assert outcomes[0].wall_s >= 0.0
 
-    def test_one_task_starts_one_worker(self, seeded_cache, traced):
+    def test_one_task_runs_in_process(self, seeded_cache, traced):
+        """A pool of one would publish the entry and reload in a worker
+        the result this process already holds."""
         run_farm("small", 7, ["fig02"], jobs=4)
         events = traced()
         starts = [e for e in events if e["kind"] == "farm.start"]
-        assert [(e["jobs"], e["workers"]) for e in starts] == [(4, 1)]
+        assert [(e["jobs"], e["workers"]) for e in starts] == [(4, 0)]
+        kinds = [e["kind"] for e in events]
+        assert "worker.rehydrate" not in kinds and "cache.load" not in kinds
         pids = {e["pid"] for e in events if e["kind"] == "worker.task"}
-        assert len(pids) == 1 and os.getpid() not in pids
+        assert pids == {os.getpid()}
+        assert not list(seeded_cache.glob("scn-*"))  # no ensure_snapshot
 
     def test_outcomes_carry_costs(self, seeded_cache):
-        outcomes = run_farm("small", 7, ["fig12"], jobs=2)
+        # Two tasks, so they run on the pool: one would run in-process.
+        outcomes = run_farm("small", 7, ["fig12", "fig02"], jobs=2)
         assert outcomes[0].wall_s > 0.0
         assert outcomes[0].cpu_s > 0.0
         assert outcomes[0].rss_hwm_bytes > 0
@@ -210,6 +217,17 @@ class TestSweep:
         serial = run_sweep("small", [11, 12], ["fig02", "fig07"], jobs=1)
         dumps = lambda s: json.dumps(s, sort_keys=True)  # noqa: E731
         assert dumps(serial) == dumps(pooled)
+
+    def test_one_seed_runs_in_process(self, seeded_cache, traced):
+        dumps = lambda s: json.dumps(s, sort_keys=True)  # noqa: E731
+        pooled = run_sweep("small", [7], ["fig02", "fig07"], jobs=2)
+        events = traced()
+        starts = [e for e in events if e["kind"] == "farm.start"]
+        assert [(e["workers"], e["tasks"]) for e in starts] == [(0, 1)]
+        pids = {e["pid"] for e in events if e["kind"] == "worker.task"}
+        assert pids == {os.getpid()}
+        serial = run_sweep("small", [7], ["fig02", "fig07"], jobs=1)
+        assert dumps(pooled) == dumps(serial)
 
     def test_cold_seeds_build_once_each_in_their_own_worker(
         self, monkeypatch, tmp_path, traced
