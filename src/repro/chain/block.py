@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro import units
 from repro.chain.transactions import Transaction
+from repro.digest import sha256
 from repro.errors import ChainError
 
 __all__ = ["Block"]
@@ -34,7 +34,7 @@ class Block:
     @property
     def hash(self) -> str:
         """Deterministic block hash over height, time, parent and tx kinds."""
-        h = hashlib.sha256()
+        h = sha256()
         h.update(f"{self.height}:{self.unix_time}:{self.prev_hash}".encode())
         for txn in self.transactions:
             h.update(repr(txn).encode())

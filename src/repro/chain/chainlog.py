@@ -46,13 +46,13 @@ indexed by the scan that verified it
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 import tempfile
 from array import array
 from typing import IO, Iterator, Optional, Tuple
 
+from repro.digest import sha256
 from repro.errors import ChainError
 
 __all__ = [
@@ -83,7 +83,7 @@ class ChainLogError(ChainError):
 
 def seed_digest() -> bytes:
     """The digest-chain seed (the link "before" the first frame)."""
-    return hashlib.sha256(CHAINLOG_MAGIC).digest()[:8]
+    return sha256(CHAINLOG_MAGIC).digest()[:8]
 
 
 def encode_frame(
@@ -94,7 +94,7 @@ def encode_frame(
     ``digest8`` chains over ``prev_digest`` and the payload, so two
     logs holding the same block prefix are byte-identical.
     """
-    digest = hashlib.sha256(prev_digest + payload).digest()[:8]
+    digest = sha256(prev_digest + payload).digest()[:8]
     header = _FRAME_HEADER.pack(len(payload), height, digest)
     return header + payload, digest
 
@@ -242,7 +242,7 @@ def scan_frames(
         payload = handle.read(length)
         if len(payload) < length:
             raise ChainLogError(f"torn frame payload at offset {consumed}")
-        expected = hashlib.sha256(tail + payload).digest()[:8]
+        expected = sha256(tail + payload).digest()[:8]
         if digest != expected:
             raise ChainLogError(
                 f"digest chain broken at offset {consumed}"

@@ -12,9 +12,9 @@ structure, not adversarial cryptography.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
+from repro.digest import sha256
 from repro.errors import ChainError
 
 __all__ = ["Address", "Keypair", "sign", "verify"]
@@ -26,7 +26,7 @@ _ADDRESS_BYTES = 16
 
 
 def _digest(*parts: str) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     for part in parts:
         h.update(part.encode("utf-8"))
         h.update(b"\x00")

@@ -9,8 +9,9 @@ addresses interchangeably.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Tuple
+
+from repro.digest import sha256
 
 __all__ = ["hotspot_name", "ADJECTIVES", "COLORS", "ANIMALS"]
 
@@ -55,7 +56,7 @@ def hotspot_name(address: str) -> str:
     >>> hotspot_name("hs_abc123")  # doctest: +SKIP
     'Quiet Amber Heron'
     """
-    digest = hashlib.sha256(address.encode("utf-8")).digest()
+    digest = sha256(address.encode("utf-8")).digest()
     adjective = ADJECTIVES[digest[0] % len(ADJECTIVES)]
     color = COLORS[digest[1] % len(COLORS)]
     animal = ANIMALS[digest[2] % len(ANIMALS)]

@@ -20,7 +20,6 @@ against that meta and indexes its frames without decoding any, and
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -65,6 +64,7 @@ from repro.chain.transactions import (
     WitnessReport,
 )
 from repro.chain.varmap import ChainVars
+from repro.digest import Sha256, sha256
 from repro.errors import ChainError
 
 __all__ = [
@@ -302,7 +302,7 @@ def chain_log_extent(meta: Mapping[str, Any]) -> Tuple[int, int, str]:
 def write_chain_log(
     chain: Blockchain,
     handle: IO[bytes],
-    sha: "hashlib._Hash",
+    sha: Sha256,
     after: Optional[Tuple[Mapping[str, Any], bytes]] = None,
 ) -> Tuple[Dict[str, Any], bytes]:
     """Write ``chain`` as framed chain-log bytes.
@@ -344,7 +344,7 @@ def write_chain_log(
 
 def open_chain_log(
     path: Union[str, Path], meta: Mapping[str, Any]
-) -> Tuple[ChainLog, "hashlib._Hash"]:
+) -> Tuple[ChainLog, Sha256]:
     """Verify a :func:`write_chain_log` file and index its frames,
     decoding none of them.
 
@@ -364,11 +364,11 @@ def open_chain_log(
         ChainError: on a missing extent or any integrity failure.
         OSError: when the file cannot be opened.
     """
-    blocks, size, sha256 = chain_log_extent(meta)
+    blocks, size, recorded = chain_log_extent(meta)
     fd = os.open(path, os.O_RDONLY)
     log = ChainLog.reader(fd)
     try:
-        sha = hashlib.sha256(CHAINLOG_MAGIC)
+        sha = sha256(CHAINLOG_MAGIC)
         last = -1
         with open(fd, "rb", closefd=False) as handle:
             for frame, height, _, digest in scan_frames(
@@ -383,10 +383,10 @@ def open_chain_log(
                 sha.update(frame)
                 log.index_frame(len(frame), digest)
                 last = height
-        if log.size != size or sha.hexdigest() != sha256:
+        if log.size != size or sha.hexdigest() != recorded:
             raise ChainError(
                 f"chain log digest mismatch ({sha.hexdigest()[:12]}… != "
-                f"recorded {sha256[:12]}…)"
+                f"recorded {recorded[:12]}…)"
             )
         if len(log) != blocks:
             raise ChainError(

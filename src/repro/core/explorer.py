@@ -24,7 +24,7 @@ __all__ = ["HotspotPage", "OwnerPage", "WitnessEvent", "Explorer"]
 
 #: A wallet or hotspot address, as :data:`repro.chain.crypto.Address`
 #: names it; restated so that the serving process, which imports the
-#: page types, never imports the chain package (and its ``hashlib``).
+#: page types and reads rows, never imports the chain package.
 Address = str
 
 

@@ -89,8 +89,7 @@ def _derived_name(address: Address) -> str:
     not be a registered hotspot; its name is then derived from the
     address as the chain derives every hotspot's. ``hotspot_name`` is
     imported on this path only: a registered hotspot's name comes from
-    its row, and a module-level import would load ``hashlib`` into the
-    serving process.
+    its row, so the serving process imports no chain module to read one.
     """
     from repro.chain.naming import hotspot_name
 
@@ -260,9 +259,12 @@ class EtlStore:
         there — fresh full ingest or checkpointed resume) digest
         equal; the acceptance test for idempotent resume relies on it.
         """
-        import hashlib
+        # Imported here: the serving process digests nothing, and on an
+        # interpreter without CPython's own SHA-256 ``repro.digest``
+        # falls back to ``hashlib``, which maps OpenSSL.
+        from repro.digest import sha256
 
-        digest = hashlib.sha256()
+        digest = sha256()
         for table in schema.TABLES:
             digest.update(table.encode())
             cursor = self.connection.execute(

@@ -14,6 +14,7 @@ import importlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
+from repro.digest import sha256
 from repro.errors import AnalysisError
 
 __all__ = [
@@ -202,10 +203,9 @@ def reports_digest(reports) -> str:
     Equal digests mean byte-identical report content — the check the
     serial-vs-parallel determinism tests and the CI e2e job assert.
     """
-    import hashlib
     import json
 
-    digest = hashlib.sha256()
+    digest = sha256()
     for report in reports:
         payload = json.dumps(
             report_payload(report), sort_keys=True, separators=(",", ":")

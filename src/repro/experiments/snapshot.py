@@ -29,11 +29,11 @@ everything it carries, the stale spatial index included.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
+from repro.digest import sha256
 from repro.simulation.checkpoint import Checkpoint
 from repro.simulation.engine import SimulationResult
 
@@ -63,7 +63,7 @@ def result_digest(result: SimulationResult) -> str:
     memory only; it is the layout the cache entries stored before they
     became checkpoints, kept so that no pinned digest moves.
     """
-    digest = hashlib.sha256()
+    digest = sha256()
     for text in result.chain.blocks.iter_record_texts():
         digest.update(text.encode("utf-8"))
     digest.update(_canonical_text(result).encode("utf-8"))

@@ -7,16 +7,16 @@ Activation (OTAA) ... to authenticate to a LoRaWAN Router."
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
+from repro.digest import sha256
 from repro.errors import JoinError
 
 __all__ = ["DeviceCredentials", "SessionKeys"]
 
 
 def _hexdigest(*parts: str) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     for part in parts:
         h.update(part.encode("utf-8"))
         h.update(b"\x1f")

@@ -12,13 +12,13 @@ Digital Ocean and Amazon.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.digest import sha256
 from repro.errors import P2pError
 from repro.geo.cities import City
 
@@ -189,7 +189,7 @@ class AsUniverse:
                 national,
                 key=lambda isp: _pair_hash(isp.name, city.name),
             )]
-        digest = hashlib.sha256(
+        digest = sha256(
             f"market:{city.name}:{city.country}".encode()
         ).digest()
         # Provider count scales with city size.
@@ -228,7 +228,7 @@ _FOOTPRINT_PCT = {
 
 def _pair_hash(a: str, b: str) -> int:
     """Stable 0-99 hash of a provider/city pair."""
-    digest = hashlib.sha256(f"{a}|{b}".encode()).digest()
+    digest = sha256(f"{a}|{b}".encode()).digest()
     return digest[0] % 100
 
 

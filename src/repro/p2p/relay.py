@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.chain.crypto import Address
+from repro.digest import sha256
 from repro.errors import P2pError
 from repro.geo.geodesy import LatLon
 from repro.geo.spatialindex import SpatialIndex
@@ -137,7 +138,5 @@ def randomized_assignment_trial(
 
 def _pseudo_ip(peer: Address) -> str:
     """Deterministic placeholder IP for a public peer."""
-    import hashlib
-
-    digest = hashlib.sha256(peer.encode()).digest()
+    digest = sha256(peer.encode()).digest()
     return f"{digest[0] % 223 + 1}.{digest[1]}.{digest[2]}.{digest[3] % 254 + 1}"

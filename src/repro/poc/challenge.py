@@ -7,7 +7,6 @@ is where every §7 incentive pathology lives.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -15,6 +14,7 @@ import numpy as np
 
 from repro.chain.crypto import Address
 from repro.chain.transactions import PocReceipts, PocRequest, WitnessReport
+from repro.digest import sha256
 from repro.economics.rewards import PocEvent
 from repro.geo.geodesy import LatLon, haversine_km_many, latlon_arrays
 from repro.geo.hexgrid import HexCell, HexGrid
@@ -166,7 +166,7 @@ def run_challenge(
         checker = WitnessValidityChecker()
     freq_mhz = plan.random_channel(rng)
     channel_index = plan.channel_index(freq_mhz)
-    secret_hash = hashlib.sha256(
+    secret_hash = sha256(
         f"{challenger.gateway}:{challengee.gateway}:{rng.integers(1 << 30)}".encode()
     ).hexdigest()
 

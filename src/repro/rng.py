@@ -15,10 +15,11 @@ rely on:
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Iterator
 
 import numpy as np
+
+from repro.digest import sha256
 
 __all__ = ["RngHub", "derive_seed"]
 
@@ -30,7 +31,7 @@ def derive_seed(root_seed: int, name: str) -> int:
     uncorrelated child seeds and the mapping is stable across platforms
     and Python versions (unlike ``hash()``).
     """
-    digest = hashlib.sha256(f"{root_seed}:{name}".encode("utf-8")).digest()
+    digest = sha256(f"{root_seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

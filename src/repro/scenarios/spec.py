@@ -33,10 +33,10 @@ spelled. This digest is the scenario-cache entry key
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from typing import Any, Dict, Mapping, Tuple
 
+from repro.digest import sha256
 from repro.errors import ScenarioSpecError
 from repro.simulation.scenario import ScenarioConfig
 
@@ -163,7 +163,7 @@ def spec_digest(config: ScenarioConfig) -> str:
     payload = json.dumps(
         canonical_config_dict(config), sort_keys=True, separators=(",", ":")
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _suggest(key: str) -> str:

@@ -22,7 +22,6 @@ module alone. Only :meth:`Checkpoint.build_world` imports
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -41,6 +40,7 @@ from repro.chain.serialize import (
     replay_chain_log,
 )
 from repro.chain.varmap import ChainVars
+from repro.digest import Sha256, sha256
 from repro.errors import ChainError, SimulationError
 from repro.simulation.scenario import ScenarioConfig
 
@@ -76,7 +76,7 @@ _META_FILE = "meta.json"
 
 def _sha256_prefix(
     handle: IO[bytes], limit: Optional[int] = None
-) -> Tuple[str, "hashlib._Hash", int]:
+) -> Tuple[str, Sha256, int]:
     """SHA-256 of the next ``limit`` bytes of ``handle`` (all by
     default).
 
@@ -84,7 +84,7 @@ def _sha256_prefix(
     that keep extending the file reuse the hash object instead of
     re-reading the prefix.
     """
-    sha = hashlib.sha256()
+    sha = sha256()
     size = 0
     remaining = limit
     while remaining is None or remaining > 0:
@@ -162,7 +162,7 @@ class Checkpoint:
         meta: Dict[str, Any],
         config: ScenarioConfig,
         chain_log: ChainLog,
-        chain_sha: "hashlib._Hash",
+        chain_sha: Sha256,
         state_fd: int,
     ) -> None:
         self.directory = directory

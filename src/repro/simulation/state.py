@@ -47,7 +47,6 @@ numpy: following a cached run's chain needs nothing of this module.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -65,6 +64,7 @@ from repro.chain.crypto import Address, Keypair
 from repro.chain.serialize import chain_log_extent, write_chain_log
 from repro.chain.transactions import OuiRegistration, Transaction
 from repro.chain.varmap import ChainVars
+from repro.digest import Sha256, sha256
 from repro.economics.oracle import PriceOracle
 from repro.economics.rewards import EpochActivity
 from repro.errors import ChainError, SimulationError
@@ -754,7 +754,7 @@ class WorldState:
             "config": dataclasses.asdict(self.config),
             **chain_record,
             "chain_log_tail": chain_tail.hex(),
-            "state_sha256": hashlib.sha256(
+            "state_sha256": sha256(
                 state_blob.encode("utf-8")
             ).hexdigest(),
         }
@@ -808,7 +808,7 @@ class WorldState:
                     self.chain, handle, sha, (prev_meta, tail)
                 )
         else:
-            sha = hashlib.sha256()
+            sha = sha256()
             with open(path, "wb") as handle:
                 record, tail = write_chain_log(self.chain, handle, sha)
         self._chain_cache = {
@@ -818,7 +818,7 @@ class WorldState:
 
     def _reusable_prefix(
         self, previous: Path, config_digest: str, n_blocks: int
-    ) -> Optional[Tuple["hashlib._Hash", Dict[str, Any], bytes]]:
+    ) -> Optional[Tuple[Sha256, Dict[str, Any], bytes]]:
         """``(hash object, meta, tail digest)`` of the previous
         checkpoint's chain log when it is a trusted prefix of the live
         chain, else ``None`` (→ full write)."""

@@ -19,7 +19,6 @@ from repro.chain.crypto import Address, Keypair
 from repro.errors import SimulationError
 from repro.geo.cities import City, CityDatabase
 from repro.geo.geodesy import LatLon
-from repro.geo.hexgrid import HexGrid
 from repro.geo.landmass import CONTIGUOUS_US, Landmass
 from repro.geo.spatialindex import SpatialIndex
 from repro.p2p.backhaul import AsUniverse, BackhaulAssignment
@@ -61,13 +60,6 @@ class SimHotspot:
     index_location: Optional[LatLon] = field(
         default=None, repr=False, compare=False
     )
-
-    @property
-    def asserted_token(self) -> Optional[str]:
-        """Res-12 hex token of the asserted location, if asserted."""
-        if self.asserted_location is None:
-            return None
-        return HexGrid.encode_cell(self.asserted_location).token
 
     @property
     def in_us(self) -> bool:

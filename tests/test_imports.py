@@ -10,7 +10,9 @@ queue of one task no pool (``multiprocessing``),
 trace ids need no ``uuid`` and a spec loads ``difflib`` only to
 suggest a fix for a misspelt key, and no analysis loads ``numpy.ma``.
 A chain follower (a warm ``get_result``, its chain, ``ingest_chain``)
-loads no numpy: the checkpoint checks and the chain replay need none.
+loads no numpy (the checkpoint checks and the chain replay need none)
+and maps no OpenSSL: its SHA-256 is CPython's built-in module
+(``repro.digest``), not ``hashlib``.
 A fresh interpreter is the only place to see an import closure, so the
 closure checks run in a subprocess.
 """
@@ -113,12 +115,12 @@ def warm_small(small_result, tmp_path, monkeypatch):
     )
 
 
-def test_a_warm_chain_follower_loads_no_numpy(
+def test_a_warm_chain_follower_loads_no_numpy_or_openssl(
     warm_small, small_store, tmp_path
 ):
     """Checking the entry, replaying its chain and ingesting it needs
-    neither numpy nor the world state, and loads the same rows as a
-    cold ingest."""
+    neither numpy, the world state nor OpenSSL, and loads the same rows
+    as a cold ingest."""
     digest = tmp_path / "digest"
     loaded = _loaded_after(
         "from repro.etl.ingest import ingest_chain\n"
@@ -132,6 +134,7 @@ def test_a_warm_chain_follower_loads_no_numpy(
     )
     assert "repro.simulation.checkpoint" in loaded
     assert not _pulled(loaded, ("numpy", "repro.simulation.state"))
+    assert not _pulled(loaded, NO_OPENSSL)
     assert digest.read_text() == small_store.content_digest()
 
 
@@ -159,7 +162,7 @@ def test_a_single_task_pool_imports_no_multiprocessing(warm_small):
     assert not _pulled(loaded, ("multiprocessing",))
 
 
-def test_serving_a_missing_store_ingests_a_warm_entry_without_numpy(
+def test_serving_a_missing_store_ingests_a_warm_entry_without_numpy_or_openssl(
     warm_small, tmp_path
 ):
     db = str(tmp_path / "etl.db")
@@ -169,7 +172,7 @@ def test_serving_a_missing_store_ingests_a_warm_entry_without_numpy(
         "assert store.checkpoint_height > 0"
     )
     assert "repro.etl.ingest" in loaded
-    assert not _pulled(loaded, ("numpy",))
+    assert not _pulled(loaded, ("numpy",) + NO_OPENSSL)
 
 
 def test_a_reproduction_never_imports_numpy_ma():
